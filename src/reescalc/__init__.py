@@ -17,9 +17,9 @@ from .groebner import (ModuleOrder, SubmoduleData, colon, contains, eliminate,
                        equal, groebner_basis, intersect, member,
                        minimal_generators, normal_form, preimage, saturate,
                        sum_modules)
-from .poly import Polynomial, parse_poly, poly_arith
+from .poly import Polynomial, parse_poly
 from .rees import (INFINITE, GradedPiece, ModuleEmbedding, colength,
-                   direct_sum, embed, fiber_cone_hilbert, fitting_ideal,
+                   direct_sum, fiber_cone_hilbert, fitting_ideal,
                    graded_piece, is_parameter_module, maximal_ideal, min_gens,
                    ord_ideal, scale_by_ideal)
 

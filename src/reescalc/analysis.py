@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
 
-from .closures import (ClosureOptions, ideal_product, integral_closure_module,
+from .closures import (ClosureOptions, integral_closure_module,
                        integral_closure_monomial, ratliff_rush_module)
 from .errors import InputError, SoundnessAlert
 from .groebner import contains, equal, groebner_basis, member
@@ -396,7 +396,7 @@ def indecomposability_check(E, factors, opts=None):
         closed = integral_closure_monomial(I)
         if closed.submodule.gens != I.gens:
             raise InputError("factor is not integrally closed")
-        product = I if product is None else ideal_product(product, I)
+        product = I if product is None else scale_piece_by_ideal(product, I)
     fitt0 = fitting_ideal(E, 0)
     if groebner_basis(product).gens != fitt0.gens:
         raise InputError("factor product differs from the 0th Fitting ideal")

@@ -16,8 +16,8 @@ from . import fixtures as corpus
 from .analysis import (br_coefficients, buchsbaum_check,
                        indecomposability_check, theorem12_check)
 from .closures import integral_closure_module, ratliff_rush_module
-from .errors import (DeadlineExceeded, ReescalcError, SoundnessAlert,
-                     UnstableChainError)
+from .errors import (DeadlineExceeded, InputError, ReescalcError,
+                     SoundnessAlert, UnstableChainError)
 from .problem import parse_problem
 from .rees import INFINITE, fitting_ideal, is_parameter_module
 
@@ -177,8 +177,11 @@ def main(argv=None):
             with open(args.file, "rb") as fh:
                 raw = fh.read()
             digest = hashlib.sha256(raw).hexdigest()
-            problem = parse_problem(raw.decode("utf-8"),
-                                    char_override=args.char)
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"problem file is not UTF-8: {exc}") from None
+            problem = parse_problem(text, char_override=args.char)
             if args.lmax is not None:
                 problem.options["lmax"] = args.lmax
             if args.window is not None:

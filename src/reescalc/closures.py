@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .context import mon_mul
 from .errors import InputError, SoundnessAlert, UnstableChainError, DeadlineExceeded
-from .groebner import (SubmoduleData, colon, contains, groebner_basis, member,
-                       preimage, intersect, sum_modules, _from_mono_components,
+from .groebner import (SubmoduleData, contains, groebner_basis, preimage,
+                       intersect, sum_modules, _from_mono_components,
                        _mono_components, _mono_ideal_colon_single,
                        _mono_ideal_intersect)
 from .poly import Polynomial
@@ -25,12 +25,31 @@ from .rees import (ModuleEmbedding, add_columns, fiber_basis,
                    multiply_piece_vectors, piece_product, piece_rank)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureOptions:
+    """Bounds of the closure computations, checked on construction.
+
+    A colon chain stops `window` steps after its last change; a change
+    after step `l_max` makes it unstable.  Reduction tests try exponents
+    up to `s_max`.  `deadline_seconds` (None for no deadline) limits each
+    closure call.
+    """
+
     l_max: int = 10
     window: int = 2
     s_max: int = 5
     deadline_seconds: float = None
+
+    def __post_init__(self):
+        if self.l_max < 0:
+            raise InputError(f"lmax must be at least 0, got {self.l_max}")
+        if self.window < 1:
+            raise InputError(f"window must be at least 1, got {self.window}")
+        if self.s_max < 0:
+            raise InputError(f"smax must be at least 0, got {self.s_max}")
+        if self.deadline_seconds is not None and not self.deadline_seconds > 0:
+            raise InputError(
+                f"deadline must be positive, got {self.deadline_seconds}")
 
     def deadline(self):
         return _Deadline(self.deadline_seconds)
@@ -55,26 +74,40 @@ class ClosureResult:
     extra: dict = dc_field(default_factory=dict)
 
 
-def ideal_product(A, B):
-    """Ideal generated by pairwise products, returned as a reduced basis."""
-    gens = [(p * q,) for (p,) in A.gens for (q,) in B.gens]
-    return groebner_basis(SubmoduleData(A.ctx, 1, tuple(gens)))
+# -- the stabilizing chain -----------------------------------------------
+
+def _stabilize(step, first, opts, deadline, what):
+    """Run value_l = step(l, value_(l-1)) from value_0 = first.
+
+    The chain stops `window` steps after its last change and returns
+    (value, l*) with l* the step of that change, 0 if there was none.
+    Values are reduced bases, so equal generators mean equal modules.
+    A change after step l_max raises UnstableChainError carrying the new
+    value.
+    """
+    value = first
+    l = l_star = 0
+    while l - l_star < opts.window:
+        deadline.check()
+        l += 1
+        new = step(l, value)
+        if new.gens != value.gens:
+            value, l_star = new, l
+            if l > opts.l_max:
+                raise UnstableChainError(
+                    f"{what} did not stabilize within l_max={opts.l_max}",
+                    last_value=new)
+    return value, l_star
 
 
-def ideal_power(J, n, cache=None):
-    if cache is not None and n in cache:
-        return cache[n]
-    if n == 0:
-        result = groebner_basis(
-            SubmoduleData.ideal(J.ctx, [Polynomial.one(J.ctx)]))
-    elif n == 1:
-        result = groebner_basis(J)
-    else:
-        result = ideal_product(ideal_power(J, n // 2, cache),
-                               ideal_power(J, n - n // 2, cache))
-    if cache is not None:
-        cache[n] = result
-    return result
+def _power_chain(E, n, opts, deadline, what):
+    """Stable value of the degree-n colons M^(n(l+1)) : M^(nl), starting
+    from M^n."""
+    def step(l, _value):
+        low = E.power_piece(n * l)
+        return _piece_colon(E, E.power_piece(n * (l + 1)), low.gens, n * l, n)
+
+    return _stabilize(step, E.power_piece(n), opts, deadline, what)
 
 
 # -- Ratliff-Rush closure of ideals --------------------------------------
@@ -89,57 +122,33 @@ def ratliff_rush_ideal(J, opts=None):
     if J.is_zero():
         return ClosureResult(J, "colon-chain", 0, opts.window, certified=True,
                              extra={"note": "zero ideal is closed"})
-    powers = {1: J}
-    chain = [J]  # chain[l] = J^(l+1) : J^l, with chain[0] = J
-    l = 0
-    run_start = 0
-    while True:
-        deadline.check()
-        l += 1
-        if l + 1 > opts.l_max + opts.window + 1:
-            raise UnstableChainError(
-                f"colon chain did not stabilize within l_max={opts.l_max}",
-                last_value=chain[-1])
-        num = ideal_power(J, l + 1, powers)
-        den = ideal_power(J, l, powers)
-        w = groebner_basis(colon(num, den))
-        if w.gens == chain[-1].gens:
-            if l - run_start >= opts.window:
-                break
-        else:
-            run_start = l
-            if l > opts.l_max:
-                raise UnstableChainError(
-                    f"colon chain did not stabilize within l_max={opts.l_max}",
-                    last_value=w)
-        chain.append(w)
-
-    result = chain[-1]
-    l_star = run_start
+    E = ModuleEmbedding.from_submodule(J)
+    result, l_star = _power_chain(E, 1, opts, deadline, "colon chain")
     # necessary conditions: the closure contains J and multiplies back in
     if not contains(result, J):
         raise SoundnessAlert("colon chain result does not contain the input")
-    den = ideal_power(J, max(l_star, 1), powers)
-    num = ideal_power(J, max(l_star, 1) + 1, powers)
-    if not contains(num, ideal_product(result, den)):
+    k = max(l_star, 1)
+    if not contains(E.power_piece(k + 1),
+                    piece_product(E, result, 1, E.power_piece(k), k)):
         raise SoundnessAlert("colon chain result fails the defining colon")
     extra = {"confirmed_steps": opts.window}
-    m = _power_equality_index(result, J, powers, opts, deadline)
+    m = _power_equality_index(result, E, opts, deadline)
     if m is not None:
         extra["power_equality_degree"] = m
     return ClosureResult(result, "colon-chain", l_star, opts.window,
                          certified=False, extra=extra)
 
 
-def _power_equality_index(W, J, powers, opts, deadline):
-    """Smallest m with W^m = J^m, if one shows up early.
+def _power_equality_index(W, E, opts, deadline):
+    """Smallest m with W^m = J^m for the ideal J of E, if one shows up
+    early.
 
     Such an m proves W lies inside the Ratliff-Rush closure of J.
     """
-    wcache = {}
+    W_embed = ModuleEmbedding.from_submodule(W)
     for m in range(1, opts.l_max + 2):
         deadline.check()
-        if ideal_power(W, m, wcache).gens == ideal_power(J, m, powers).gens:
+        if W_embed.power_piece(m).gens == E.power_piece(m).gens:
             return m
     return None
 
@@ -223,39 +232,11 @@ def ratliff_rush_module(E, n=1, opts=None):
         one = groebner_basis(
             SubmoduleData.ideal(E.ctx, [Polynomial.one(E.ctx)]))
         return ClosureResult(one, "colon-chain", 0, opts.window, certified=True)
-    return _rr_module_degreewise(E, n, opts)
-
-
-def _rr_module_degreewise(E, n, opts):
-    deadline = opts.deadline()
-    base = E.power_piece(n)
-    chain = [base]
-    l = 0
-    run_start = 0
-    while True:
-        deadline.check()
-        l += 1
-        if l + 1 > opts.l_max + opts.window + 1:
-            raise UnstableChainError(
-                f"module colon chain did not stabilize within l_max={opts.l_max}",
-                last_value=chain[-1])
-        low = E.power_piece(n * l)
-        high = E.power_piece(n * (l + 1))
-        w = _piece_colon(E, high, low.gens, n * l, n)
-        if w.gens == chain[-1].gens:
-            if l - run_start >= opts.window:
-                break
-        else:
-            run_start = l
-            if l > opts.l_max:
-                raise UnstableChainError(
-                    f"module colon chain did not stabilize within l_max={opts.l_max}",
-                    last_value=w)
-        chain.append(w)
-    result = chain[-1]
-    if not contains(result, base):
+    result, l_star = _power_chain(E, n, opts, opts.deadline(),
+                                  "module colon chain")
+    if not contains(result, E.power_piece(n)):
         raise SoundnessAlert("module colon chain result lost the input")
-    return ClosureResult(result, "colon-chain", run_start, opts.window,
+    return ClosureResult(result, "colon-chain", l_star, opts.window,
                          certified=False, extra={"degreewise": True})
 
 
@@ -271,39 +252,24 @@ def rr_via_reduction(E, reduction_columns, opts=None):
     if not ok:
         raise InputError(
             f"columns not verified to span a reduction within s_max={opts.s_max}")
-    acc = groebner_basis(M)
     current = [tuple(col) for col in L.gens]  # x_i^n as piece-n vectors
-    n = 0
-    run_start = 0
-    while True:
-        deadline.check()
-        n += 1
-        if n > opts.l_max + opts.window + 1:
-            raise UnstableChainError(
-                f"reduction chain did not stabilize within l_max={opts.l_max}",
-                last_value=acc)
+
+    def step(n, acc):
+        nonlocal current
         if n > 1:
             current = [multiply_piece_vectors(E.rank, xv, n - 1,
                                               tuple(col), 1, E.ctx)
                        for xv, col in zip(current, L.gens)]
-        high = E.power_piece(n + 1)
-        piece = _piece_colon(E, high, current, n, 1)
-        merged = groebner_basis(sum_modules(acc, piece))
-        if merged.gens == acc.gens:
-            if n - run_start >= opts.window:
-                break
-        else:
-            run_start = n
-            acc = merged
-            if n > opts.l_max:
-                raise UnstableChainError(
-                    f"reduction chain did not stabilize within l_max={opts.l_max}",
-                    last_value=acc)
+        piece = _piece_colon(E, E.power_piece(n + 1), current, n, 1)
+        return groebner_basis(sum_modules(acc, piece))
+
+    acc, l_star = _stabilize(step, groebner_basis(M), opts, deadline,
+                             "reduction chain")
     rr = ratliff_rush_module(E, 1, opts)
     if rr.submodule.gens != acc.gens:
         raise SoundnessAlert(
             "reduction-based closure disagrees with the colon-chain closure")
-    return ClosureResult(acc, "reduction-based", run_start, opts.window,
+    return ClosureResult(acc, "reduction-based", l_star, opts.window,
                          certified=False,
                          extra={"reduction_exponent": s,
                                 "cross_checked": True})
@@ -442,17 +408,7 @@ def is_integral_element(E, column, s_max=5):
     column = tuple(column)
     if len(column) != E.rank:
         raise InputError("candidate column has the wrong length")
-    M = E.submodule()
-    if member(column, M):
-        return True, 0
-    N = add_columns(E, [column])
-    M_piece = E.power_piece(1)
-    for s in range(s_max + 1):
-        lhs = N.power_piece(s + 1)
-        rhs = piece_product(N, M_piece, 1, N.power_piece(s), s)
-        if lhs.gens == rhs.gens:
-            return True, s
-    return False, None
+    return is_reduction(E.submodule(), add_columns(E, [column]), s_max)
 
 
 def check_integral_equation(x, coeffs):

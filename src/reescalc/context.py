@@ -11,6 +11,7 @@ degree-reverse-lexicographic comparison inside each block.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InputError
 
@@ -59,8 +60,10 @@ class PrimeField:
     """Prime field F_p; values are reduced representatives in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 << 16)) if q * q <= p):
-            raise InputError(f"characteristic must be 0 or prime, got {p}")
+        if not 2 <= p < 1 << 31 or any(
+                p % q == 0 for q in range(2, isqrt(p) + 1)):
+            raise InputError(
+                f"characteristic must be 0 or a prime below 2^31, got {p}")
         self.characteristic = p
         self.zero = 0
         self.one = 1 % p

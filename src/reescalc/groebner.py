@@ -29,31 +29,24 @@ class ModuleOrder:
 
     position 'TOP' compares the monomial first (term over position), 'POT'
     the component first.  The first elim_components components dominate
-    everything else, which is what syzygy-style eliminations need.  An
-    optional priority sequence reorders components; by default lower
-    component index is larger.
+    everything else, which is what syzygy-style eliminations need.  A
+    lower component index is larger.
     """
 
     position: str = "TOP"
     elim_components: int = 0
-    priority: tuple = None
 
     def key_function(self, ctx):
         monkey = ctx.mon_key
-        if self.priority is not None:
-            lut = {c: -i for i, c in enumerate(self.priority)}
-            comp_rank = lut.__getitem__
-        else:
-            comp_rank = lambda c: -c
         elim = self.elim_components
         if self.position == "TOP":
             def key(term):
                 c, e = term
-                return (1 if c < elim else 0, monkey(e), comp_rank(c))
+                return (1 if c < elim else 0, monkey(e), -c)
         elif self.position == "POT":
             def key(term):
                 c, e = term
-                return (1 if c < elim else 0, comp_rank(c), monkey(e))
+                return (1 if c < elim else 0, -c, monkey(e))
         else:
             raise ValueError(f"unknown position policy {self.position!r}")
         return key

@@ -198,26 +198,6 @@ class Polynomial:
             return self
         return self.scale(self.ctx.field.invert(self.leading_coefficient()))
 
-    def primitive(self):
-        """Clear denominators, divide by integer content, leading coeff > 0.
-
-        Over a prime field this is the monic normalization.
-        """
-        if not self.terms:
-            return self
-        if self.ctx.characteristic != 0:
-            return self.monic()
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        factor = Fraction(den, num)
-        if self.leading_coefficient() < 0:
-            factor = -factor
-        return self.scale(factor)
-
     # -- mapping between contexts ----------------------------------------
 
     def map_context(self, new_ctx):
@@ -391,14 +371,3 @@ def parse_poly(text, ctx):
     parentheses.  Juxtaposition is not multiplication.
     """
     return _Parser(text, ctx).parse()
-
-
-def poly_arith(f, g, op):
-    """Named dispatcher for exact polynomial arithmetic."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown operation {op!r}")

@@ -16,9 +16,6 @@ Example:
     factors {
       ideal = X, Y^2
     }
-    scale {
-      ideal = X, Y
-    }
     options {
       lmax = 10
       window = 2
@@ -48,7 +45,6 @@ class ProblemFile:
     rows: list
     candidates: list = dc_field(default_factory=list)
     factors: list = dc_field(default_factory=list)
-    scale: list = None
     options: dict = dc_field(default_factory=dict)
 
     def embedding(self):
@@ -70,26 +66,15 @@ class ProblemFile:
                                     [parse_poly(e, self.ctx) for e in gens])
                 for gens in self.factors]
 
-    def scale_ideal(self):
-        if self.scale is None:
-            return None
-        return SubmoduleData.ideal(self.ctx,
-                                   [parse_poly(e, self.ctx) for e in self.scale])
-
     def closure_options(self):
-        opts = ClosureOptions()
-        if "lmax" in self.options:
-            opts.l_max = self.options["lmax"]
-        if "window" in self.options:
-            opts.window = self.options["window"]
-        if "smax" in self.options:
-            opts.s_max = self.options["smax"]
-        if "deadline" in self.options:
-            opts.deadline_seconds = float(self.options["deadline"])
-        return opts
+        return ClosureOptions(**{field: self.options[key]
+                                 for key, field in _CLOSURE_FIELDS.items()
+                                 if key in self.options})
 
 
-_INT_OPTIONS = ("lmax", "window", "nmax", "smax", "index")
+_INT_OPTIONS = ("lmax", "window", "nmax", "smax")
+_CLOSURE_FIELDS = {"lmax": "l_max", "window": "window", "smax": "s_max",
+                   "deadline": "deadline_seconds"}
 
 
 def _parse_blocks(text):
@@ -130,6 +115,14 @@ def _split_entries(value):
     return [e.strip() for e in value.split(",")]
 
 
+def _number(convert, key, value, lineno):
+    try:
+        return convert(value)
+    except ValueError:
+        raise InputError(
+            f"line {lineno}: {key} needs a number, got {value!r}") from None
+
+
 def parse_problem(text, char_override=None):
     blocks = _parse_blocks(text)
     base_vars = ("X", "Y")
@@ -137,7 +130,6 @@ def parse_problem(text, char_override=None):
     rows = []
     candidates = []
     factors = []
-    scale = None
     options = {}
     seen = set()
     for name, items in blocks:
@@ -149,7 +141,7 @@ def parse_problem(text, char_override=None):
                 if key == "vars":
                     base_vars = tuple(_split_entries(value))
                 elif key == "char":
-                    char = int(value)
+                    char = _number(int, key, value, lineno)
                 else:
                     raise InputError(f"line {lineno}: unknown ring key {key!r}")
         elif name == "matrix":
@@ -167,19 +159,12 @@ def parse_problem(text, char_override=None):
                 if key != "ideal":
                     raise InputError(f"line {lineno}: expected ideal entries")
                 factors.append(_split_entries(value))
-        elif name == "scale":
-            for key, value, lineno in items:
-                if key != "ideal":
-                    raise InputError(f"line {lineno}: expected ideal entries")
-                if scale is not None:
-                    raise InputError(f"line {lineno}: one scale ideal only")
-                scale = _split_entries(value)
         elif name == "options":
             for key, value, lineno in items:
                 if key in _INT_OPTIONS:
-                    options[key] = int(value)
+                    options[key] = _number(int, key, value, lineno)
                 elif key == "deadline":
-                    options[key] = float(value)
+                    options[key] = _number(float, key, value, lineno)
                 else:
                     raise InputError(f"line {lineno}: unknown option {key!r}")
         else:
@@ -192,4 +177,4 @@ def parse_problem(text, char_override=None):
     if char_override is not None:
         char = char_override
     ctx = RingContext(characteristic=char, base_vars=base_vars)
-    return ProblemFile(ctx, rows, candidates, factors, scale, options)
+    return ProblemFile(ctx, rows, candidates, factors, options)

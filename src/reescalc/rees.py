@@ -115,17 +115,6 @@ class ModuleEmbedding:
         """M as a SubmoduleData inside A^r."""
         return SubmoduleData(self.ctx, self.rank, self.columns)
 
-    def ms_generators(self):
-        """Generators of the ideal MS: one t-linear form per column."""
-        gens = []
-        for col in self.columns:
-            poly = Polynomial.zero(self.ctx_S)
-            for i, entry in enumerate(col):
-                t = Polynomial.variable(self.ctx_S, f"t{i+1}")
-                poly = poly + entry.map_context(self.ctx_S) * t
-            gens.append(poly)
-        return tuple(gens)
-
     def finite_colength(self):
         return self.colength_F_mod_M() is not INFINITE
 
@@ -222,13 +211,6 @@ def mixed_product(colsA, rA, colsB, rB, ctx):
 
 
 # -- graded-piece operations ---------------------------------------------
-
-def embed(rows, ctx):
-    """Build a ModuleEmbedding from the generator matrix (list of rows)."""
-    E = ModuleEmbedding.from_matrix(ctx, rows)
-    E.colength_F_mod_M()
-    return E
-
 
 def graded_piece(E, ideal_power, n):
     """Fiber-degree-n component of (MS)^k as an A-submodule.

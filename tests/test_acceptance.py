@@ -15,7 +15,7 @@ from reescalc import (RingContext, SubmoduleData,
                       min_gens, parse_poly, ratliff_rush_ideal,
                       ratliff_rush_module, scaled_buchsbaum_check,
                       theorem12_check)
-from reescalc.closures import ideal_product
+from reescalc.rees import scale_piece_by_ideal
 from reescalc.cli import main as cli_main
 from reescalc.fixtures import (indecomposable_presentation, mixed_direct_sum,
                                parameter_module, rr_ideal_pair,
@@ -85,8 +85,8 @@ def test_criterion_3_square_direct_sum():
         # the witness lies in m * closure(I) but not in I
         Ibar = integral_closure_monomial(fix["I"]).submodule
         w = _p("X^2*Y^5")
-        m_Ibar = ideal_product(SubmoduleData.ideal(CTX, [_p("X"), _p("Y")]),
-                               Ibar)
+        m_Ibar = scale_piece_by_ideal(
+            Ibar, SubmoduleData.ideal(CTX, [_p("X"), _p("Y")]))
         assert member((w,), m_Ibar) and not member((w,), fix["I"])
 
 
@@ -117,10 +117,10 @@ def test_criterion_5_presentation_corpus():
         assert equal(fitting_ideal(E, 1),
                      SubmoduleData.ideal(CTX, [_p("X^3"), _p("X^2*Y^2"),
                                                _p("X*Y^3"), _p("Y^5")]))
-        want = ideal_product(
-            SubmoduleData.ideal(CTX, [_p("X"), _p("Y^2")]),
+        want = scale_piece_by_ideal(
             integral_closure_monomial(
-                SubmoduleData.ideal(CTX, [_p("X^5"), _p("Y^8")])).submodule)
+                SubmoduleData.ideal(CTX, [_p("X^5"), _p("Y^8")])).submodule,
+            SubmoduleData.ideal(CTX, [_p("X"), _p("Y^2")]))
         assert equal(fitting_ideal(E, 0), want)
         indec = indecomposability_check(E, fix["factors"])
         assert indec["verdict"]

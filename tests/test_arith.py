@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from reescalc import (ParseError, Polynomial, RingContext, parse_poly,
-                      poly_arith)
+from reescalc import (InputError, ParseError, Polynomial, PrimeField,
+                      RingContext, parse_poly)
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
@@ -89,12 +89,14 @@ def test_prime_field_inverse_arithmetic():
     assert ctx.field.mul(two, ctx.field.invert(two)) == ctx.field.one
 
 
-def test_poly_arith_helper():
-    f = parse_poly("X + Y", CTX)
-    g = parse_poly("X - Y", CTX)
-    assert poly_arith(f, g, "mul") == parse_poly("X^2 - Y^2", CTX)
-    assert poly_arith(f, g, "add") == parse_poly("2*X", CTX)
-    assert poly_arith(f, g, "sub") == parse_poly("2*Y", CTX)
+def test_prime_field_primality_is_exact():
+    for p in (2, 3, 32003, 65537, 2147483647):
+        assert PrimeField(p).characteristic == p
+    # 4295229443 = 65537 * 65539 has no factor below 2^16; 2147483659 is
+    # prime but at or above the 2^31 limit
+    for p in (0, 1, 4, 65537 * 65539, 2147483649, 2147483659):
+        with pytest.raises(InputError):
+            PrimeField(p)
 
 
 def test_power_matches_repeated_multiplication():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from reescalc.cli import main
 
 RR_PROBLEM = """\
@@ -162,3 +164,49 @@ candidates {
     report = json.loads(out)
     assert report["certification"]["certified"] is False
     assert any("candidate-verified" in w for w in report["warnings"])
+
+
+@pytest.mark.parametrize("text", [
+    RR_PROBLEM + "scale {\n  ideal = X, Y\n}\n",
+    RR_PROBLEM + "options {\n  index = 1\n}\n",
+    RR_PROBLEM.replace("char = 0", "char = abc"),
+    RR_PROBLEM + "options {\n  lmax = ten\n}\n",
+    RR_PROBLEM + "options {\n  deadline = soon\n}\n",
+    RR_PROBLEM + "options {\n  window = 0\n}\n",
+    RR_PROBLEM + "options {\n  deadline = 0\n}\n",
+    RR_PROBLEM.replace("char = 0", "char = 4295229443"),
+], ids=["scale-block", "index-option", "char-abc", "lmax-ten",
+        "deadline-soon", "window-0", "deadline-0", "char-composite"])
+def test_bad_problem_file_exits_4(tmp_path, capsys, text):
+    path = _write(tmp_path, "bad.problem", text)
+    status, out, err = _run(capsys, ["rr", path])
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_non_utf8_file_exits_4(tmp_path, capsys):
+    path = tmp_path / "bad.problem"
+    path.write_bytes(RR_PROBLEM.encode().replace(b"X^4,", b"X^4\xff,"))
+    status, out, err = _run(capsys, ["rr", str(path)])
+    assert status == 4
+    assert out == ""
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("flags", [["--window", "-3"], ["--lmax", "-1"],
+                                   ["--char", "4295229443"]])
+def test_bad_flag_exits_4(tmp_path, capsys, flags):
+    path = _write(tmp_path, "rr.problem", RR_PROBLEM)
+    status, out, err = _run(capsys, ["rr", path] + flags)
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("p", [32003, 2147483647])
+def test_prime_characteristic_accepted(tmp_path, capsys, p):
+    path = _write(tmp_path, "rr.problem", RR_PROBLEM)
+    status, out, _ = _run(capsys, ["rr", path, "--char", str(p)])
+    assert status == 0
+    assert json.loads(out)["options"]["char"] == p

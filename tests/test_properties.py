@@ -11,7 +11,7 @@ from reescalc import (ModuleEmbedding, Polynomial, RingContext, SubmoduleData,
                       colon, contains, equal, groebner_basis,
                       integral_closure_monomial, member, ratliff_rush_ideal,
                       ratliff_rush_module)
-from reescalc.closures import ideal_power, newton_closure_exps
+from reescalc.closures import newton_closure_exps
 
 from oracles import ideal_from_exps, random_monomial_ideal
 
@@ -70,10 +70,10 @@ def eventual_equality_suite(count=100, seed=3003, n_cap=6):
     failures = []
     for exps in _instances(seed, count):
         I = ideal_from_exps(CTX, exps)
-        cache = {}
+        powers = ModuleEmbedding.from_submodule(I)
         first = None
         for n in range(1, n_cap + 1):
-            In = ideal_power(I, n, cache)
+            In = powers.power_piece(n)
             if equal(ratliff_rush_ideal(In).submodule, In):
                 first = n
                 break
@@ -81,7 +81,7 @@ def eventual_equality_suite(count=100, seed=3003, n_cap=6):
             failures.append(f"no closed power at or below {n_cap} for {exps}")
             continue
         for n in (first + 1, first + 2):
-            In = ideal_power(I, n, cache)
+            In = powers.power_piece(n)
             if not equal(ratliff_rush_ideal(In).submodule, In):
                 failures.append(
                     f"closedness at {first} did not persist to {n} for {exps}")
@@ -95,19 +95,18 @@ def persistence_suite(count=100, seed=4004, l_cap=8):
     for exps in _instances(seed, count):
         I = ideal_from_exps(CTX, exps)
         N = ratliff_rush_ideal(I).submodule
-        cache_i, cache_n = {}, {}
+        powers_i = ModuleEmbedding.from_submodule(I)
+        powers_n = ModuleEmbedding.from_submodule(N)
         first = None
         for l in range(1, l_cap + 1):
-            if ideal_power(I, l, cache_i).gens == \
-                    ideal_power(N, l, cache_n).gens:
+            if powers_i.power_piece(l).gens == powers_n.power_piece(l).gens:
                 first = l
                 break
         if first is None:
             failures.append(f"no power equality at or below {l_cap} for {exps}")
             continue
         for l in range(first + 1, first + 4):
-            if ideal_power(I, l, cache_i).gens != \
-                    ideal_power(N, l, cache_n).gens:
+            if powers_i.power_piece(l).gens != powers_n.power_piece(l).gens:
                 failures.append(
                     f"power equality at {first} broke at {l} for {exps}")
     return failures
@@ -119,12 +118,13 @@ def closure_of_powers_suite(count=100, seed=5005, n_cap=4):
     for exps in _instances(seed, count, max_degree=6):
         I = ideal_from_exps(CTX, exps)
         Ibar = ideal_from_exps(CTX, newton_closure_exps(exps))
-        cache_i, cache_b = {}, {}
+        powers_i = ModuleEmbedding.from_submodule(I)
+        powers_b = ModuleEmbedding.from_submodule(Ibar)
         for n in range(1, n_cap + 1):
-            In = ideal_power(I, n, cache_i)
+            In = powers_i.power_piece(n)
             lhs = newton_closure_exps(
                 [g[0].leading_monomial() for g in In.gens])
-            rhs_ideal = ideal_power(Ibar, n, cache_b)
+            rhs_ideal = powers_b.power_piece(n)
             rhs = newton_closure_exps(
                 [g[0].leading_monomial() for g in rhs_ideal.gens])
             # closure(I)^n is already integrally closed, so taking the
