@@ -269,7 +269,12 @@ def _buchberger(gens, key, field, rank):
 
 
 def _autoreduce(basis, key, field):
-    """Minimalize and tail-reduce a basis into the reduced Groebner basis."""
+    """Minimalize and tail-reduce a monic basis into the reduced one.
+
+    Once no lead divides another, tail reduction never touches a lead
+    term, so the leads are fixed and one pass reducing each entry by all
+    the others leaves no term divisible by another entry's lead.
+    """
     entries = [(max(vp, key=key), vp) for vp in basis if vp]
     # drop entries whose lead is divisible by another lead
     entries.sort(key=lambda e: key(e[0]))
@@ -278,21 +283,9 @@ def _autoreduce(basis, key, field):
         if any(k[0][0] == lt[0] and mon_divides(k[0][1], lt[1]) for k in kept):
             continue
         kept.append((lt, vp))
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            lt, vp = kept[idx]
-            others = kept[:idx] + kept[idx + 1:]
-            r = _vp_normal_form(vp, others, key, field)
-            if r != vp:
-                changed = True
-                if r:
-                    kept[idx] = (max(r, key=key), _vp_monic(r, key, field))
-                else:
-                    kept.pop(idx)
-                break
-    kept.sort(key=lambda e: key(e[0]))
+    for idx, (lt, vp) in enumerate(kept):
+        others = kept[:idx] + kept[idx + 1:]
+        kept[idx] = (lt, _vp_normal_form(vp, others, key, field))
     return [vp for _, vp in kept]
 
 

@@ -1,7 +1,8 @@
 """Byte-for-byte report stability across code changes.
 
-The JSON reports of the CLI for the acceptance problems and for
-`fixtures` must equal the reports checked in under tests/golden/.
+The JSON reports of the CLI for the acceptance problems, for `fixtures`
+and for `br` on two non-monomial inputs (which run the general Buchberger
+path) must equal the reports checked in under tests/golden/.
 Refactors keep every report byte; a change that means to alter a report
 regenerates the files with
 
@@ -22,16 +23,28 @@ from reescalc.cli import main as cli_main
 from test_acceptance import PROBLEMS
 
 GOLDEN = Path(__file__).parent / "golden"
-NAMES = sorted(PROBLEMS) + ["fixtures"]
+
+# name -> (command, problem text, extra arguments); the acceptance
+# problems run the command they are named after.
+CASES = {name: (name, text, ()) for name, text in PROBLEMS.items()}
+CASES["br-binomial"] = ("br", "matrix {\n"
+                        "  row = X^2, X*Y+Y^2, Y^3, 0\n"
+                        "  row = 0, X^2-Y^2, X*Y, Y^2\n}\n",
+                        ("--nmax", "6"))
+CASES["br-shifted"] = ("br", "matrix {\n"
+                       "  row = (X+2*Y)^4, (X+2*Y)^3*Y, (X+2*Y)*Y^3, Y^4\n"
+                       "}\n", ())
+NAMES = sorted(CASES) + ["fixtures"]
 
 
 def _report(name, workdir):
     if name == "fixtures":
         argv = ["fixtures"]
     else:
+        command, text, extra = CASES[name]
         path = Path(workdir) / f"{name}.problem"
-        path.write_text(PROBLEMS[name])
-        argv = [name, str(path)]
+        path.write_text(text)
+        argv = [command, str(path), *extra]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):

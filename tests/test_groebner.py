@@ -6,7 +6,8 @@ from reescalc import (Polynomial, RingContext, SubmoduleData, colon, contains,
                       eliminate, equal, groebner_basis, intersect, member,
                       minimal_generators, normal_form, preimage, saturate,
                       sum_modules)
-from reescalc.context import mon_lcm
+from reescalc.context import mon_divides, mon_lcm
+from reescalc.groebner import DEFAULT_ORDER
 
 from oracles import ideal_from_exps, random_monomial_ideal, span_membership
 
@@ -203,3 +204,41 @@ def test_zero_and_free_degenerate_cases():
     assert contains(F, Z)
     assert member((X, Y), F)
     assert not member((X, Y), Z)
+
+
+def _random_sparse_module(rng, ctx, terms):
+    """Two to four generators of rank 1 or 2, each with `terms` terms of
+    degree at most 3 spread over its components."""
+    rank = rng.randint(1, 2)
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        vec = [{} for _ in range(rank)]
+        for _ in range(terms):
+            a = rng.randint(0, 3)
+            b = rng.randint(0, 3 - a)
+            coeff = rng.choice((-3, -2, -1, 1, 2, 5))
+            vec[rng.randrange(rank)][(a, b)] = coeff
+        gens.append(tuple(Polynomial(ctx, t) for t in vec))
+    return SubmoduleData.from_vectors(ctx, rank, gens)
+
+
+def test_bases_of_random_binomial_and_trinomial_modules_are_reduced():
+    rng = random.Random(3003)
+    for ctx in (CTX, RingContext(characteristic=32003, base_vars=("X", "Y"))):
+        key = DEFAULT_ORDER.key_function(ctx)
+        for terms in (2, 3):
+            for _ in range(40):
+                U = _random_sparse_module(rng, ctx, terms)
+                gb = groebner_basis(U)
+                elements = [{(c, e): coeff for c, p in enumerate(g)
+                             for e, coeff in p.terms.items()}
+                            for g in gb.gens]
+                leads = [max(vp, key=key) for vp in elements]
+                for i, vp in enumerate(elements):
+                    assert vp[leads[i]] == ctx.field.one, (U.gens, gb.gens)
+                    for c, e in vp:
+                        assert not any(
+                            j != i and lc == c and mon_divides(le, e)
+                            for j, (lc, le) in enumerate(leads)), \
+                            (U.gens, gb.gens)
+                assert all(member(g, gb) for g in U.gens)

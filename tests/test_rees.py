@@ -1,15 +1,18 @@
 """Graded data: lengths, minimal generators, pieces, Fitting ideals."""
 
+import itertools
 from math import comb
 
-from reescalc import (INFINITE, ModuleEmbedding, RingContext,
-                      SubmoduleData, colength, direct_sum, equal,
+import pytest
+
+from reescalc import (INFINITE, InputError, ModuleEmbedding, Polynomial,
+                      RingContext, SubmoduleData, colength, direct_sum, equal,
                       fiber_cone_hilbert, fitting_ideal, graded_piece,
-                      is_parameter_module, maximal_ideal, min_gens, ord_ideal,
-                      parse_poly)
+                      groebner, groebner_basis, is_parameter_module,
+                      maximal_ideal, min_gens, ord_ideal, parse_poly)
 from reescalc.fixtures import (indecomposable_presentation, parameter_module,
                                square_direct_sum)
-from reescalc.rees import pad_with_zero_row
+from reescalc.rees import fiber_basis, pad_with_zero_row, piece_rank
 
 from oracles import colength_oracle
 
@@ -169,3 +172,65 @@ def test_zero_row_padding_preserves_module_invariants():
 def test_maximal_ideal_helper():
     m = maximal_ideal(CTX)
     assert equal(m, _ideal("X", "Y"))
+
+
+def _columns_power_oracle(E, n):
+    """groebner_basis of all n-fold products of the columns, multiplied as
+    t-linear forms in S = A[t1..tr] and read off by fiber monomial."""
+    S = E.ctx_S
+    nb = len(E.ctx.base_vars)
+    t = [Polynomial.variable(S, v) for v in S.fiber_vars]
+    forms = [sum((p.map_context(S) * t[i] for i, p in enumerate(col)),
+                 Polynomial.zero(S)) for col in E.columns]
+    _, index = fiber_basis(E.rank, n)
+    products = []
+    for combo in itertools.combinations_with_replacement(forms, n):
+        f = Polynomial.one(S)
+        for g in combo:
+            f = f * g
+        vec = [{} for _ in index]
+        for exps, coeff in f.terms.items():
+            vec[index[exps[nb:]]][exps[:nb]] = coeff
+        products.append(tuple(Polynomial(E.ctx, terms) for terms in vec))
+    return groebner_basis(
+        SubmoduleData(E.ctx, piece_rank(E.rank, n), tuple(products)))
+
+
+BINOMIAL_ROWS = (("X^2", "X*Y+Y^2", "Y^3", "0"),
+                 ("0", "X^2-Y^2", "X*Y", "Y^2"))
+SHIFTED_ROWS = (("(X+2*Y)^4", "(X+2*Y)^3*Y", "(X+2*Y)*Y^3", "Y^4"),)
+MONOMIAL_ROWS = (("X^2", "X*Y", "Y^3", "0", "0"),
+                 ("0", "0", "0", "X", "Y^2"))
+
+
+def _embedding(rows):
+    return ModuleEmbedding.from_matrix(CTX, [[_p(e) for e in r] for r in rows])
+
+
+def test_power_schedule_matches_column_products():
+    for rows in (BINOMIAL_ROWS, SHIFTED_ROWS, MONOMIAL_ROWS):
+        E = _embedding(rows)
+        for n in range(1, 5):
+            assert E.power_piece(n).gens == \
+                _columns_power_oracle(E, n).gens, (rows, n)
+
+
+def test_monomial_powers_of_shifted_ideal_multiply_without_buchberger(
+        monkeypatch):
+    # I^2 = m^8 and I^3 = m^12 are monomial although I is not, so
+    # I^4 = I^2 * I^2 takes the monomial fast path.
+    E = _embedding(SHIFTED_ROWS)
+    E.power_piece(3)
+    calls = []
+    real = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger",
+                        lambda *args: calls.append(1) or real(*args))
+    m16 = [_p(f"X^{16 - k}*Y^{k}") for k in range(17)]
+    assert equal(E.power_piece(4), SubmoduleData.ideal(CTX, m16))
+    assert calls == []
+
+
+def test_power_piece_rejects_negative_degree():
+    E = _embedding(BINOMIAL_ROWS)
+    with pytest.raises(InputError):
+        E.power_piece(-1)
