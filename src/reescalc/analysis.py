@@ -199,6 +199,8 @@ def theorem12_check(E, n_max=4, candidates=None, opts=None):
     a definite contradiction raises SoundnessAlert.
     """
     opts = opts or ClosureOptions()
+    if n_max < 1:
+        raise InputError("n_max must be at least 1")
     if len(E.ctx.base_vars) != 2:
         raise InputError("analysis requires exactly two base variables")
     if not E.finite_colength():

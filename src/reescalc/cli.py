@@ -84,7 +84,7 @@ def _run_br(problem, opts, n_max):
 
 def _run_thm12(problem, opts, n_max):
     E = problem.embedding()
-    rep = theorem12_check(E, n_max=n_max or 4,
+    rep = theorem12_check(E, n_max=4 if n_max is None else n_max,
                           candidates=problem.candidate_columns() or None,
                           opts=opts)
     payload = _jsonable(rep.as_dict())
@@ -222,10 +222,14 @@ def main(argv=None):
         "timings": {},
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
     if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.json_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    sys.stdout.write(text)
     summary = f"{args.command}: exit {status}"
     if isinstance(result, dict) and "verdict" in result:
         summary += f", verdict {result['verdict']}"

@@ -14,14 +14,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .context import mon_mul
 from .errors import InputError, SoundnessAlert, UnstableChainError, DeadlineExceeded
 from .groebner import (SubmoduleData, contains, groebner_basis, preimage,
                        intersect, sum_modules, _from_mono_components,
                        _mono_components, _mono_ideal_colon_single,
-                       _mono_ideal_intersect)
+                       _mono_ideal_intersect, _mono_minimalize)
 from .poly import Polynomial
-from .rees import (ModuleEmbedding, add_columns, fiber_basis,
+from .rees import (ModuleEmbedding, add_columns, fiber_products,
                    multiply_piece_vectors, piece_product, piece_rank)
 
 
@@ -166,23 +165,21 @@ def _mono_piece_colon(E, W, gens_low, low, ambient):
     t-monomial."""
     r = E.rank
     rank_amb = piece_rank(r, ambient)
-    basis_amb, _ = fiber_basis(r, ambient)
-    basis_low, _ = fiber_basis(r, low)
-    _, index_high = fiber_basis(r, low + ambient)
+    index_high = fiber_products(r, ambient, low)
     comps_W = _mono_components(groebner_basis(W))
     shifts = []
     for g in gens_low:
         beta, p = next((c, p) for c, p in enumerate(g) if not p.is_zero())
-        shifts.append((basis_low[beta], p.leading_monomial()))
+        shifts.append((beta, p.leading_monomial()))
     comps_out = []
     for alpha in range(rank_amb):
         acc = None
-        for fib, exps in shifts:
-            target = index_high[mon_mul(basis_amb[alpha], fib)]
+        for beta, exps in shifts:
+            target = index_high[alpha][beta]
             part = _mono_ideal_colon_single(comps_W[target], exps)
             acc = part if acc is None else _mono_ideal_intersect(acc, part)
         comps_out.append(acc)
-    return groebner_basis(_from_mono_components(E.ctx, rank_amb, comps_out))
+    return _from_mono_components(E.ctx, rank_amb, comps_out)
 
 
 def _is_mono_vector(g):
@@ -280,10 +277,7 @@ def rr_via_reduction(E, reduction_columns, opts=None):
 def newton_closure_exps(exps_list):
     """Minimal generators of the integral closure of a 2-variable monomial
     ideal: lattice points of the Newton polyhedron, minimalized."""
-    pts = sorted(set(exps_list))
-    pts = [p for p in pts
-           if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)]
-    pts.sort()  # ascending a, so descending b among Pareto-minimal points
+    pts = _mono_minimalize(exps_list)  # a staircase: a up, b down
     hull = []
     for p in pts:
         while len(hull) >= 2:
@@ -307,12 +301,8 @@ def newton_closure_exps(exps_list):
 
     max_a = max(p[0] for p in pts)
     max_b = max(p[1] for p in pts)
-    points = [(a, b) for a in range(max_a + 1) for b in range(max_b + 1)
-              if inside(a, b)]
-    minimal = [p for p in points
-               if not any(q != p and q[0] <= p[0] and q[1] <= p[1]
-                          for q in points)]
-    return sorted(minimal)
+    return _mono_minimalize([(a, b) for a in range(max_a + 1)
+                             for b in range(max_b + 1) if inside(a, b)])
 
 
 def integral_closure_monomial(I):

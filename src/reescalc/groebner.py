@@ -290,16 +290,43 @@ def _autoreduce(basis, key, field):
 
 
 # -- monomial fast paths -------------------------------------------------
+#
+# A monomial ideal is kept as its minimal exponent tuples, sorted.  In two
+# variables that list is a staircase: corners (a, b) with a strictly
+# rising and b strictly falling, and (x, y) lies in the ideal iff y is at
+# least the b of the last corner with a <= x (Miller & Sturmfels,
+# Combinatorial Commutative Algebra, ch. 3).  Minimalizing is then a sort
+# and one sweep, and intersecting a merge of two staircases; exponent
+# tuples of another length (more variables) take one divisibility pass and
+# the all-pairs lcm instead.
+
+_INF = float("inf")
+
+
+def _sweep(pts):
+    """Staircase of lexicographically sorted points: a point stays iff its
+    b is below the last kept b, which is the least b seen so far."""
+    out = []
+    for p in pts:
+        if not out or p[1] < out[-1][1]:
+            out.append(p)
+    return out
+
 
 def _mono_minimalize(exps_list):
+    """Minimal exponent tuples under divisibility, sorted.
+
+    After the lexicographic sort a divisor comes before every tuple it
+    divides, so one pass against the kept tuples suffices.
+    """
+    pts = sorted(set(exps_list))
+    if pts and len(pts[0]) == 2:
+        return _sweep(pts)
     out = []
-    for e in sorted(set(exps_list)):
-        if not any(mon_divides(o, e) for o in out if o != e):
+    for e in pts:
+        if not any(mon_divides(o, e) for o in out):
             out.append(e)
-    # second pass: a later element may divide an earlier one
-    final = [e for e in out
-             if not any(o != e and mon_divides(o, e) for o in out)]
-    return sorted(final)
+    return out
 
 
 def _mono_components(U):
@@ -321,11 +348,37 @@ def _mono_ideal_colon_single(exps_list, g):
     return _mono_minimalize([mon_div(mon_lcm(e, g), g) for e in exps_list])
 
 
+def _stair_heights(stair, xs):
+    """For ascending xs, the least b over corners of stair with a <= x
+    (infinite where there is none)."""
+    out = []
+    i, y = 0, _INF
+    for x in xs:
+        while i < len(stair) and stair[i][0] <= x:
+            y = stair[i][1]
+            i += 1
+        out.append(y)
+    return out
+
+
 def _mono_ideal_intersect(a_list, b_list):
-    return _mono_minimalize([mon_lcm(a, b) for a in a_list for b in b_list])
+    """Intersection of two minimalized monomial ideals.
+
+    On staircases the Y-bound at each X-breakpoint is the larger of the
+    two ideals' bounds, a merge in place of the |A|*|B| lcms.
+    """
+    if not a_list or not b_list:
+        return []
+    if len(a_list[0]) != 2:
+        return _mono_minimalize([mon_lcm(a, b) for a in a_list for b in b_list])
+    xs = sorted({a for a, _ in a_list} | {a for a, _ in b_list})
+    ys = map(max, _stair_heights(a_list, xs), _stair_heights(b_list, xs))
+    return _sweep([(x, y) for x, y in zip(xs, ys) if y != _INF])
 
 
-def _from_mono_components(ctx, rank, comps, flags=()):
+def _from_mono_components(ctx, rank, comps):
+    """The reduced basis with the given minimal generators per component;
+    it is its own cached basis."""
     z = Polynomial.zero(ctx)
     key = DEFAULT_ORDER.key_function(ctx)
     leads = [(c, e) for c, lst in enumerate(comps) for e in lst]
@@ -334,7 +387,9 @@ def _from_mono_components(ctx, rank, comps, flags=()):
     for c, e in leads:
         gens.append(tuple(Polynomial.monomial(ctx, e) if i == c else z
                           for i in range(rank)))
-    return SubmoduleData(ctx, rank, tuple(gens), tuple(flags))
+    gb = SubmoduleData(ctx, rank, tuple(gens))
+    gb._cache[DEFAULT_ORDER] = gb
+    return gb
 
 
 # -- public operations ---------------------------------------------------
@@ -497,7 +552,12 @@ def saturate(U, J):
 
 
 def intersect(U, V):
-    """U intersect V via one auxiliary homogenizing variable."""
+    """U intersect V via one auxiliary homogenizing variable.
+
+    When one module contains the other, the usual case in the colon
+    chains, the smaller one is returned and the much larger Groebner
+    basis in the extended ring is never built.
+    """
     if U.rank != V.rank:
         raise RankMismatchError("intersection of modules of different rank")
     if U.ctx != V.ctx:
@@ -508,6 +568,10 @@ def intersect(U, V):
         if cv is not None:
             comps = [_mono_ideal_intersect(a, b) for a, b in zip(cu, cv)]
             return _from_mono_components(U.ctx, U.rank, comps)
+    if contains(U, V):
+        return V
+    if contains(V, U):
+        return U
     ctx = U.ctx
     aux = ctx.with_aux_var("_h")
     h = Polynomial.variable(aux, "_h")

@@ -14,12 +14,15 @@ from math import comb
 
 from .context import mon_mul
 from .errors import ContextMismatchError, InputError, RankMismatchError
-from .groebner import SubmoduleData, contains, groebner_basis, member
+from .groebner import (SubmoduleData, contains, groebner_basis, member,
+                       _from_mono_components, _mono_components,
+                       _mono_minimalize)
 from .poly import Polynomial
 
 INFINITE = float("inf")
 
 _FIBER_BASIS_CACHE = {}
+_FIBER_PRODUCT_CACHE = {}
 
 
 def fiber_basis(r, n):
@@ -36,6 +39,21 @@ def fiber_basis(r, n):
         combos.sort(key=lambda e: tuple(-x for x in reversed(e)), reverse=True)
         got = (tuple(combos), {e: i for i, e in enumerate(combos)})
         _FIBER_BASIS_CACHE[key] = got
+    return got
+
+
+def fiber_products(r, a, b):
+    """Table whose [i][j] entry is the degree-(a+b) index of the product
+    of the i-th degree-a and the j-th degree-b fiber monomials."""
+    key = (r, a, b)
+    got = _FIBER_PRODUCT_CACHE.get(key)
+    if got is None:
+        basis_a, _ = fiber_basis(r, a)
+        basis_b, _ = fiber_basis(r, b)
+        _, index_ab = fiber_basis(r, a + b)
+        got = tuple(tuple(index_ab[mon_mul(x, y)] for y in basis_b)
+                    for x in basis_a)
+        _FIBER_PRODUCT_CACHE[key] = got
     return got
 
 
@@ -168,9 +186,7 @@ class ModuleEmbedding:
 
 def multiply_piece_vectors(r, u, a, v, b, ctx):
     """Product of a fiber-degree-a vector and a fiber-degree-b vector."""
-    basis_a, _ = fiber_basis(r, a)
-    basis_b, _ = fiber_basis(r, b)
-    _, index_ab = fiber_basis(r, a + b)
+    index_ab = fiber_products(r, a, b)
     out = [Polynomial.zero(ctx)] * piece_rank(r, a + b)
     for i, p in enumerate(u):
         if p.is_zero():
@@ -178,19 +194,37 @@ def multiply_piece_vectors(r, u, a, v, b, ctx):
         for j, q in enumerate(v):
             if q.is_zero():
                 continue
-            k = index_ab[mon_mul(basis_a[i], basis_b[j])]
+            k = index_ab[i][j]
             out[k] = out[k] + p * q
     return tuple(out)
 
 
 def piece_product(E, A, a, B, b):
-    """Groebner basis of the product piece A*B in fiber degree a+b."""
-    gens = []
-    for u in A.gens:
-        for v in B.gens:
-            gens.append(multiply_piece_vectors(E.rank, u, a, v, b, E.ctx))
-    return groebner_basis(
-        SubmoduleData(E.ctx, piece_rank(E.rank, a + b), tuple(gens)))
+    """Groebner basis of the product piece A*B in fiber degree a+b.
+
+    When both pieces are monomial, so is the product: its component at
+    t^(alpha+beta) is generated by the sums of the exponents of A at
+    t^alpha and B at t^beta, and minimalizing each component (a staircase
+    in two variables) gives the reduced basis with no polynomial
+    arithmetic.
+    """
+    rank = piece_rank(E.rank, a + b)
+    comps_a = _mono_components(A)
+    comps_b = _mono_components(B) if comps_a is not None else None
+    if comps_b is not None:
+        index_ab = fiber_products(E.rank, a, b)
+        comps = [[] for _ in range(rank)]
+        for row, us in zip(index_ab, comps_a):
+            for k, vs in zip(row, comps_b):
+                comps[k].extend(mon_mul(u, v) for u in us for v in vs)
+        return _from_mono_components(
+            E.ctx, rank, [_mono_minimalize(c) for c in comps])
+    # u*v = v*u in M*M, and (x*y)*z = (x*z)*y across M^(n-1)*M: each
+    # repeated product only adds S-pairs that reduce to zero.
+    gens = tuple(dict.fromkeys(
+        multiply_piece_vectors(E.rank, u, a, v, b, E.ctx)
+        for u in A.gens for v in B.gens))
+    return groebner_basis(SubmoduleData(E.ctx, rank, gens))
 
 
 def scale_piece_by_ideal(P, I):
@@ -240,17 +274,15 @@ def graded_piece(E, ideal_power, n):
     if n < ideal_power:
         return GradedPiece(n, SubmoduleData.zero(E.ctx, rank_n), ideal_power)
     P = E.power_piece(ideal_power)
-    basis_k, _ = fiber_basis(r, ideal_power)
-    _, index_n = fiber_basis(r, n)
-    shifts, _ = fiber_basis(r, n - ideal_power)
+    index_n = fiber_products(r, ideal_power, n - ideal_power)
     z = Polynomial.zero(E.ctx)
     gens = []
     for u in P.gens:
-        for gamma in shifts:
+        for g in range(piece_rank(r, n - ideal_power)):
             w = [z] * rank_n
             for i, p in enumerate(u):
                 if not p.is_zero():
-                    w[index_n[mon_mul(basis_k[i], gamma)]] = p
+                    w[index_n[i][g]] = p
             gens.append(tuple(w))
     return GradedPiece(n, groebner_basis(SubmoduleData(E.ctx, rank_n, tuple(gens))),
                        ideal_power)

@@ -210,3 +210,23 @@ def test_prime_characteristic_accepted(tmp_path, capsys, p):
     status, out, _ = _run(capsys, ["rr", path, "--char", str(p)])
     assert status == 0
     assert json.loads(out)["options"]["char"] == p
+
+
+@pytest.mark.parametrize("nmax", ["0", "-2"])
+def test_thm12_nmax_below_one_exits_4(tmp_path, capsys, nmax):
+    path = _write(tmp_path, "thm12.problem", THM12_SQUARE_SUM)
+    status, out, err = _run(capsys, ["thm12", path, "--nmax", nmax])
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "n_max" in err
+
+
+def test_unwritable_json_path_exits_4(tmp_path, capsys):
+    path = _write(tmp_path, "rr.problem", RR_PROBLEM)
+    json_path = tmp_path / "missing" / "out.json"
+    status, out, err = _run(capsys, ["rr", path, "--json", str(json_path)])
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not json_path.exists()

@@ -1,15 +1,20 @@
 """Groebner engine: bases, membership, colon, intersection, elimination."""
 
+import itertools
 import random
 
-from reescalc import (Polynomial, RingContext, SubmoduleData, colon, contains,
-                      eliminate, equal, groebner_basis, intersect, member,
-                      minimal_generators, normal_form, preimage, saturate,
-                      sum_modules)
-from reescalc.context import mon_divides, mon_lcm
-from reescalc.groebner import DEFAULT_ORDER
+import pytest
 
-from oracles import ideal_from_exps, random_monomial_ideal, span_membership
+from reescalc import (INFINITE, Polynomial, RingContext, SubmoduleData, colon,
+                      colength, contains, eliminate, equal, groebner_basis,
+                      intersect, member, minimal_generators, normal_form,
+                      preimage, saturate, sum_modules)
+from reescalc.closures import newton_closure_exps
+from reescalc.context import mon_divides, mon_lcm, mon_mul
+from reescalc.groebner import DEFAULT_ORDER, _mono_minimalize
+
+from oracles import (ideal_from_exps, newton_closure_oracle,
+                     random_monomial_ideal, span_membership)
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 X = Polynomial.variable(CTX, "X")
@@ -242,3 +247,104 @@ def test_bases_of_random_binomial_and_trinomial_modules_are_reduced():
                             for j, (lc, le) in enumerate(leads)), \
                             (U.gens, gb.gens)
                 assert all(member(g, gb) for g in U.gens)
+
+
+def test_intersection_of_nested_modules_skips_the_extended_ring(
+        monkeypatch):
+    rng = random.Random(3131)
+    nested = 0
+    for _ in range(30):
+        U = _random_sparse_module(rng, CTX, 3)
+        extra = _random_sparse_module(rng, CTX, 2)
+        if extra.rank != U.rank:
+            continue
+        nested += 1
+        W = sum_modules(U, extra)
+        with monkeypatch.context() as m:
+            m.setattr(RingContext, "with_aux_var", None)
+            assert equal(intersect(U, W), U)
+            assert equal(intersect(W, U), U)
+    assert nested >= 10
+    # modules that are not nested still meet through the extended ring
+    one = Polynomial.one(CTX)
+    got = intersect(_ideal(X * X - Y), _ideal(X * Y - Y))
+    assert equal(got, _ideal((X * X - Y) * (X - one) * Y))
+
+
+def _random_exps(rng, width, top):
+    """Up to seven random exponent tuples, duplicates and redundant ones
+    included."""
+    return [tuple(rng.randint(0, top) for _ in range(width))
+            for _ in range(rng.randint(0, 7))]
+
+
+def _minimal_brute(points):
+    pts = set(points)
+    return sorted(p for p in pts
+                  if not any(q != p and mon_divides(q, p) for q in pts))
+
+
+def _in_ideal(m, gens):
+    return any(mon_divides(g, m) for g in gens)
+
+
+def _exps(U):
+    return sorted(p.leading_monomial() for (p,) in groebner_basis(U).gens)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_monomial_kernel_matches_brute_force(width):
+    # Exponent length 2 runs the staircase sweeps, length 3 the
+    # divisibility fallback.  Every generator of A, B, A cap B and A : g
+    # lies in the box [0, top]^width, so the grid decides each ideal.
+    rng = random.Random(400 + width)
+    top = 6 if width == 2 else 4
+    ctx = RingContext(characteristic=0, base_vars=("X", "Y", "Z")[:width])
+    grid = list(itertools.product(range(top + 1), repeat=width))
+    for _ in range(80):
+        A = _random_exps(rng, width, top)
+        B = _random_exps(rng, width, top)
+        g = tuple(rng.randint(0, top) for _ in range(width))
+        IA, IB = ideal_from_exps(ctx, A), ideal_from_exps(ctx, B)
+        in_a = [m for m in grid if _in_ideal(m, A)]
+        assert _mono_minimalize(A) == _minimal_brute(A)
+        assert _exps(IA) == _minimal_brute(A)
+        assert _exps(intersect(IA, IB)) == _minimal_brute(
+            m for m in in_a if _in_ideal(m, B))
+        assert _exps(colon(IA, ideal_from_exps(ctx, [g]))) == _minimal_brute(
+            m for m in grid if _in_ideal(mon_mul(m, g), A))
+        assert contains(IA, IB) == all(
+            _in_ideal(m, A) for m in grid if _in_ideal(m, B))
+        pure = all(any(e[i] == sum(e) for e in A) for i in range(width))
+        want = len(grid) - len(in_a) if pure else INFINITE
+        assert colength(IA) == want, A
+
+
+def test_newton_closure_matches_oracle_on_redundant_generators():
+    rng = random.Random(4242)
+    for _ in range(20):
+        exps = _random_exps(rng, 2, 5) or [(2, 3)]
+        assert newton_closure_exps(exps) == newton_closure_oracle(exps), exps
+
+
+def test_monomial_containment_on_larger_sets_in_three_variables():
+    # B is made of multiples of A's generators, half the time plus one
+    # random stray; all of B's generators lie in the box [0, 5]^3, so the
+    # grid decides whether B lies inside A.
+    rng = random.Random(4343)
+    ctx = RingContext(characteristic=0, base_vars=("X", "Y", "Z"))
+    grid = list(itertools.product(range(6), repeat=3))
+    seen = set()
+    for _ in range(30):
+        A = _random_exps(rng, 3, 3) + [
+            tuple(rng.randint(0, 3) for _ in range(3))
+            for _ in range(rng.randint(10, 25))]
+        B = [mon_mul(rng.choice(A), tuple(rng.randint(0, 2) for _ in range(3)))
+             for _ in range(rng.randint(10, 25))]
+        if rng.random() < 0.5:
+            B.append(tuple(rng.randint(0, 5) for _ in range(3)))
+        want = all(_in_ideal(m, A) for m in grid if _in_ideal(m, B))
+        seen.add(want)
+        assert contains(ideal_from_exps(ctx, A), ideal_from_exps(ctx, B)) \
+            == want, (A, B)
+    assert seen == {True, False}

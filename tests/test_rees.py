@@ -9,7 +9,7 @@ from reescalc import (INFINITE, InputError, ModuleEmbedding, Polynomial,
                       RingContext, SubmoduleData, colength, direct_sum, equal,
                       fiber_cone_hilbert, fitting_ideal, graded_piece,
                       groebner, groebner_basis, is_parameter_module,
-                      maximal_ideal, min_gens, ord_ideal, parse_poly)
+                      maximal_ideal, min_gens, ord_ideal, parse_poly, rees)
 from reescalc.fixtures import (indecomposable_presentation, parameter_module,
                                square_direct_sum)
 from reescalc.rees import fiber_basis, pad_with_zero_row, piece_rank
@@ -230,7 +230,37 @@ def test_monomial_powers_of_shifted_ideal_multiply_without_buchberger(
     assert calls == []
 
 
+def test_products_reach_buchberger_once_each(monkeypatch):
+    seen = []
+    real = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda gens, *rest: (
+        seen.append([sorted(vp.items()) for vp in gens]), real(gens, *rest))[1])
+    E = _embedding(BINOMIAL_ROWS)
+    E.power_piece(2)
+    products = seen[-1]
+    assert len(products) == comb(len(E.power_piece(1).gens) + 1, 2)
+    assert all(a != b for a, b in itertools.combinations(products, 2))
+
+
 def test_power_piece_rejects_negative_degree():
     E = _embedding(BINOMIAL_ROWS)
     with pytest.raises(InputError):
         E.power_piece(-1)
+
+
+def test_monomial_products_match_column_products_without_polynomials(
+        monkeypatch):
+    calls = []
+    real = rees.multiply_piece_vectors
+    monkeypatch.setattr(rees, "multiply_piece_vectors",
+                        lambda *args: calls.append(1) or real(*args))
+    for E in (_embedding(MONOMIAL_ROWS), m_power_embedding(4)):
+        for n in range(1, 5):
+            assert E.power_piece(n).is_monomial()
+            assert E.power_piece(n).gens == \
+                _columns_power_oracle(E, n).gens, (E, n)
+    assert calls == []
+    # the counter does see the polynomial path
+    _embedding(BINOMIAL_ROWS).power_piece(2)
+    assert calls
+
