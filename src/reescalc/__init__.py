@@ -13,14 +13,13 @@ from .context import PrimeField, RationalField, RingContext
 from .errors import (ContextMismatchError, DeadlineExceeded, InputError,
                      ParseError, RankMismatchError, ReescalcError,
                      SoundnessAlert, UnstableChainError)
-from .groebner import (ModuleOrder, SubmoduleData, colon, contains, eliminate,
-                       equal, groebner_basis, intersect, member,
-                       minimal_generators, normal_form, preimage, saturate,
-                       sum_modules)
+from .groebner import (ModuleOrder, SubmoduleData, contains, eliminate, equal,
+                       groebner_basis, intersect, member, minimal_generators,
+                       normal_form, preimage, sum_modules)
 from .poly import Polynomial, parse_poly
-from .rees import (INFINITE, GradedPiece, ModuleEmbedding, colength,
+from .rees import (INFINITE, GradedPiece, ModuleEmbedding, colength, colon,
                    direct_sum, fiber_cone_hilbert, fitting_ideal,
                    graded_piece, is_parameter_module, maximal_ideal, min_gens,
-                   ord_ideal, scale_by_ideal)
+                   ord_ideal, saturate, scale_by_ideal)
 
 __version__ = "1.0.0"

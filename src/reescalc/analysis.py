@@ -16,12 +16,10 @@ from math import comb
 from .closures import (ClosureOptions, integral_closure_module,
                        integral_closure_monomial, ratliff_rush_module)
 from .errors import InputError, SoundnessAlert
-from .groebner import contains, equal, groebner_basis, member
-from .poly import Polynomial
+from .groebner import SubmoduleData, contains, groebner_basis, member
 from .rees import (INFINITE, ModuleEmbedding, colength, direct_sum,
-                   fitting_ideal, maximal_ideal, mixed_product,
-                   ord_ideal, piece_product, scale_by_ideal,
-                   scale_piece_by_ideal)
+                   fitting_ideal, maximal_ideal, ord_ideal, piece_product,
+                   scale_by_ideal)
 
 
 @dataclass
@@ -280,7 +278,7 @@ def buchsbaum_check(E, mbar=None, opts=None):
         mbar = integral_closure_module(E, opts=opts)
     Mbar = mbar.submodule
     M = E.submodule()
-    m_mbar = scale_piece_by_ideal(Mbar, maximal_ideal(E.ctx))
+    m_mbar = piece_product(E, maximal_ideal(E.ctx), 0, Mbar, 1)
     clause_m = contains(groebner_basis(M), m_mbar)
     witness = None
     if not clause_m:
@@ -326,15 +324,23 @@ def direct_sum_buchsbaum(E1, E2, opts=None):
     check2 = buchsbaum_check(E2, opts=opts)
     bar1 = integral_closure_module(E1, opts=opts).submodule
     bar2 = integral_closure_module(E2, opts=opts).submodule
-    ctx = E1.ctx
-    p_plain = mixed_product(E1.columns, E1.rank, E2.columns, E2.rank, ctx)
-    p_left = mixed_product(groebner_basis(bar1).gens, E1.rank,
-                           E2.columns, E2.rank, ctx)
-    p_right = mixed_product(E1.columns, E1.rank,
-                            groebner_basis(bar2).gens, E2.rank, ctx)
-    mixed_ok = (p_left.gens == p_plain.gens and p_right.gens == p_plain.gens)
+    # In the direct sum the fiber-degree-2 product of the two padded
+    # summands lies in the mixed components t_i*s_j alone.
+    whole_sum = direct_sum(E1, E2)
+    bar_sum = direct_sum(ModuleEmbedding.from_submodule(bar1),
+                         ModuleEmbedding.from_submodule(bar2))
+
+    def summands(D, n1):
+        return (SubmoduleData(D.ctx, D.rank, D.columns[:n1]),
+                SubmoduleData(D.ctx, D.rank, D.columns[n1:]))
+
+    M1, M2 = summands(whole_sum, len(E1.columns))
+    B1, B2 = summands(bar_sum, len(bar1.gens))
+    p_plain = piece_product(whole_sum, M1, 1, M2, 1).gens
+    mixed_ok = (piece_product(whole_sum, B1, 1, M2, 1).gens == p_plain
+                == piece_product(whole_sum, M1, 1, B2, 1).gens)
     verdict = check1["verdict"] and check2["verdict"] and mixed_ok
-    whole = buchsbaum_check(direct_sum(E1, E2), opts=opts)
+    whole = buchsbaum_check(whole_sum, opts=opts)
     if whole["verdict"] != verdict:
         raise SoundnessAlert(
             "summandwise criterion disagrees with the direct-sum criterion")
@@ -398,7 +404,7 @@ def indecomposability_check(E, factors, opts=None):
         closed = integral_closure_monomial(I)
         if closed.submodule.gens != I.gens:
             raise InputError("factor is not integrally closed")
-        product = I if product is None else scale_piece_by_ideal(product, I)
+        product = I if product is None else piece_product(I, product, 0, I, 0)
     fitt0 = fitting_ideal(E, 0)
     if groebner_basis(product).gens != fitt0.gens:
         raise InputError("factor product differs from the 0th Fitting ideal")

@@ -15,13 +15,12 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError, SoundnessAlert, UnstableChainError, DeadlineExceeded
-from .groebner import (SubmoduleData, contains, groebner_basis, preimage,
-                       intersect, sum_modules, _from_mono_components,
-                       _mono_components, _mono_ideal_colon_single,
-                       _mono_ideal_intersect, _mono_minimalize)
+from .groebner import (SubmoduleData, contains, groebner_basis, sum_modules,
+                       _from_mono_components, _mono_components,
+                       _mono_minimalize)
 from .poly import Polynomial
-from .rees import (ModuleEmbedding, add_columns, fiber_products,
-                   multiply_piece_vectors, piece_product, piece_rank)
+from .rees import (ModuleEmbedding, add_columns, multiply_piece_vectors,
+                   piece_colon, piece_product)
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def _power_chain(E, n, opts, deadline, what):
     from M^n."""
     def step(l, _value):
         low = E.power_piece(n * l)
-        return _piece_colon(E, E.power_piece(n * (l + 1)), low.gens, n * l, n)
+        return piece_colon(E, E.power_piece(n * (l + 1)), low.gens, n * l, n)
 
     return _stabilize(step, E.power_piece(n), opts, deadline, what)
 
@@ -154,63 +153,6 @@ def _power_equality_index(W, E, opts, deadline):
 
 # -- Ratliff-Rush closure of modules -------------------------------------
 
-def _unit_piece_vector(ctx, rank, comp):
-    z = Polynomial.zero(ctx)
-    return tuple(Polynomial.one(ctx) if i == comp else z for i in range(rank))
-
-
-def _mono_piece_colon(E, W, gens_low, low, ambient):
-    """Monomial fast path: the colon splits into one ideal colon per
-    ambient component, since each generator shifts components by a fixed
-    t-monomial."""
-    r = E.rank
-    rank_amb = piece_rank(r, ambient)
-    index_high = fiber_products(r, ambient, low)
-    comps_W = _mono_components(groebner_basis(W))
-    shifts = []
-    for g in gens_low:
-        beta, p = next((c, p) for c, p in enumerate(g) if not p.is_zero())
-        shifts.append((beta, p.leading_monomial()))
-    comps_out = []
-    for alpha in range(rank_amb):
-        acc = None
-        for beta, exps in shifts:
-            target = index_high[alpha][beta]
-            part = _mono_ideal_colon_single(comps_W[target], exps)
-            acc = part if acc is None else _mono_ideal_intersect(acc, part)
-        comps_out.append(acc)
-    return _from_mono_components(E.ctx, rank_amb, comps_out)
-
-
-def _is_mono_vector(g):
-    nonzero = [p for p in g if not p.is_zero()]
-    return len(nonzero) == 1 and nonzero[0].is_term()
-
-
-def _piece_colon(E, W, gens_low, low, ambient):
-    """{v in the fiber-degree-ambient free piece : v*g in W for every g}.
-
-    Multiplication maps each basis vector of the ambient piece against g;
-    the preimage is a syzygy computation over the base ring.
-    """
-    r = E.rank
-    rank_amb = piece_rank(r, ambient)
-    if not gens_low:
-        return SubmoduleData.free(E.ctx, rank_amb)
-    if W.is_monomial() and all(_is_mono_vector(g) for g in gens_low):
-        return _mono_piece_colon(E, W, gens_low, low, ambient)
-    result = None
-    for g in gens_low:
-        columns = []
-        for comp in range(rank_amb):
-            e = _unit_piece_vector(E.ctx, rank_amb, comp)
-            columns.append(multiply_piece_vectors(r, e, ambient, g, low, E.ctx))
-        part = preimage(columns, W)
-        result = part if result is None else intersect(result, part)
-        result = groebner_basis(result)
-    return result
-
-
 def ratliff_rush_module(E, n=1, opts=None):
     """Ratliff-Rush closure of M^n inside F^n.
 
@@ -257,7 +199,7 @@ def rr_via_reduction(E, reduction_columns, opts=None):
             current = [multiply_piece_vectors(E.rank, xv, n - 1,
                                               tuple(col), 1, E.ctx)
                        for xv, col in zip(current, L.gens)]
-        piece = _piece_colon(E, E.power_piece(n + 1), current, n, 1)
+        piece = piece_colon(E, E.power_piece(n + 1), current, n, 1)
         return groebner_basis(sum_modules(acc, piece))
 
     acc, l_star = _stabilize(step, groebner_basis(M), opts, deadline,
@@ -305,68 +247,45 @@ def newton_closure_exps(exps_list):
                              for b in range(max_b + 1) if inside(a, b)])
 
 
+def _newton_closure(ctx, comps):
+    """Reduced basis of the integral closure of the direct sum of the
+    two-variable monomial ideals comps, one per component."""
+    if len(ctx.base_vars) != 2 or ctx.fiber_vars:
+        raise InputError("Newton closure works in two base variables")
+    return _from_mono_components(
+        ctx, len(comps), [newton_closure_exps(e) if e else [] for e in comps])
+
+
 def integral_closure_monomial(I):
     """Exact integral closure of a nonzero monomial ideal in two variables."""
     if I.rank != 1:
         raise InputError("expected an ideal")
-    if len(I.ctx.base_vars) != 2 or I.ctx.fiber_vars:
-        raise InputError("Newton closure works in two base variables")
-    exps = []
-    for (p,) in I.gens:
-        if p.is_zero():
-            continue
-        if not p.is_term():
-            raise InputError("non-monomial generator")
-        exps.append(p.leading_monomial())
-    if not exps:
+    comps = _mono_components(I)
+    if comps is None:
+        raise InputError("non-monomial generator")
+    if not comps[0]:
         raise InputError("integral closure of the zero ideal")
-    closed = newton_closure_exps(exps)
-    result = groebner_basis(SubmoduleData.ideal(
-        I.ctx, [Polynomial.monomial(I.ctx, e) for e in closed]))
-    return ClosureResult(result, "newton", certified=True)
-
-
-def _monomial_row_decomposition(E):
-    """Per-row monomial ideals when the matrix is a block direct sum of
-    monomial ideals; None otherwise."""
-    rows = [[] for _ in range(E.rank)]
-    for col in E.columns:
-        nonzero = [(i, p) for i, p in enumerate(col) if not p.is_zero()]
-        if len(nonzero) > 1:
-            return None
-        if nonzero:
-            i, p = nonzero[0]
-            if not p.is_term():
-                return None
-            rows[i].append(p.leading_monomial())
-    return rows
+    return ClosureResult(_newton_closure(I.ctx, comps), "newton",
+                         certified=True)
 
 
 def integral_closure_module(E, candidates=None, opts=None):
     """Integral closure of M inside F.
 
-    Certified (Newton) for block direct sums of monomial ideals; otherwise
-    candidate-driven: each supplied column is verified integral and the
-    result M + candidates is reported with heuristic maximality checks,
-    never silently completed.
+    Certified (Newton) for block direct sums of monomial ideals in two
+    variables; otherwise candidate-driven: each supplied column is
+    verified integral and the result M + candidates is reported with
+    heuristic maximality checks, never silently completed.
     """
     opts = opts or ClosureOptions()
     M = E.submodule()
     if M.is_zero():
         return ClosureResult(groebner_basis(M), "newton", certified=True,
                              extra={"note": "zero module"})
-    rows = _monomial_row_decomposition(E)
-    if rows is not None:
-        z = Polynomial.zero(E.ctx)
-        gens = []
-        for i, exps in enumerate(rows):
-            if not exps:
-                continue
-            for e in newton_closure_exps(exps):
-                gens.append(tuple(Polynomial.monomial(E.ctx, e) if j == i else z
-                                  for j in range(E.rank)))
-        result = groebner_basis(SubmoduleData(E.ctx, E.rank, tuple(gens)))
-        return ClosureResult(result, "newton", certified=True)
+    comps = _mono_components(M)
+    if comps is not None:
+        return ClosureResult(_newton_closure(E.ctx, comps), "newton",
+                             certified=True)
     if not candidates:
         raise InputError(
             "integral closure needs candidate columns for non-monomial input")

@@ -185,11 +185,6 @@ class RingContext:
     def with_fiber(self, fiber_vars):
         return RingContext(self.characteristic, self.base_vars, tuple(fiber_vars))
 
-    def base_context(self):
-        if not self.fiber_vars and not self.aux_vars:
-            return self
-        return RingContext(self.characteristic, self.base_vars)
-
     def with_aux_var(self, name="_h"):
         """Extend by one auxiliary variable that dominates the order."""
         return RingContext(self.characteristic, self.base_vars,
@@ -245,10 +240,6 @@ def mon_div(a, b):
 
 def mon_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mon_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 def mon_coprime(a, b):

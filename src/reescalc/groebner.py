@@ -2,7 +2,7 @@
 
 Everything downstream (closures, graded pieces, theorem deciders) reduces
 to the operations here: reduced Groebner bases, normal forms, membership,
-colon, saturation, intersection, and elimination.
+preimages, intersection, and elimination.
 
 Internally a module element is a dict mapping (component, exponent tuple)
 to a nonzero coefficient.  Generators that are all single terms take a
@@ -501,54 +501,6 @@ def preimage(columns, W):
         shifted = {(t[0] - q, t[1]): c for t, c in vp.items()}
         gens.append(_from_vp(ctx, p, shifted))
     return SubmoduleData(ctx, p, tuple(gens))
-
-
-def _colon_single(U, g):
-    """U : g = {v : g*v in U} for a single ring element g."""
-    ctx = U.ctx
-    q = U.rank
-    z = Polynomial.zero(ctx)
-    columns = [tuple(g if i == c else z for i in range(q)) for c in range(q)]
-    return preimage(columns, U)
-
-
-def colon(U, J):
-    """U :_{A^q} J = {v : vJ contained in U} for an ideal J.
-
-    Colon by the zero ideal legally returns the ambient free module with a
-    flag instead of raising.
-    """
-    if J.rank != 1:
-        raise RankMismatchError("colon denominator must be an ideal")
-    if U.ctx != J.ctx:
-        raise ContextMismatchError("colon across contexts")
-    jg = [p for p in J.ideal_gens() if not p.is_zero()]
-    if not jg:
-        return SubmoduleData.free(U.ctx, U.rank).with_flags("colon-by-zero-ideal")
-    cu = _mono_components(U)
-    if cu is not None and all(p.is_term() for p in jg):
-        result = None
-        for g in jg:
-            ge = g.leading_monomial()
-            comps = [_mono_ideal_colon_single(lst, ge) for lst in cu]
-            result = comps if result is None else [
-                _mono_ideal_intersect(a, b) for a, b in zip(result, comps)]
-        return _from_mono_components(U.ctx, U.rank, result)
-    result = None
-    for g in jg:
-        part = _colon_single(U, g)
-        result = part if result is None else intersect(result, part)
-    return groebner_basis(result)
-
-
-def saturate(U, J):
-    """Stable value of the chain U : J, U : J^2, ... (full colon chain)."""
-    current = groebner_basis(U)
-    while True:
-        nxt = groebner_basis(colon(current, J))
-        if nxt.gens == current.gens:
-            return current.with_flags(*(f for f in J.flags))
-        current = nxt
 
 
 def intersect(U, V):

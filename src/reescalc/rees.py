@@ -4,6 +4,12 @@ A module M inside F = A^r is held as a generator matrix; its image ideal
 MS in S = A[t1..tr] is generated by t-linear forms.  The fiber-degree-n
 piece of (MS)^k is a submodule of a free A-module whose basis is the set
 of degree-n t-monomials, which is where all length computations happen.
+
+Pieces meet in exactly two operations: `piece_product`, the product of
+two pieces, and `piece_colon`, the vectors of one fiber degree that a set
+of vectors of another multiplies into a piece.  Ideals of A are the
+pieces of fiber degree 0, so scaling by an ideal is a product and the
+colon of a module by an ideal (`colon`) is a piece colon.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ from math import comb
 
 from .context import mon_mul
 from .errors import ContextMismatchError, InputError, RankMismatchError
-from .groebner import (SubmoduleData, contains, groebner_basis, member,
-                       _from_mono_components, _mono_components,
-                       _mono_minimalize)
+from .groebner import (SubmoduleData, contains, groebner_basis, intersect,
+                       member, preimage, _from_mono_components,
+                       _mono_components, _mono_ideal_colon_single,
+                       _mono_ideal_intersect, _mono_minimalize)
 from .poly import Polynomial
 
 INFINITE = float("inf")
@@ -202,11 +209,13 @@ def multiply_piece_vectors(r, u, a, v, b, ctx):
 def piece_product(E, A, a, B, b):
     """Groebner basis of the product piece A*B in fiber degree a+b.
 
-    When both pieces are monomial, so is the product: its component at
-    t^(alpha+beta) is generated by the sums of the exponents of A at
-    t^alpha and B at t^beta, and minimalizing each component (a staircase
-    in two variables) gives the reduced basis with no polynomial
-    arithmetic.
+    E supplies the free rank r and the ring: an embedding, or a
+    submodule of A^r when only fiber degrees 0 and 1 occur (an ideal is
+    a piece of fiber degree 0).  When both pieces are monomial, so is the
+    product: its component at t^(alpha+beta) is generated by the sums of
+    the exponents of A at t^alpha and B at t^beta, and minimalizing each
+    component (a staircase in two variables) gives the reduced basis with
+    no polynomial arithmetic.
     """
     rank = piece_rank(E.rank, a + b)
     comps_a = _mono_components(A)
@@ -227,35 +236,71 @@ def piece_product(E, A, a, B, b):
     return groebner_basis(SubmoduleData(E.ctx, rank, gens))
 
 
-def scale_piece_by_ideal(P, I):
-    """Piece generated by g*u for g in the ideal I, u in P."""
-    gens = []
-    for g in I.ideal_gens():
-        for u in P.gens:
-            gens.append(tuple(g * p for p in u))
-    return groebner_basis(SubmoduleData(P.ctx, P.rank, tuple(gens)))
+def piece_colon(E, W, gens_low, low, ambient):
+    """{v in the fiber-degree-ambient free piece : v*g in W for every g}.
 
-
-def mixed_product(colsA, rA, colsB, rB, ctx):
-    """Products of two modules in different fiber blocks of a direct sum.
-
-    Components of the result are indexed by pairs (i, j) -> i*rB + j,
-    matching the mixed t-monomials of a rank rA+rB ambient.
+    The g are vectors of fiber degree low; zero ones impose no condition.
+    E is as in piece_product.  When W and the g are monomial, each g
+    shifts components by a fixed t-monomial, so the colon splits into one
+    ideal colon per component, intersected over the g.  Otherwise each g
+    maps the basis vectors of the ambient piece into the piece of W, and
+    the preimage of W is a syzygy computation over the base ring.
     """
-    gens = []
-    z = Polynomial.zero(ctx)
-    for u in colsA:
-        for v in colsB:
-            w = [z] * (rA * rB)
-            for i, p in enumerate(u):
-                if p.is_zero():
-                    continue
-                for j, q in enumerate(v):
-                    if q.is_zero():
-                        continue
-                    w[i * rB + j] = w[i * rB + j] + p * q
-            gens.append(tuple(w))
-    return groebner_basis(SubmoduleData(ctx, rA * rB, tuple(gens)))
+    r, ctx = E.rank, E.ctx
+    rank_amb = piece_rank(r, ambient)
+    gens_low = tuple(g for g in gens_low if not all(p.is_zero() for p in g))
+    if not gens_low:
+        return SubmoduleData.free(ctx, rank_amb)
+    index = fiber_products(r, ambient, low)
+    comps_w = _mono_components(W)
+    comps_g = _mono_components(
+        SubmoduleData(ctx, piece_rank(r, low), gens_low))
+    if comps_w is not None and comps_g is not None:
+        comps = []
+        for row in index:
+            acc = None
+            for k, exps in zip(row, comps_g):
+                for e in exps:
+                    part = _mono_ideal_colon_single(comps_w[k], e)
+                    acc = part if acc is None else _mono_ideal_intersect(
+                        acc, part)
+            comps.append(acc)
+        return _from_mono_components(ctx, rank_amb, comps)
+    units = SubmoduleData.free(ctx, rank_amb).gens
+    result = None
+    for g in gens_low:
+        part = preimage([multiply_piece_vectors(r, e, ambient, g, low, ctx)
+                         for e in units], W)
+        result = part if result is None else intersect(result, part)
+        result = groebner_basis(result)
+    return result
+
+
+def colon(U, J):
+    """U :_{A^q} J = {v : vJ contained in U} for an ideal J, the piece
+    colon with J in fiber degree 0.
+
+    Colon by the zero ideal legally returns the ambient free module with a
+    flag instead of raising.
+    """
+    if J.rank != 1:
+        raise RankMismatchError("colon denominator must be an ideal")
+    if U.ctx != J.ctx:
+        raise ContextMismatchError("colon across contexts")
+    result = piece_colon(U, U, J.gens, 0, 1)
+    if J.is_zero():
+        return result.with_flags("colon-by-zero-ideal")
+    return result
+
+
+def saturate(U, J):
+    """Stable value of the chain U : J, U : J^2, ... (full colon chain)."""
+    current = groebner_basis(U)
+    while True:
+        nxt = groebner_basis(colon(current, J))
+        if nxt.gens == current.gens:
+            return current.with_flags(*(f for f in J.flags))
+        current = nxt
 
 
 # -- graded-piece operations ---------------------------------------------
@@ -263,28 +308,19 @@ def mixed_product(colsA, rA, colsB, rB, ctx):
 def graded_piece(E, ideal_power, n):
     """Fiber-degree-n component of (MS)^k as an A-submodule.
 
-    For k = n this is M^n itself; for n < k the piece is zero.
+    For k = n this is M^n itself; for n < k the piece is zero; otherwise
+    it is M^k times the free piece of degree n - k.
     """
     if ideal_power < 1:
         raise InputError("ideal power must be positive")
     if n < 0:
         raise InputError("fiber degree must be non-negative")
-    r = E.rank
-    rank_n = piece_rank(r, n)
     if n < ideal_power:
-        return GradedPiece(n, SubmoduleData.zero(E.ctx, rank_n), ideal_power)
-    P = E.power_piece(ideal_power)
-    index_n = fiber_products(r, ideal_power, n - ideal_power)
-    z = Polynomial.zero(E.ctx)
-    gens = []
-    for u in P.gens:
-        for g in range(piece_rank(r, n - ideal_power)):
-            w = [z] * rank_n
-            for i, p in enumerate(u):
-                if not p.is_zero():
-                    w[index_n[i][g]] = p
-            gens.append(tuple(w))
-    return GradedPiece(n, groebner_basis(SubmoduleData(E.ctx, rank_n, tuple(gens))),
+        return GradedPiece(n, SubmoduleData.zero(E.ctx, piece_rank(E.rank, n)),
+                           ideal_power)
+    free = SubmoduleData.free(E.ctx, piece_rank(E.rank, n - ideal_power))
+    return GradedPiece(n, piece_product(E, E.power_piece(ideal_power),
+                                        ideal_power, free, n - ideal_power),
                        ideal_power)
 
 

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
-Everything here is deliberately naive: dense linear algebra over exact
-rationals and brute-force lattice enumeration, so the main algorithms are
-checked against a different method rather than against themselves.
+Everything here is deliberately naive: Gaussian elimination over exact
+rationals (or the integers mod p) and brute-force lattice enumeration, so
+the main algorithms are checked against a different method rather than
+against themselves.
 """
 
 from fractions import Fraction
@@ -22,40 +23,58 @@ def monomials_up_to(nvars, degree):
 
 def span_membership(vec, gens, ctx, rank, multiplier_degree):
     """Is vec a polynomial combination of gens, with multipliers of total
-    degree at most multiplier_degree?  Dense Gaussian elimination."""
+    degree at most multiplier_degree?  Gaussian elimination on sparse
+    rows, over the rationals or, in characteristic p, the integers mod p."""
+    p = ctx.characteristic
+    if p:
+        def norm(x):
+            return x % p
+
+        def inv(x):
+            return pow(x, p - 2, p)
+    else:
+        def norm(x):
+            return x
+
+        def inv(x):
+            return 1 / Fraction(x)
     shifts = monomials_up_to(ctx.nvars, multiplier_degree)
     rows = []
     for g in gens:
         for alpha in shifts:
             row = {}
-            for c, p in enumerate(g):
-                for exps, coeff in p.terms.items():
+            for c, poly in enumerate(g):
+                for exps, coeff in poly.terms.items():
                     key = (c, tuple(a + e for a, e in zip(alpha, exps)))
-                    row[key] = row.get(key, Fraction(0)) + Fraction(coeff)
+                    row[key] = norm(row.get(key, 0) + coeff)
             rows.append(row)
     target = {}
-    for c, p in enumerate(vec):
-        for exps, coeff in p.terms.items():
-            target[(c, exps)] = Fraction(coeff)
-    columns = sorted(set().union(target, *rows) if rows else set(target))
-    matrix = [[row.get(c, Fraction(0)) for c in columns] for row in rows]
-    rhs = [target.get(c, Fraction(0)) for c in columns]
-    # row-echelon over the column-indexed matrix, then reduce the target
-    echelon = []
-    for row in matrix:
-        row = list(row)
-        for pivot_col, prow in echelon:
-            if row[pivot_col] != 0:
-                f = row[pivot_col] / prow[pivot_col]
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((i for i, x in enumerate(row) if x != 0), None)
+    for c, poly in enumerate(vec):
+        for exps, coeff in poly.terms.items():
+            target[(c, exps)] = norm(coeff)
+    # sparse row echelon form, each row keyed by its least column
+    echelon = {}
+
+    def reduce(row):
+        while row:
+            lead = min(row)
+            prow = echelon.get(lead)
+            if prow is None:
+                return row, lead
+            f = norm(row[lead] * inv(prow[lead]))
+            for c, b in prow.items():
+                x = norm(row.get(c, 0) - f * b)
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+        return row, None
+
+    for row in rows:
+        row, lead = reduce({c: x for c, x in row.items() if x})
         if lead is not None:
-            echelon.append((lead, row))
-    for pivot_col, prow in echelon:
-        if rhs[pivot_col] != 0:
-            f = rhs[pivot_col] / prow[pivot_col]
-            rhs = [a - f * b for a, b in zip(rhs, prow)]
-    return all(x == 0 for x in rhs)
+            echelon[lead] = row
+    return not reduce({c: x for c, x in target.items() if x})[0]
 
 
 def ideal_member_oracle(poly, gens, ctx, multiplier_degree=8):

@@ -15,7 +15,7 @@ from reescalc import (RingContext, SubmoduleData,
                       min_gens, parse_poly, ratliff_rush_ideal,
                       ratliff_rush_module, scaled_buchsbaum_check,
                       theorem12_check)
-from reescalc.rees import scale_piece_by_ideal
+from reescalc.rees import piece_product
 from reescalc.cli import main as cli_main
 from reescalc.fixtures import (indecomposable_presentation, mixed_direct_sum,
                                parameter_module, rr_ideal_pair,
@@ -85,8 +85,8 @@ def test_criterion_3_square_direct_sum():
         # the witness lies in m * closure(I) but not in I
         Ibar = integral_closure_monomial(fix["I"]).submodule
         w = _p("X^2*Y^5")
-        m_Ibar = scale_piece_by_ideal(
-            Ibar, SubmoduleData.ideal(CTX, [_p("X"), _p("Y")]))
+        m_Ibar = piece_product(
+            Ibar, SubmoduleData.ideal(CTX, [_p("X"), _p("Y")]), 0, Ibar, 1)
         assert member((w,), m_Ibar) and not member((w,), fix["I"])
 
 
@@ -117,10 +117,10 @@ def test_criterion_5_presentation_corpus():
         assert equal(fitting_ideal(E, 1),
                      SubmoduleData.ideal(CTX, [_p("X^3"), _p("X^2*Y^2"),
                                                _p("X*Y^3"), _p("Y^5")]))
-        want = scale_piece_by_ideal(
-            integral_closure_monomial(
-                SubmoduleData.ideal(CTX, [_p("X^5"), _p("Y^8")])).submodule,
-            SubmoduleData.ideal(CTX, [_p("X"), _p("Y^2")]))
+        closed = integral_closure_monomial(
+            SubmoduleData.ideal(CTX, [_p("X^5"), _p("Y^8")])).submodule
+        factor = SubmoduleData.ideal(CTX, [_p("X"), _p("Y^2")])
+        want = piece_product(closed, closed, 0, factor, 0)
         assert equal(fitting_ideal(E, 0), want)
         indec = indecomposability_check(E, fix["factors"])
         assert indec["verdict"]

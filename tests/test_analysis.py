@@ -13,6 +13,8 @@ from reescalc.fixtures import (indecomposable_presentation, mixed_direct_sum,
                                parameter_module, rr_ideal_pair,
                                square_direct_sum)
 
+from oracles import newton_closure_oracle
+
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
 
@@ -28,6 +30,13 @@ def _diag_embedding(gens1, gens2):
     z = _p("0")
     cols = [(_p(g), z) for g in gens1] + [(z, _p(g)) for g in gens2]
     return ModuleEmbedding(CTX, cols, rank=2)
+
+
+def _block_embedding(rows):
+    z = _p("0")
+    cols = [tuple(_p(g) if j == i else z for j in range(len(rows)))
+            for i, row in enumerate(rows) for g in row]
+    return ModuleEmbedding(CTX, cols, rank=len(rows))
 
 
 # -- length polynomial ----------------------------------------------------
@@ -166,6 +175,34 @@ def test_direct_sum_buchsbaum_mixed():
     assert out["verdict"]
     assert out["mixed_products_equal"]
     assert out["direct_sum_agrees"]
+
+
+def _staircase_of_sums(A, B):
+    pts = {(a[0] + b[0], a[1] + b[1]) for a in A for b in B}
+    return sorted(p for p in pts if not any(
+        q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts))
+
+
+@pytest.mark.parametrize("rows1, rows2, equal_sums", [
+    ([["X^2", "Y^2"]], [["X", "Y^3"]], False),
+    ([["X^2", "X*Y", "Y^2"]], [["X^2", "Y^2"]], True),
+    ([["X", "Y"], ["X^2", "Y^2"]], [["X", "Y^3"]], False),
+    ([["X", "Y"], ["X^2", "X*Y", "Y^2"]], [["X^3", "X*Y", "Y^3"]], True),
+], ids=["ideal-pair-fails", "ideal-pair-holds", "rank-2-fails", "rank-2-holds"])
+def test_mixed_products_match_exponent_sums(rows1, rows2, equal_sums):
+    # Summands are direct sums of monomial ideals, one per row; the mixed
+    # product at t_i*s_j is row i of one times row j of the other, and the
+    # closures come from the brute-force Newton oracle.
+    exps1, exps2 = ([[_p(g).leading_monomial() for g in row] for row in rows]
+                    for rows in (rows1, rows2))
+    bars1, bars2 = ([newton_closure_oracle(r) for r in exps]
+                    for exps in (exps1, exps2))
+    want = all(_staircase_of_sums(b1, g2) == _staircase_of_sums(g1, g2)
+               == _staircase_of_sums(g1, b2)
+               for g1, b1 in zip(exps1, bars1) for g2, b2 in zip(exps2, bars2))
+    assert want == equal_sums
+    out = direct_sum_buchsbaum(_block_embedding(rows1), _block_embedding(rows2))
+    assert out["mixed_products_equal"] == want
 
 
 def test_direct_sum_buchsbaum_square_fails_consistently():

@@ -230,3 +230,20 @@ def test_unwritable_json_path_exits_4(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert not json_path.exists()
+
+
+@pytest.mark.parametrize("command", ["iclose", "buchsbaum"])
+@pytest.mark.parametrize("ring", [
+    ("X, Y, Z", "X^2, Y^3, Z^2, X*Y"),
+    ("X", "X^2, X^3"),
+], ids=["three-vars", "one-var"])
+def test_newton_closure_outside_two_variables_exits_4(tmp_path, capsys,
+                                                       command, ring):
+    variables, row = ring
+    text = f"ring {{\n  vars = {variables}\n}}\nmatrix {{\n  row = {row}\n}}\n"
+    path = _write(tmp_path, "ring.problem", text)
+    status, out, err = _run(capsys, [command, path])
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "two base variables" in err

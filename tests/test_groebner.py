@@ -8,13 +8,14 @@ import pytest
 from reescalc import (INFINITE, Polynomial, RingContext, SubmoduleData, colon,
                       colength, contains, eliminate, equal, groebner_basis,
                       intersect, member, minimal_generators, normal_form,
-                      preimage, saturate, sum_modules)
+                      parse_poly, preimage, saturate, sum_modules)
 from reescalc.closures import newton_closure_exps
 from reescalc.context import mon_divides, mon_lcm, mon_mul
 from reescalc.groebner import DEFAULT_ORDER, _mono_minimalize
 
 from oracles import (ideal_from_exps, newton_closure_oracle,
                      random_monomial_ideal, span_membership)
+from test_rees import BINOMIAL_ROWS
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 X = Polynomial.variable(CTX, "X")
@@ -247,6 +248,63 @@ def test_bases_of_random_binomial_and_trinomial_modules_are_reduced():
                             for j, (lc, le) in enumerate(leads)), \
                             (U.gens, gb.gens)
                 assert all(member(g, gb) for g in U.gens)
+
+
+def _random_poly(rng, ctx, terms, top):
+    coeffs = {}
+    for _ in range(terms):
+        a = rng.randint(0, top)
+        coeffs[(a, rng.randint(0, top - a))] = rng.choice((-2, -1, 1, 3))
+    return Polynomial(ctx, coeffs)
+
+
+def _random_ideal(rng, ctx, terms):
+    return SubmoduleData.ideal(ctx, [_random_poly(rng, ctx, terms, 2)
+                                     for _ in range(rng.randint(1, 2))])
+
+
+def _degree(vec):
+    return max((p.total_degree() for p in vec if not p.is_zero()), default=0)
+
+
+def test_colon_of_non_monomial_modules_matches_linear_algebra():
+    # Binomial and trinomial U and J take the preimage branch of the
+    # colon.  Each generator v of U : J is checked by linear algebra (g*v
+    # in the span of U for every g in J), and membership in U : J against
+    # its definition on multiples of its generators and on random vectors;
+    # some of the colons are strictly larger than U.
+    rng = random.Random(5005)
+    seen, strict = set(), 0
+    for ctx in (CTX, RingContext(characteristic=32003, base_vars=("X", "Y"))):
+        rows = [[parse_poly(e, ctx) for e in r] for r in BINOMIAL_ROWS]
+        binomial = SubmoduleData.from_vectors(ctx, 2, zip(*rows))
+        cases = [(_random_sparse_module(rng, ctx, terms),
+                  _random_ideal(rng, ctx, terms))
+                 for terms in (2, 3) for _ in range(5)]
+        cases += [(binomial, _random_ideal(rng, ctx, terms))
+                  for terms in (2, 3)]
+        for U, J in cases:
+            C = colon(U, J)
+            assert contains(C, U)
+            strict += not equal(C, U)
+            for v in C.gens:
+                for g in J.ideal_gens():
+                    gv = tuple(g * p for p in v)
+                    assert span_membership(gv, U.gens, ctx, U.rank,
+                                           _degree(gv) + 4), (U, J, v)
+            for k in range(4):
+                if k % 2:
+                    v = tuple(_random_poly(rng, ctx, 1, 2) * p
+                              for p in rng.choice(C.gens))
+                else:
+                    v = tuple(_random_poly(rng, ctx, 2, 3)
+                              for _ in range(U.rank))
+                inside = member(v, C)
+                assert inside == all(member(tuple(g * p for p in v), U)
+                                     for g in J.ideal_gens()), (U, J, v)
+                seen.add(inside)
+    assert seen == {True, False}
+    assert strict >= 5
 
 
 def test_intersection_of_nested_modules_skips_the_extended_ring(

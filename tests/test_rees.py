@@ -174,26 +174,30 @@ def test_maximal_ideal_helper():
     assert equal(m, _ideal("X", "Y"))
 
 
-def _columns_power_oracle(E, n):
+def _columns_power_oracle(E, n, shift=0):
     """groebner_basis of all n-fold products of the columns, multiplied as
-    t-linear forms in S = A[t1..tr] and read off by fiber monomial."""
+    t-linear forms in S = A[t1..tr] and by every t-monomial of degree
+    shift, read off by fiber monomial."""
     S = E.ctx_S
     nb = len(E.ctx.base_vars)
     t = [Polynomial.variable(S, v) for v in S.fiber_vars]
     forms = [sum((p.map_context(S) * t[i] for i, p in enumerate(col)),
                  Polynomial.zero(S)) for col in E.columns]
-    _, index = fiber_basis(E.rank, n)
+    shifts, _ = fiber_basis(E.rank, shift)
+    _, index = fiber_basis(E.rank, n + shift)
     products = []
     for combo in itertools.combinations_with_replacement(forms, n):
         f = Polynomial.one(S)
         for g in combo:
             f = f * g
-        vec = [{} for _ in index]
-        for exps, coeff in f.terms.items():
-            vec[index[exps[nb:]]][exps[:nb]] = coeff
-        products.append(tuple(Polynomial(E.ctx, terms) for terms in vec))
+        for beta in shifts:
+            vec = [{} for _ in index]
+            for exps, coeff in (f * Polynomial.monomial(
+                    S, (0,) * nb + beta)).terms.items():
+                vec[index[exps[nb:]]][exps[:nb]] = coeff
+            products.append(tuple(Polynomial(E.ctx, terms) for terms in vec))
     return groebner_basis(
-        SubmoduleData(E.ctx, piece_rank(E.rank, n), tuple(products)))
+        SubmoduleData(E.ctx, piece_rank(E.rank, n + shift), tuple(products)))
 
 
 BINOMIAL_ROWS = (("X^2", "X*Y+Y^2", "Y^3", "0"),
@@ -213,6 +217,13 @@ def test_power_schedule_matches_column_products():
         for n in range(1, 5):
             assert E.power_piece(n).gens == \
                 _columns_power_oracle(E, n).gens, (rows, n)
+
+
+def test_graded_piece_matches_shifted_column_products():
+    E = _embedding(BINOMIAL_ROWS)
+    for k, n in ((1, 1), (1, 2), (1, 3), (2, 3), (2, 4)):
+        assert graded_piece(E, k, n).submodule.gens == \
+            _columns_power_oracle(E, k, n - k).gens, (k, n)
 
 
 def test_monomial_powers_of_shifted_ideal_multiply_without_buchberger(
