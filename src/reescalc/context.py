@@ -155,17 +155,11 @@ class RingContext:
         nb = self._nbase
         return sum(exps[nb:nb + self._nfiber])
 
-    def fiber_part(self, exps):
-        nb = self._nbase
-        return exps[nb:nb + self._nfiber]
-
-    def base_part(self, exps):
-        return exps[:self._nbase]
-
     # -- order -----------------------------------------------------------
 
     def mon_key(self, exps):
-        """Sort key; larger key means larger monomial."""
+        """Sort key, a flat tuple of integers; larger key means larger
+        monomial."""
         got = self._key_cache.get(exps)
         if got is not None:
             return got
@@ -173,10 +167,10 @@ class RingContext:
         nf = self._nfiber
         fiber = exps[nb:nb + nf]
         base = exps[:nb]
-        key = (sum(fiber), _negrev(fiber), sum(base), _negrev(base))
+        key = (sum(fiber), *_negrev(fiber), sum(base), *_negrev(base))
         if self._elim_indices:
             elim = tuple(exps[i] for i in self._elim_indices)
-            key = (sum(elim), _negrev(elim)) + key
+            key = (sum(elim), *_negrev(elim)) + key
         self._key_cache[exps] = key
         return key
 

@@ -8,12 +8,20 @@ Internally a module element is a dict mapping (component, exponent tuple)
 to a nonzero coefficient.  Generators that are all single terms take a
 fast combinatorial path: the S-vector of two terms vanishes, so a reduced
 basis is just the set of minimal terms per component.
+
+Other generators go through Buchberger's algorithm.  Its pairs are
+installed by the Gebauer-Moeller update, and each reduction takes terms
+from a max-heap and finds its reducer in a lead index: per component, a
+staircase searched by bisection in two variables, a list otherwise.  The
+index grows with the basis, and a cached basis keeps one for
+normal_form.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from heapq import heapify, heappop, heappush
 
 from .context import (mon_coprime, mon_div, mon_divides, mon_lcm, mon_mul,
                       mon_one)
@@ -30,7 +38,8 @@ class ModuleOrder:
     position 'TOP' compares the monomial first (term over position), 'POT'
     the component first.  The first elim_components components dominate
     everything else, which is what syzygy-style eliminations need.  A
-    lower component index is larger.
+    lower component index is larger.  Keys are flat tuples of integers,
+    so _descending can negate them.
     """
 
     position: str = "TOP"
@@ -42,11 +51,11 @@ class ModuleOrder:
         if self.position == "TOP":
             def key(term):
                 c, e = term
-                return (1 if c < elim else 0, monkey(e), -c)
+                return (1 if c < elim else 0, *monkey(e), -c)
         elif self.position == "POT":
             def key(term):
                 c, e = term
-                return (1 if c < elim else 0, -c, monkey(e))
+                return (1 if c < elim else 0, -c, *monkey(e))
         else:
             raise ValueError(f"unknown position policy {self.position!r}")
         return key
@@ -62,8 +71,9 @@ class SubmoduleData:
     """A finitely generated submodule of a free module A^rank.
 
     rank == 1 means an ideal.  Generators are tuples of Polynomials.  The
-    reduced Groebner basis for the default order is cached after the first
-    computation; it is canonical, so concurrent fillers agree.
+    reduced Groebner basis for each order is cached after the first
+    computation; it is canonical, so concurrent fillers agree.  A basis
+    also caches the lead index that normal_form reduces against.
     """
 
     ctx: object
@@ -155,41 +165,114 @@ def _vp_monic(vp, key, field):
     return {t: field.mul(c, inv) for t, c in vp.items()}
 
 
-def _vp_normal_form(vp, basis, key, field):
-    """Full normal form of vp against monic basis entries.
+class _LeadIndex:
+    """Monic module elements by lead term, for finding a reducer.
 
-    basis: list of (lead_term, terms_dict).
+    Each component keeps only minimal leads.  In two variables they form a
+    staircase, and the one lead that can divide (x, y) is the last corner
+    with a <= x, found by bisection; exponent tuples of another length
+    take a scan of that component's leads.
+    """
+
+    def __init__(self):
+        self._comps = {}  # component -> (corner a's, corner b's, entries)
+
+    def add(self, lead, vp):
+        """Index vp under lead, unless an indexed lead divides it; drop
+        the indexed leads that lead divides."""
+        c, e = lead
+        xs, ys, entries = self._comps.setdefault(c, ([], [], []))
+        if len(e) != 2:
+            if not any(mon_divides(lt[1], e) for lt, _ in entries):
+                entries[:] = [en for en in entries
+                              if not mon_divides(e, en[0][1])]
+                entries.append((lead, vp))
+            return
+        x, y = e
+        i = bisect_right(xs, x)
+        if i and ys[i - 1] <= y:
+            return
+        lo = i - 1 if i and xs[i - 1] == x else i
+        hi = i
+        while hi < len(ys) and ys[hi] >= y:
+            hi += 1
+        xs[lo:hi], ys[lo:hi], entries[lo:hi] = [x], [y], [(lead, vp)]
+
+    def find(self, term):
+        """An indexed (lead, vp) whose lead divides term, or None."""
+        c, e = term
+        comp = self._comps.get(c)
+        if comp is None:
+            return None
+        xs, ys, entries = comp
+        if len(e) != 2:
+            return next((en for en in entries if mon_divides(en[0][1], e)),
+                        None)
+        i = bisect_right(xs, e[0]) - 1
+        if i >= 0 and ys[i] <= e[1]:
+            return entries[i]
+        return None
+
+
+def _descending(key):
+    """Memoized negated key: ascending order of these keys is descending
+    term order, which turns heapq's min-heap into a max-heap.  Needs the
+    flat integer tuples ModuleOrder.key_function builds.  The memo lives
+    as long as the returned function, so make one per Groebner run or
+    per normal_form call, not per basis."""
+    memo = {}
+
+    def down(term):
+        k = memo.get(term)
+        if k is None:
+            k = memo[term] = tuple([-x for x in key(term)])
+        return k
+    return down
+
+
+def _vp_normal_form(vp, index, down, field):
+    """Full normal form of vp against the monic entries of a _LeadIndex.
+
+    The terms left to reduce sit in a dict and, keyed by down, in a lazy
+    max-heap (Monagan & Pearce, J. Symb. Comput. 46, 2011): a term is
+    pushed when it enters the dict, and a popped term no longer in the
+    dict (cancelled, or a repeat) is skipped.  Every term a reduction
+    step adds lies below the term it removes, so none is taken twice.
     """
     work = dict(vp)
+    heap = [(down(t), t) for t in work]
+    heapify(heap)
+    zero = field.zero
     rem = {}
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
-        tc, te = t
-        hit = None
-        for lt, terms in basis:
-            if lt[0] == tc and mon_divides(lt[1], te):
-                hit = (lt, terms)
-                break
+    while heap:
+        t = heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        hit = index.find(t)
         if hit is None:
             rem[t] = c
             continue
         lt, terms = hit
-        q = mon_div(te, lt[1])
-        for (gc, ge), gcoeff in terms.items():
-            if (gc, ge) == lt:
+        q = mon_div(t[1], lt[1])
+        for g, gcoeff in terms.items():
+            if g == lt:
                 continue
-            tt = (gc, mon_mul(ge, q))
-            nc = field.sub(work.get(tt, field.zero), field.mul(c, gcoeff))
-            if nc == field.zero:
-                work.pop(tt, None)
+            tt = (g[0], mon_mul(g[1], q))
+            old = work.get(tt)
+            if old is None:
+                work[tt] = field.neg(field.mul(c, gcoeff))
+                heappush(heap, (down(tt), tt))
+                continue
+            nc = field.sub(old, field.mul(c, gcoeff))
+            if nc == zero:
+                del work[tt]
             else:
                 work[tt] = nc
     return rem
 
 
-def _spair(f, g, lt_f, lt_g, key, field):
-    comp = lt_f[0]
+def _spair(f, g, lt_f, lt_g, field):
     L = mon_lcm(lt_f[1], lt_g[1])
     qf = mon_div(L, lt_f[1])
     qg = mon_div(L, lt_g[1])
@@ -209,84 +292,91 @@ def _spair(f, g, lt_f, lt_g, key, field):
 def _buchberger(gens, key, field, rank):
     """Reduced Groebner basis of the module generated by gens (list of vps).
 
-    Normal selection strategy (smallest lcm first), coprime criterion for
-    ideals, chain criterion for everything.
+    Each element, input or new remainder, is installed by the update
+    procedure of Gebauer & Moeller (J. Symb. Comput. 6, 1988; Becker &
+    Weispfenning, Groebner Bases, ch. 5).  Pairs form only between leads
+    in one component.  With h the new element:
+    - a new pair (h, g) is dropped when the lcm of another new pair
+      divides its lcm; of pairs with equal lcms one stays, and it goes too
+      when its leads are coprime (the product criterion, for rank 1 only);
+    - an old pair is dropped when lead(h) divides its lcm and its lcm with
+      neither element equals that lcm (the B_k test);
+    - elements whose lead lead(h) divides form no further pairs.
+    Pairs are reduced smallest lcm first (normal selection), so nothing
+    is scanned when a pair is taken.  S-vectors reduce against a
+    _LeadIndex kept up to date as elements arrive.
     """
-    basis = []
-    leads = []
+    down = _descending(key)
+    index = _LeadIndex()
+    basis, leads, active = [], [], []
+    pairs = {}  # component -> {(i, j): lcm of the leads}, not yet reduced
+    heap = []   # (key of the lcm term, i, j), smallest first
+
+    def install(vp):
+        vp = _vp_monic(vp, key, field)
+        h = len(basis)
+        c, t = lead = max(vp, key=key)
+        basis.append(vp)
+        leads.append(lead)
+        index.add(lead, vp)
+        old = pairs.setdefault(c, {})
+        for (i, j), L in list(old.items()):
+            if (mon_divides(t, L) and mon_lcm(leads[i][1], t) != L
+                    and mon_lcm(leads[j][1], t) != L):
+                del old[i, j]
+        new = [(mon_lcm(leads[g][1], t), g)
+               for g in active if leads[g][0] == c]
+        kept = []
+        for n, (L, g) in enumerate(new):
+            coprime = rank == 1 and mon_coprime(leads[g][1], t)
+            if coprime or not (
+                    any(mon_divides(M, L) for M, _ in new[n + 1:])
+                    or any(mon_divides(M, L) for M, _, _ in kept)):
+                kept.append((L, g, coprime))
+        for L, g, coprime in kept:
+            if not coprime:
+                old[g, h] = L
+                heappush(heap, (key((c, L)), g, h))
+        active[:] = [g for g in active
+                     if leads[g][0] != c or not mon_divides(t, leads[g][1])]
+        active.append(h)
+
     for vp in gens:
         if vp:
-            vp = _vp_monic(vp, key, field)
-            basis.append(vp)
-            leads.append(max(vp, key=key))
-
-    pending = set()
-    heap = []
-
-    def add_pairs(j):
-        for i in range(j):
-            if leads[i][0] == leads[j][0]:
-                L = mon_lcm(leads[i][1], leads[j][1])
-                heapq.heappush(heap, (key((leads[i][0], L)), i, j))
-                pending.add((i, j))
-
-    for j in range(len(basis)):
-        add_pairs(j)
-
-    prepared = list(zip(leads, basis))
-
+            install(vp)
     while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
+        _, i, j = heappop(heap)
+        if pairs[leads[i][0]].pop((i, j), None) is None:
             continue
-        pending.discard((i, j))
-        lt_i, lt_j = leads[i], leads[j]
-        if rank == 1 and mon_coprime(lt_i[1], lt_j[1]):
-            continue
-        L = mon_lcm(lt_i[1], lt_j[1])
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if leads[k][0] != lt_i[0] or not mon_divides(leads[k][1], L):
-                continue
-            a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        s = _spair(basis[i], basis[j], lt_i, lt_j, key, field)
-        r = _vp_normal_form(s, prepared, key, field)
+        s = _spair(basis[i], basis[j], leads[i], leads[j], field)
+        r = _vp_normal_form(s, index, down, field)
         if r:
-            r = _vp_monic(r, key, field)
-            basis.append(r)
-            leads.append(max(r, key=key))
-            prepared.append((leads[-1], r))
-            add_pairs(len(basis) - 1)
-
-    return _autoreduce(basis, key, field)
+            install(r)
+    return _autoreduce([(leads[g], basis[g]) for g in active],
+                       key, down, field)
 
 
-def _autoreduce(basis, key, field):
-    """Minimalize and tail-reduce a monic basis into the reduced one.
+def _autoreduce(entries, key, down, field):
+    """The reduced basis from the monic (lead, vp) entries of a Groebner
+    basis.
 
-    Once no lead divides another, tail reduction never touches a lead
-    term, so the leads are fixed and one pass reducing each entry by all
-    the others leaves no term divisible by another entry's lead.
+    In ascending lead order an entry is dropped when an earlier lead
+    divides its own; otherwise its tail is reduced against the entries
+    kept before it.  Every tail term lies below the entry's lead, so no
+    later lead divides it, and one pass leaves no term divisible by
+    another entry's lead.
     """
-    entries = [(max(vp, key=key), vp) for vp in basis if vp]
-    # drop entries whose lead is divisible by another lead
-    entries.sort(key=lambda e: key(e[0]))
-    kept = []
-    for lt, vp in entries:
-        if any(k[0][0] == lt[0] and mon_divides(k[0][1], lt[1]) for k in kept):
+    index = _LeadIndex()
+    out = []
+    for lt, vp in sorted(entries, key=lambda e: key(e[0])):
+        if index.find(lt) is not None:
             continue
-        kept.append((lt, vp))
-    for idx, (lt, vp) in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        kept[idx] = (lt, _vp_normal_form(vp, others, key, field))
-    return [vp for _, vp in kept]
+        tail = dict(vp)
+        reduced = {lt: tail.pop(lt)}
+        reduced.update(_vp_normal_form(tail, index, down, field))
+        index.add(lt, reduced)
+        out.append(reduced)
+    return out
 
 
 # -- monomial fast paths -------------------------------------------------
@@ -345,7 +435,25 @@ def _mono_components(U):
 
 
 def _mono_ideal_colon_single(exps_list, g):
-    return _mono_minimalize([mon_div(mon_lcm(e, g), g) for e in exps_list])
+    """(exps_list) : x^g for a minimalized exps_list.
+
+    On a staircase the shifted corners (max(a - g0, 0), max(b - g1, 0))
+    stay in order, a never falling and b never rising.  Clipping at 0 can
+    repeat an a, where the last corner has the lowest b and stays, or a b,
+    where the first stays; one pass gives the staircase of the colon.
+    """
+    if len(g) != 2:
+        return _mono_minimalize([mon_div(mon_lcm(e, g), g) for e in exps_list])
+    g0, g1 = g
+    out = []
+    for a, b in exps_list:
+        x = a - g0 if a > g0 else 0
+        y = b - g1 if b > g1 else 0
+        if out and out[-1][0] == x:
+            out[-1] = (x, y)
+        elif not out or y < out[-1][1]:
+            out.append((x, y))
+    return out
 
 
 def _stair_heights(stair, xs):
@@ -424,10 +532,15 @@ def normal_form(vec, U, order=None):
     if len(vec) != U.rank:
         raise RankMismatchError(f"vector length {len(vec)} vs rank {U.rank}")
     gb = groebner_basis(U, order)
-    key = (order or DEFAULT_ORDER).key_function(U.ctx)
-    field = U.ctx.field
-    prepared = [(max(vp, key=key), vp) for vp in (_to_vp(g) for g in gb.gens) if vp]
-    r = _vp_normal_form(_to_vp(vec), prepared, key, field)
+    order = order or DEFAULT_ORDER
+    key = order.key_function(U.ctx)
+    index = gb._cache.get((_LeadIndex, order))
+    if index is None:
+        index = gb._cache[_LeadIndex, order] = _LeadIndex()
+        for vp in map(_to_vp, gb.gens):
+            if vp:
+                index.add(max(vp, key=key), vp)
+    r = _vp_normal_form(_to_vp(vec), index, _descending(key), U.ctx.field)
     return _from_vp(U.ctx, U.rank, r)
 
 

@@ -172,3 +172,89 @@ def random_monomial_ideal(rng, max_degree=8, max_steps=4, primary=True):
 def ideal_from_exps(ctx, exps):
     return SubmoduleData.ideal(ctx, [Polynomial.monomial(ctx, e)
                                      for e in exps])
+
+
+def buchberger_oracle(vectors, ctx, order):
+    """Reduced Groebner basis of the module spanned by vectors (tuples of
+    Polynomials) by the textbook algorithm: the S-vector of every pair of
+    elements with leads in one component is reduced, with no criterion to
+    skip any, and the result is interreduced until nothing changes.
+    Returns the basis as dicts {(component, exponents): coefficient},
+    sorted by lead term."""
+    key = order.key_function(ctx)
+    field = ctx.field
+
+    def lead(f):
+        return max(f, key=key)
+
+    def monic(f):
+        inv = field.invert(f[lead(f)])
+        return {t: field.mul(c, inv) for t, c in f.items()}
+
+    def sub_multiple(f, g, q, c):
+        """f - c * x^q * g"""
+        out = dict(f)
+        for (gc, ge), b in g.items():
+            t = (gc, tuple(x + y for x, y in zip(ge, q)))
+            v = field.sub(out.get(t, field.zero), field.mul(c, b))
+            if v == field.zero:
+                out.pop(t, None)
+            else:
+                out[t] = v
+        return out
+
+    def divides(s, t):
+        return s[0] == t[0] and all(x <= y for x, y in zip(s[1], t[1]))
+
+    def reduce(f, basis):
+        rem = {}
+        while f:
+            t = lead(f)
+            g = next((g for g in basis if divides(lead(g), t)), None)
+            if g is None:
+                rem[t] = f.pop(t)
+                continue
+            q = tuple(x - y for x, y in zip(t[1], lead(g)[1]))
+            f = sub_multiple(f, g, q, field.mul(f[t], field.invert(g[lead(g)])))
+        return rem
+
+    G = [monic(f) for f in ({(c, e): x for c, p in enumerate(v)
+                             for e, x in p.terms.items()} for v in vectors)
+         if f]
+
+    def lcm(i, j):
+        (c, ei), (_, ej) = lead(G[i]), lead(G[j])
+        return c, tuple(max(x, y) for x, y in zip(ei, ej))
+
+    def pairs_with(j):
+        return [(i, j) for i in range(j) if lead(G[i])[0] == lead(G[j])[0]]
+
+    # every pair with leads in one component, smallest lcm first
+    pairs = [p for j in range(len(G)) for p in pairs_with(j)]
+    while pairs:
+        i, j = pair = min(pairs, key=lambda p: key(lcm(*p)))
+        pairs.remove(pair)
+        _, L = lcm(i, j)
+        s = {}
+        for g, sign in ((G[i], field.neg(field.one)), (G[j], field.one)):
+            s = sub_multiple(s, g, tuple(x - y for x, y in zip(L, lead(g)[1])),
+                             sign)
+        r = reduce(s, G)
+        if r:
+            G.append(monic(r))
+            pairs += pairs_with(len(G) - 1)
+    changed = True
+    while changed:
+        changed = False
+        for i, f in enumerate(G):
+            rest = G[:i] + G[i + 1:]
+            if any(divides(lead(g), lead(f)) for g in rest):
+                G.pop(i)
+                changed = True
+                break
+            r = reduce(dict(f), rest)
+            if r != f:
+                G[i] = monic(r)
+                changed = True
+                break
+    return sorted(G, key=lambda f: key(lead(f)))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,10 +12,11 @@ from reescalc import (INFINITE, Polynomial, RingContext, SubmoduleData, colon,
                       parse_poly, preimage, saturate, sum_modules)
 from reescalc.closures import newton_closure_exps
 from reescalc.context import mon_divides, mon_lcm, mon_mul
-from reescalc.groebner import DEFAULT_ORDER, _mono_minimalize
+from reescalc.groebner import DEFAULT_ORDER, ModuleOrder, _mono_minimalize
 
-from oracles import (ideal_from_exps, newton_closure_oracle,
-                     random_monomial_ideal, span_membership)
+from oracles import (buchberger_oracle, ideal_from_exps,
+                     newton_closure_oracle, random_monomial_ideal,
+                     span_membership)
 from test_rees import BINOMIAL_ROWS
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
@@ -212,20 +214,28 @@ def test_zero_and_free_degenerate_cases():
     assert not member((X, Y), Z)
 
 
-def _random_sparse_module(rng, ctx, terms):
-    """Two to four generators of rank 1 or 2, each with `terms` terms of
+def _random_module(rng, ctx, rank, terms, count):
+    """count generators of the given rank, each with `terms` terms of
     degree at most 3 spread over its components."""
-    rank = rng.randint(1, 2)
     gens = []
-    for _ in range(rng.randint(2, 4)):
+    for _ in range(count):
         vec = [{} for _ in range(rank)]
         for _ in range(terms):
-            a = rng.randint(0, 3)
-            b = rng.randint(0, 3 - a)
-            coeff = rng.choice((-3, -2, -1, 1, 2, 5))
-            vec[rng.randrange(rank)][(a, b)] = coeff
+            exps, left = [], 3
+            for _ in range(ctx.nvars):
+                exps.append(rng.randint(0, left))
+                left -= exps[-1]
+            vec[rng.randrange(rank)][tuple(exps)] = \
+                ctx.field.coerce(rng.choice((-3, -2, -1, 1, 2, 5)))
         gens.append(tuple(Polynomial(ctx, t) for t in vec))
-    return SubmoduleData.from_vectors(ctx, rank, gens)
+    return gens
+
+
+def _random_sparse_module(rng, ctx, terms):
+    """Two to four such generators of rank 1 or 2."""
+    rank = rng.randint(1, 2)
+    return SubmoduleData.from_vectors(
+        ctx, rank, _random_module(rng, ctx, rank, terms, rng.randint(2, 4)))
 
 
 def test_bases_of_random_binomial_and_trinomial_modules_are_reduced():
@@ -406,3 +416,79 @@ def test_monomial_containment_on_larger_sets_in_three_variables():
         assert contains(ideal_from_exps(ctx, A), ideal_from_exps(ctx, B)) \
             == want, (A, B)
     assert seen == {True, False}
+
+
+def _vps(vectors):
+    return [{(c, e): x for c, p in enumerate(v) for e, x in p.terms.items()}
+            for v in vectors]
+
+
+def test_kernel_matches_criterion_free_buchberger():
+    # groebner_basis under the default TOP order, and preimage under its
+    # POT elimination order, against a Buchberger that reduces every pair.
+    # In three variables the lead index scans in place of the staircase;
+    # there the oracle takes too long on preimages, so only bases are
+    # compared.
+    rng = random.Random(6006)
+    for ctx in (CTX, RingContext(characteristic=32003, base_vars=("X", "Y")),
+                RingContext(characteristic=32003, base_vars=("X", "Y", "Z"))):
+        for rank in (1, 2, 3):
+            for terms in (2, 3):
+                for _ in range(4):
+                    gens = _random_module(rng, ctx, rank, terms,
+                                          rng.randint(2, 4))
+                    U = SubmoduleData.from_vectors(ctx, rank, gens)
+                    assert _vps(groebner_basis(U).gens) == buchberger_oracle(
+                        gens, ctx, DEFAULT_ORDER), (rank, gens)
+                if ctx.nvars != 2:
+                    continue
+                columns = _random_module(rng, ctx, rank, terms, 2)
+                W = SubmoduleData.from_vectors(
+                    ctx, rank, _random_module(rng, ctx, rank, terms, 2))
+                one = Polynomial.one(ctx)
+                zero = Polynomial.zero(ctx)
+                tagged = [tuple(col) + tuple(one if k == j else zero
+                                             for k in range(len(columns)))
+                          for j, col in enumerate(columns)]
+                tagged += [tuple(w) + (zero,) * len(columns) for w in W.gens]
+                order = ModuleOrder(position="POT", elim_components=rank)
+                want = [{(c - rank, e): x for (c, e), x in f.items()}
+                        for f in buchberger_oracle(tagged, ctx, order)
+                        if all(c >= rank for c, _ in f)]
+                assert _vps(preimage(columns, W).gens) == want, (columns, W)
+
+
+def test_ideal_bases_match_sympy_grevlex():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import grevlex
+    sx, sy = sympy.symbols("X Y")
+    # the default order on k[X, Y] is sympy's grevlex with X > Y
+    mons = [m for d in range(5) for m in itertools.product(range(d + 1),
+                                                           repeat=2)]
+    assert sorted(mons, key=CTX.mon_key) == sorted(mons, key=grevlex)
+    rng = random.Random(7007)
+    for char in (0, 32003):
+        ctx = RingContext(characteristic=char, base_vars=("X", "Y"))
+        field = ctx.field
+
+        def coeff(c):
+            return field.coerce(Fraction(str(c)))
+
+        for terms in (2, 3):
+            for _ in range(12):
+                polys = [Polynomial.from_terms(
+                    ctx, _random_poly(rng, ctx, terms, 4).terms.items())
+                    for _ in range(rng.randint(2, 3))]
+                exprs = [sum(int(c) * sx ** a * sy ** b
+                             for (a, b), c in p.terms.items())
+                         for p in polys]
+                extra = {"modulus": char} if char else {}
+                G = sympy.groebner(exprs, sx, sy, order="grevlex", **extra)
+                want = []
+                for q in G.polys:
+                    inv = field.invert(coeff(q.LC(order="grevlex")))
+                    want.append(sorted((e, field.mul(coeff(c), inv))
+                                       for e, c in q.as_dict().items()))
+                got = groebner_basis(SubmoduleData.ideal(ctx, polys)).gens
+                assert sorted(sorted(g[0].terms.items()) for g in got) == \
+                    sorted(want), exprs

@@ -275,3 +275,17 @@ def test_monomial_products_match_column_products_without_polynomials(
     _embedding(BINOMIAL_ROWS).power_piece(2)
     assert calls
 
+
+
+def test_binomial_powers_reduce_no_more_s_pairs_than_before(monkeypatch):
+    # 638 S-vectors were reduced for M^1..M^6 of the binomial module with
+    # the chain-criterion scan this kernel replaced (counted the same way,
+    # a counter on groebner._spair in a fresh embedding)
+    calls = []
+    real = groebner._spair
+    monkeypatch.setattr(groebner, "_spair",
+                        lambda *args: calls.append(1) or real(*args))
+    E = _embedding(BINOMIAL_ROWS)
+    for n in range(1, 7):
+        E.power_piece(n)
+    assert 0 < len(calls) <= 638
