@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import add, le, sub
 
 from .errors import InputError
 
@@ -219,21 +220,21 @@ def mon_one(nvars):
 
 
 def mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_divides(a, b):
     """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mon_div(a, b):
     """Quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mon_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mon_coprime(a, b):

@@ -15,6 +15,12 @@ from a max-heap and finds its reducer in a lead index: per component, a
 staircase searched by bisection in two variables, a list otherwise.  The
 index grows with the basis, and a cached basis keeps one for
 normal_form.
+
+Over QQ the kernel computes with primitive integer vectors and
+pseudo-reduction in place of Fraction arithmetic, and makes the basis
+monic, with Fraction coefficients, only at the end; over GF(p) its
+elements are monic throughout.  The reduced basis is unique, so both
+fields return the same bases as a monic computation would.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .context import (mon_coprime, mon_div, mon_divides, mon_lcm, mon_mul,
                       mon_one)
@@ -156,17 +163,29 @@ def _from_vp(ctx, rank, vp):
     return tuple(Polynomial(ctx, terms) for terms in cols)
 
 
-def _vp_monic(vp, key, field):
-    lt = max(vp, key=key)
-    lc = vp[lt]
-    if lc == field.one:
-        return vp
+def _vp_monic(vp, lc, field):
+    """vp divided by its lead coefficient lc.  Over QQ the result holds
+    Fractions even where vp holds integers."""
     inv = field.invert(lc)
     return {t: field.mul(c, inv) for t, c in vp.items()}
 
 
+def _vp_normalize(vp, lt, field):
+    """vp as the kernel keeps it, lt being its lead term: over GF(p)
+    monic; over QQ a primitive integer vector (denominators cleared,
+    content divided out) with a positive lead coefficient."""
+    if field.characteristic:
+        return vp if vp[lt] == 1 else _vp_monic(vp, vp[lt], field)
+    den = lcm(*[c.denominator for c in vp.values()])
+    ints = {t: c.numerator * (den // c.denominator) for t, c in vp.items()}
+    g = gcd(*ints.values())
+    if ints[lt] < 0:
+        g = -g
+    return {t: c // g for t, c in ints.items()}
+
+
 class _LeadIndex:
-    """Monic module elements by lead term, for finding a reducer.
+    """Kernel elements by lead term, for finding a reducer.
 
     Each component keeps only minimal leads.  In two variables they form a
     staircase, and the one lead that can divide (x, y) is the last corner
@@ -231,19 +250,26 @@ def _descending(key):
 
 
 def _vp_normal_form(vp, index, down, field):
-    """Full normal form of vp against the monic entries of a _LeadIndex.
+    """Normal form of vp, up to a nonzero factor, against the entries of
+    a _LeadIndex.
 
     The terms left to reduce sit in a dict and, keyed by down, in a lazy
     max-heap (Monagan & Pearce, J. Symb. Comput. 46, 2011): a term is
     pushed when it enters the dict, and a popped term no longer in the
     dict (cancelled, or a repeat) is skipped.  Every term a reduction
     step adds lies below the term it removes, so none is taken twice.
+
+    A reducer's lead coefficient a is 1 unless the entries are the
+    kernel's integer vectors over QQ.  When a does not divide the
+    coefficient c to cancel, the terms left to reduce and the remainder
+    kept so far are first multiplied by a/gcd(a, c) (pseudo-reduction),
+    so the arithmetic stays in the integers.
     """
     work = dict(vp)
     heap = [(down(t), t) for t in work]
     heapify(heap)
-    zero = field.zero
     rem = {}
+    add, mul, neg = field.add, field.mul, field.neg
     while heap:
         t = heappop(heap)[1]
         c = work.pop(t, None)
@@ -254,6 +280,17 @@ def _vp_normal_form(vp, index, down, field):
             rem[t] = c
             continue
         lt, terms = hit
+        a = terms[lt]
+        if a != 1:
+            d = gcd(a, c)
+            c //= d
+            s = a // d
+            if s != 1:
+                for u in work:
+                    work[u] *= s
+                for u in rem:
+                    rem[u] *= s
+        c = neg(c)
         q = mon_div(t[1], lt[1])
         for g, gcoeff in terms.items():
             if g == lt:
@@ -261,11 +298,11 @@ def _vp_normal_form(vp, index, down, field):
             tt = (g[0], mon_mul(g[1], q))
             old = work.get(tt)
             if old is None:
-                work[tt] = field.neg(field.mul(c, gcoeff))
+                work[tt] = mul(c, gcoeff)
                 heappush(heap, (down(tt), tt))
                 continue
-            nc = field.sub(old, field.mul(c, gcoeff))
-            if nc == zero:
+            nc = add(old, mul(c, gcoeff))
+            if nc == 0:
                 del work[tt]
             else:
                 work[tt] = nc
@@ -273,16 +310,22 @@ def _vp_normal_form(vp, index, down, field):
 
 
 def _spair(f, g, lt_f, lt_g, field):
+    """The S-vector (b/d)*x^qf*f - (a/d)*x^qg*g of two kernel elements,
+    a and b their lead coefficients and d = gcd(a, b), so that it stays
+    integral over QQ; over GF(p) a = b = 1."""
+    a, b = f[lt_f], g[lt_g]
+    d = gcd(a, b)
+    cf, cg = b // d, a // d
     L = mon_lcm(lt_f[1], lt_g[1])
     qf = mon_div(L, lt_f[1])
     qg = mon_div(L, lt_g[1])
     vp = {}
     for (c, e), coeff in f.items():
-        vp[(c, mon_mul(e, qf))] = coeff
+        vp[(c, mon_mul(e, qf))] = cf * coeff
     for (c, e), coeff in g.items():
         t = (c, mon_mul(e, qg))
-        nc = field.sub(vp.get(t, field.zero), coeff)
-        if nc == field.zero:
+        nc = field.sub(vp.get(t, 0), cg * coeff)
+        if nc == 0:
             vp.pop(t, None)
         else:
             vp[t] = nc
@@ -304,7 +347,8 @@ def _buchberger(gens, key, field, rank):
     - elements whose lead lead(h) divides form no further pairs.
     Pairs are reduced smallest lcm first (normal selection), so nothing
     is scanned when a pair is taken.  S-vectors reduce against a
-    _LeadIndex kept up to date as elements arrive.
+    _LeadIndex kept up to date as elements arrive.  Elements are kept as
+    _vp_normalize makes them; the returned basis is monic.
     """
     down = _descending(key)
     index = _LeadIndex()
@@ -313,9 +357,9 @@ def _buchberger(gens, key, field, rank):
     heap = []   # (key of the lcm term, i, j), smallest first
 
     def install(vp):
-        vp = _vp_monic(vp, key, field)
-        h = len(basis)
         c, t = lead = max(vp, key=key)
+        vp = _vp_normalize(vp, lead, field)
+        h = len(basis)
         basis.append(vp)
         leads.append(lead)
         index.add(lead, vp)
@@ -357,25 +401,25 @@ def _buchberger(gens, key, field, rank):
 
 
 def _autoreduce(entries, key, down, field):
-    """The reduced basis from the monic (lead, vp) entries of a Groebner
-    basis.
+    """The reduced basis, monic, from the (lead, vp) entries of a
+    Groebner basis.
 
     In ascending lead order an entry is dropped when an earlier lead
     divides its own; otherwise its tail is reduced against the entries
-    kept before it.  Every tail term lies below the entry's lead, so no
-    later lead divides it, and one pass leaves no term divisible by
-    another entry's lead.
+    kept before it (no entry's lead divides its lead, which stays).
+    Every tail term lies below the entry's lead, so no later lead
+    divides it, and one pass leaves no term divisible by another entry's
+    lead.  The index keeps the entries as the kernel does; the result is
+    made monic only at the end.
     """
     index = _LeadIndex()
     out = []
     for lt, vp in sorted(entries, key=lambda e: key(e[0])):
         if index.find(lt) is not None:
             continue
-        tail = dict(vp)
-        reduced = {lt: tail.pop(lt)}
-        reduced.update(_vp_normal_form(tail, index, down, field))
-        index.add(lt, reduced)
-        out.append(reduced)
+        reduced = _vp_normal_form(vp, index, down, field)
+        index.add(lt, _vp_normalize(reduced, lt, field))
+        out.append(_vp_monic(reduced, reduced[lt], field))
     return out
 
 

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .context import mon_mul, mon_one
-from .errors import ContextMismatchError, ParseError
+from .errors import ContextMismatchError, InputError, ParseError
 
 
 class Polynomial:
@@ -171,15 +171,6 @@ class Polynomial:
             return Polynomial.zero(self.ctx)
         return Polynomial(self.ctx, {e: field.mul(c, c0) for e, c in self.terms.items()})
 
-    def mul_term(self, exps, coeff):
-        field = self.ctx.field
-        c0 = field.coerce(coeff)
-        if c0 == field.zero:
-            return Polynomial.zero(self.ctx)
-        exps = tuple(exps)
-        return Polynomial(self.ctx, {mon_mul(e, exps): field.mul(c, c0)
-                                     for e, c in self.terms.items()})
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
@@ -267,6 +258,11 @@ class Polynomial:
 
 # -- parser --------------------------------------------------------------
 
+# Largest exponent after `^` that parse_poly accepts.  A power is expanded
+# as it is parsed, and (X+Y)^n costs time that grows faster than n, so a
+# larger exponent is refused before anything is expanded.
+MAX_EXPONENT = 200
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*+-]))")
 
 
@@ -346,6 +342,9 @@ class _Parser:
             if tok[0] != "int":
                 raise ParseError(f"exponent must be an integer, found {tok[1]!r}",
                                  tok[2])
+            if tok[1] > MAX_EXPONENT:
+                raise InputError(f"exponent {tok[1]} exceeds {MAX_EXPONENT} "
+                                 f"(at position {tok[2]})")
             base = base ** tok[1]
         return base
 
@@ -368,6 +367,7 @@ def parse_poly(text, ctx):
     """Parse a polynomial expression over the given context.
 
     Grammar: integers, variable names, `^` integer powers, `*`, `+`, `-`,
-    parentheses.  Juxtaposition is not multiplication.
+    parentheses.  Juxtaposition is not multiplication.  An exponent above
+    MAX_EXPONENT raises InputError.
     """
     return _Parser(text, ctx).parse()

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from reescalc import Polynomial, RingContext, parse_poly
 from reescalc.cli import main
+from reescalc.poly import MAX_EXPONENT
 
 RR_PROBLEM = """\
 ring {
@@ -183,6 +185,28 @@ def test_bad_problem_file_exits_4(tmp_path, capsys, text):
     assert status == 4
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_exponent_above_cap_exits_4_unexpanded(tmp_path, capsys,
+                                               monkeypatch):
+    # (X+Y)^1600 took 8 s to expand; the cap refuses the exponent before
+    # any power is taken, and the spy fails at once if one is taken.
+    real = Polynomial.__pow__
+
+    def bounded_pow(p, n):
+        assert n <= MAX_EXPONENT, f"expanded a power {n}"
+        return real(p, n)
+
+    monkeypatch.setattr(Polynomial, "__pow__", bounded_pow)
+    path = _write(tmp_path, "big.problem",
+                  "matrix {\n  row = X^2, (X+Y)^100000\n}\n")
+    status, out, err = _run(capsys, ["rr", path])
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: exponent 100000 exceeds 200")
+    ctx = RingContext(characteristic=0, base_vars=("X", "Y"))
+    assert MAX_EXPONENT == 200
+    assert parse_poly("X^200", ctx) == Polynomial.monomial(ctx, (200, 0))
 
 
 def test_non_utf8_file_exits_4(tmp_path, capsys):

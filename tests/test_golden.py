@@ -34,6 +34,12 @@ CASES["br-binomial"] = ("br", "matrix {\n"
 CASES["br-shifted"] = ("br", "matrix {\n"
                        "  row = (X+2*Y)^4, (X+2*Y)^3*Y, (X+2*Y)*Y^3, Y^4\n"
                        "}\n", ())
+# non-unit lead coefficients: over QQ most normal forms of this job scale
+# the terms left to reduce (pseudo-reduction)
+CASES["br-nonunit"] = ("br", "matrix {\n"
+                       "  row = 3*X^2+2*Y^2, 7*X*Y+Y^2, 5*Y^3, 0\n"
+                       "  row = 0, 6*X^2-11*Y^2, 5*X*Y, 9*Y^2\n}\n",
+                       ("--nmax", "6"))
 NAMES = sorted(CASES) + ["fixtures"]
 
 

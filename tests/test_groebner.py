@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from reescalc import (INFINITE, Polynomial, RingContext, SubmoduleData, colon,
-                      colength, contains, eliminate, equal, groebner_basis,
-                      intersect, member, minimal_generators, normal_form,
-                      parse_poly, preimage, saturate, sum_modules)
+from reescalc import (INFINITE, ModuleEmbedding, Polynomial, RingContext,
+                      SubmoduleData, colength, colon, contains, eliminate,
+                      equal, groebner_basis, intersect, member,
+                      minimal_generators, normal_form, parse_poly, preimage,
+                      saturate, sum_modules)
+from reescalc import groebner
 from reescalc.closures import newton_closure_exps
 from reescalc.context import mon_divides, mon_lcm, mon_mul
 from reescalc.groebner import DEFAULT_ORDER, ModuleOrder, _mono_minimalize
@@ -214,7 +216,13 @@ def test_zero_and_free_degenerate_cases():
     assert not member((X, Y), Z)
 
 
-def _random_module(rng, ctx, rank, terms, count):
+# Coefficients that make the QQ kernel scale: non-unit leads, proper
+# fractions and integers beyond a machine word.
+HARD_COEFFS = (Fraction(3, 4), Fraction(-7, 5), 10**12 + 39, 2**61 - 1, -1, 6)
+
+
+def _random_module(rng, ctx, rank, terms, count,
+                   coeffs=(-3, -2, -1, 1, 2, 5)):
     """count generators of the given rank, each with `terms` terms of
     degree at most 3 spread over its components."""
     gens = []
@@ -226,7 +234,7 @@ def _random_module(rng, ctx, rank, terms, count):
                 exps.append(rng.randint(0, left))
                 left -= exps[-1]
             vec[rng.randrange(rank)][tuple(exps)] = \
-                ctx.field.coerce(rng.choice((-3, -2, -1, 1, 2, 5)))
+                ctx.field.coerce(rng.choice(coeffs))
         gens.append(tuple(Polynomial(ctx, t) for t in vec))
     return gens
 
@@ -260,12 +268,12 @@ def test_bases_of_random_binomial_and_trinomial_modules_are_reduced():
                 assert all(member(g, gb) for g in U.gens)
 
 
-def _random_poly(rng, ctx, terms, top):
-    coeffs = {}
+def _random_poly(rng, ctx, terms, top, coeffs=(-2, -1, 1, 3)):
+    out = {}
     for _ in range(terms):
         a = rng.randint(0, top)
-        coeffs[(a, rng.randint(0, top - a))] = rng.choice((-2, -1, 1, 3))
-    return Polynomial(ctx, coeffs)
+        out[(a, rng.randint(0, top - a))] = rng.choice(coeffs)
+    return Polynomial(ctx, out)
 
 
 def _random_ideal(rng, ctx, terms):
@@ -423,28 +431,47 @@ def _vps(vectors):
             for v in vectors]
 
 
-def test_kernel_matches_criterion_free_buchberger():
+def test_kernel_matches_criterion_free_buchberger(monkeypatch):
     # groebner_basis under the default TOP order, and preimage under its
     # POT elimination order, against a Buchberger that reduces every pair.
     # In three variables the lead index scans in place of the staircase;
     # there the oracle takes too long on preimages, so only bases are
-    # compared.
-    rng = random.Random(6006)
-    for ctx in (CTX, RingContext(characteristic=32003, base_vars=("X", "Y")),
-                RingContext(characteristic=32003, base_vars=("X", "Y", "Z"))):
-        for rank in (1, 2, 3):
+    # compared.  The first case runs the QQ kernel's scaling branches:
+    # with HARD_COEFFS most of its reductions scale.  It comes first, on
+    # its own seed, since a kernel that scales wrongly can blow up on the
+    # later inputs before a comparison fails; the oracle's cost on such
+    # coefficients keeps it to ranks 1 and 2.
+    real_spair = groebner._spair
+
+    def spair(f, g, lt_f, lt_g, field):
+        # every S-vector cancels the lcm of the two leads
+        s = real_spair(f, g, lt_f, lt_g, field)
+        assert (lt_f[0], mon_lcm(lt_f[1], lt_g[1])) not in s
+        return s
+
+    monkeypatch.setattr(groebner, "_spair", spair)
+    shared = random.Random(6006)
+    small = (-3, -2, -1, 1, 2, 5)
+    gf2 = RingContext(characteristic=32003, base_vars=("X", "Y"))
+    gf3 = RingContext(characteristic=32003, base_vars=("X", "Y", "Z"))
+    for ctx, coeffs, ranks, rng in ((CTX, HARD_COEFFS, (1, 2),
+                                     random.Random(6062)),
+                                    (CTX, small, (1, 2, 3), shared),
+                                    (gf2, small, (1, 2, 3), shared),
+                                    (gf3, small, (1, 2, 3), shared)):
+        for rank in ranks:
             for terms in (2, 3):
                 for _ in range(4):
                     gens = _random_module(rng, ctx, rank, terms,
-                                          rng.randint(2, 4))
+                                          rng.randint(2, 4), coeffs)
                     U = SubmoduleData.from_vectors(ctx, rank, gens)
                     assert _vps(groebner_basis(U).gens) == buchberger_oracle(
                         gens, ctx, DEFAULT_ORDER), (rank, gens)
                 if ctx.nvars != 2:
                     continue
-                columns = _random_module(rng, ctx, rank, terms, 2)
+                columns = _random_module(rng, ctx, rank, terms, 2, coeffs)
                 W = SubmoduleData.from_vectors(
-                    ctx, rank, _random_module(rng, ctx, rank, terms, 2))
+                    ctx, rank, _random_module(rng, ctx, rank, terms, 2, coeffs))
                 one = Polynomial.one(ctx)
                 zero = Polynomial.zero(ctx)
                 tagged = [tuple(col) + tuple(one if k == j else zero
@@ -467,7 +494,10 @@ def test_ideal_bases_match_sympy_grevlex():
                                                            repeat=2)]
     assert sorted(mons, key=CTX.mon_key) == sorted(mons, key=grevlex)
     rng = random.Random(7007)
-    for char in (0, 32003):
+    # then non-unit and large integer coefficients
+    large = (-6, 10, 15, 10**12 + 39, -(2**61 - 1))
+    for char, coeffs in ((0, (-2, -1, 1, 3)), (32003, (-2, -1, 1, 3)),
+                         (0, large), (32003, large)):
         ctx = RingContext(characteristic=char, base_vars=("X", "Y"))
         field = ctx.field
 
@@ -477,7 +507,7 @@ def test_ideal_bases_match_sympy_grevlex():
         for terms in (2, 3):
             for _ in range(12):
                 polys = [Polynomial.from_terms(
-                    ctx, _random_poly(rng, ctx, terms, 4).terms.items())
+                    ctx, _random_poly(rng, ctx, terms, 4, coeffs).terms.items())
                     for _ in range(rng.randint(2, 3))]
                 exprs = [sum(int(c) * sx ** a * sy ** b
                              for (a, b), c in p.terms.items())
@@ -492,3 +522,31 @@ def test_ideal_bases_match_sympy_grevlex():
                 got = groebner_basis(SubmoduleData.ideal(ctx, polys)).gens
                 assert sorted(sorted(g[0].terms.items()) for g in got) == \
                     sorted(want), exprs
+
+
+def test_results_over_qq_hold_fractions():
+    # Over QQ the kernel computes with integers; every coefficient it hands
+    # back must still be a Fraction, since an int would turn a later `/`
+    # into float division.
+    rng = random.Random(6116)
+
+    def fractions_only(vectors):
+        return all(type(x) is Fraction
+                   for v in vectors for p in v for x in p.terms.values())
+
+    for rank in (1, 2):
+        for _ in range(3):
+            U = SubmoduleData.from_vectors(CTX, rank, _random_module(
+                rng, CTX, rank, 3, 3, HARD_COEFFS))
+            V = SubmoduleData.from_vectors(CTX, rank, _random_module(
+                rng, CTX, rank, 2, 2, HARD_COEFFS))
+            columns = _random_module(rng, CTX, rank, 2, 2, HARD_COEFFS)
+            assert fractions_only(groebner_basis(U).gens)
+            assert fractions_only(preimage(columns, U).gens)
+            assert fractions_only(intersect(U, V).gens)
+            assert fractions_only([normal_form(v, U) for v in V.gens])
+    E = ModuleEmbedding.from_matrix(CTX, [
+        [parse_poly(e, CTX) for e in row]
+        for row in (("3*X^2+2*Y^2", "7*X*Y+Y^2", "5*Y^3", "0"),
+                    ("0", "6*X^2-11*Y^2", "5*X*Y", "9*Y^2"))])
+    assert all(fractions_only(E.power_piece(n).gens) for n in range(4))
