@@ -194,6 +194,8 @@ class RingContext:
     # -- equality --------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, RingContext)
                 and self.characteristic == other.characteristic
                 and self.vars == other.vars

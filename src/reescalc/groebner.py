@@ -14,7 +14,12 @@ installed by the Gebauer-Moeller update, and each reduction takes terms
 from a max-heap and finds its reducer in a lead index: per component, a
 staircase searched by bisection in two variables, a list otherwise.  The
 index grows with the basis, and a cached basis keeps one for
-normal_form.
+normal_form.  Inputs are taken lazily: each waits in the pair queue under
+its lead term and is reduced against the basis so far when its turn
+comes, so the many redundant products that build a module's powers are
+dropped as zero remainders instead of being paired.  vector_basis takes
+inputs that are already kernel vectors, as rees.piece_product builds
+them, and groebner_basis goes through it too.
 
 Over QQ the kernel computes with primitive integer vectors and
 pseudo-reduction in place of Fraction arithmetic, and makes the basis
@@ -335,10 +340,16 @@ def _spair(f, g, lt_f, lt_g, field):
 def _buchberger(gens, key, field, rank):
     """Reduced Groebner basis of the module generated by gens (list of vps).
 
-    Each element, input or new remainder, is installed by the update
-    procedure of Gebauer & Moeller (J. Symb. Comput. 6, 1988; Becker &
-    Weispfenning, Groebner Bases, ch. 5).  Pairs form only between leads
-    in one component.  With h the new element:
+    Inputs are taken lazily.  Each nonzero input, normalized, goes into the
+    pair heap keyed by its lead term, and an input comes before a pair
+    with an equal key.  When it is popped it is reduced against the
+    elements so far, and only a nonzero remainder is installed: a zero
+    remainder means the input lies in the module they generate.
+
+    Each element, the remainder of an input or of an S-vector, is
+    installed by the update procedure of Gebauer & Moeller (J. Symb.
+    Comput. 6, 1988; Becker & Weispfenning, Groebner Bases, ch. 5).  Pairs
+    form only between leads in one component.  With h the new element:
     - a new pair (h, g) is dropped when the lcm of another new pair
       divides its lcm; of pairs with equal lcms one stays, and it goes too
       when its leads are coprime (the product criterion, for rank 1 only);
@@ -346,15 +357,17 @@ def _buchberger(gens, key, field, rank):
       neither element equals that lcm (the B_k test);
     - elements whose lead lead(h) divides form no further pairs.
     Pairs are reduced smallest lcm first (normal selection), so nothing
-    is scanned when a pair is taken.  S-vectors reduce against a
-    _LeadIndex kept up to date as elements arrive.  Elements are kept as
+    is scanned when a pair is taken.  Inputs and S-vectors reduce against
+    a _LeadIndex kept up to date as elements arrive.  Elements are kept as
     _vp_normalize makes them; the returned basis is monic.
     """
     down = _descending(key)
     index = _LeadIndex()
     basis, leads, active = [], [], []
     pairs = {}  # component -> {(i, j): lcm of the leads}, not yet reduced
-    heap = []   # (key of the lcm term, i, j), smallest first
+    # (key of the lead, 0, n, n-th input) and (key of the lcm, 1, i, j),
+    # smallest first; at equal keys an input comes before a pair
+    heap = []
 
     def install(vp):
         c, t = lead = max(vp, key=key)
@@ -380,20 +393,25 @@ def _buchberger(gens, key, field, rank):
         for L, g, coprime in kept:
             if not coprime:
                 old[g, h] = L
-                heappush(heap, (key((c, L)), g, h))
+                heappush(heap, (key((c, L)), 1, g, h))
         active[:] = [g for g in active
                      if leads[g][0] != c or not mon_divides(t, leads[g][1])]
         active.append(h)
 
-    for vp in gens:
+    for n, vp in enumerate(gens):
         if vp:
-            install(vp)
+            lead = max(vp, key=key)
+            heap.append((key(lead), 0, n, _vp_normalize(vp, lead, field)))
+    heapify(heap)
     while heap:
-        _, i, j = heappop(heap)
-        if pairs[leads[i][0]].pop((i, j), None) is None:
+        _, is_pair, i, x = heappop(heap)
+        if not is_pair:
+            vp = x
+        elif pairs[leads[i][0]].pop((i, x), None) is None:
             continue
-        s = _spair(basis[i], basis[j], leads[i], leads[j], field)
-        r = _vp_normal_form(s, index, down, field)
+        else:
+            vp = _spair(basis[i], basis[x], leads[i], leads[x], field)
+        r = _vp_normal_form(vp, index, down, field)
         if r:
             install(r)
     return _autoreduce([(leads[g], basis[g]) for g in active],
@@ -559,15 +577,25 @@ def groebner_basis(U, order=None):
     comps = _mono_components(U)
     if comps is not None:
         gb = _from_mono_components(U.ctx, U.rank, comps)
+        gb._cache[cache_key] = gb
     else:
-        key = (order or DEFAULT_ORDER).key_function(U.ctx)
-        field = U.ctx.field
-        vps = [_to_vp(g) for g in U.gens]
-        basis = _buchberger(vps, key, field, U.rank)
-        gb = SubmoduleData(U.ctx, U.rank,
-                           tuple(_from_vp(U.ctx, U.rank, vp) for vp in basis))
-    gb._cache[cache_key] = gb
+        gb = vector_basis(U.ctx, U.rank, [_to_vp(g) for g in U.gens],
+                          cache_key)
     U._cache[cache_key] = gb
+    return gb
+
+
+def vector_basis(ctx, rank, vps, order=DEFAULT_ORDER):
+    """Reduced Groebner basis, as groebner_basis returns it, of the
+    submodule of A^rank generated by the kernel vectors vps: dicts from
+    (component, exponent tuple) to a coefficient, the field's own or,
+    over QQ, an int.  Callers that build their generators term by term,
+    like rees.piece_product, hand them over here without making
+    Polynomials first."""
+    basis = _buchberger(vps, order.key_function(ctx), ctx.field, rank)
+    gb = SubmoduleData(ctx, rank,
+                       tuple(_from_vp(ctx, rank, vp) for vp in basis))
+    gb._cache[order] = gb
     return gb
 
 

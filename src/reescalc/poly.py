@@ -258,9 +258,11 @@ class Polynomial:
 
 # -- parser --------------------------------------------------------------
 
-# Largest exponent after `^` that parse_poly accepts.  A power is expanded
-# as it is parsed, and (X+Y)^n costs time that grows faster than n, so a
-# larger exponent is refused before anything is expanded.
+# Largest exponent after `^`, and largest degree of a power, that
+# parse_poly accepts.  A power is expanded as it is parsed, and (X+Y)^n
+# costs time that grows faster than n, so a larger exponent, or a power
+# such as ((X+Y)^100)^4 whose degree would exceed the cap, is refused
+# before it is expanded.
 MAX_EXPONENT = 200
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*+-]))")
@@ -345,6 +347,10 @@ class _Parser:
             if tok[1] > MAX_EXPONENT:
                 raise InputError(f"exponent {tok[1]} exceeds {MAX_EXPONENT} "
                                  f"(at position {tok[2]})")
+            degree = base.total_degree() * tok[1]
+            if degree > MAX_EXPONENT:
+                raise InputError(f"power of degree {degree} exceeds "
+                                 f"{MAX_EXPONENT} (at position {tok[2]})")
             base = base ** tok[1]
         return base
 
@@ -368,6 +374,7 @@ def parse_poly(text, ctx):
 
     Grammar: integers, variable names, `^` integer powers, `*`, `+`, `-`,
     parentheses.  Juxtaposition is not multiplication.  An exponent above
-    MAX_EXPONENT raises InputError.
+    MAX_EXPONENT, or a power whose degree (the base's total degree times
+    the exponent) would exceed it, raises InputError.
     """
     return _Parser(text, ctx).parse()

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from .context import mon_mul
 from .errors import ContextMismatchError, InputError, RankMismatchError
-from .groebner import (SubmoduleData, contains, groebner_basis, intersect,
-                       member, preimage, _from_mono_components,
-                       _mono_components, _mono_ideal_colon_single,
-                       _mono_ideal_intersect, _mono_minimalize)
+from .groebner import (DEFAULT_ORDER, SubmoduleData, contains,
+                       groebner_basis, intersect, member, preimage,
+                       vector_basis, _from_mono_components, _mono_components,
+                       _mono_ideal_colon_single, _mono_ideal_intersect,
+                       _mono_minimalize, _vp_normalize)
 from .poly import Polynomial
 
 INFINITE = float("inf")
@@ -206,6 +207,38 @@ def multiply_piece_vectors(r, u, a, v, b, ctx):
     return tuple(out)
 
 
+def _integer_entries(vec, field):
+    """The nonzero entries of vec as (position, [(exps, coeff), ...]) with
+    int coefficients: over QQ vec scaled by the lcm of its denominators,
+    over GF(p) as it is."""
+    if field.characteristic:
+        return [(i, list(p.terms.items())) for i, p in enumerate(vec)
+                if p.terms]
+    den = lcm(*[c.denominator for p in vec for c in p.terms.values()])
+    return [(i, [(e, c.numerator * (den // c.denominator))
+                 for e, c in p.terms.items()])
+            for i, p in enumerate(vec) if p.terms]
+
+
+def _integer_product(u, v, index_ab, p):
+    """The product of two vectors in _integer_entries form as a kernel
+    vector, its coefficients reduced mod p when p is nonzero; zero terms
+    are left out."""
+    vp = {}
+    get = vp.get
+    for i, pu in u:
+        row = index_ab[i]
+        for j, qv in v:
+            k = row[j]
+            for e1, c1 in pu:
+                for e2, c2 in qv:
+                    t = (k, mon_mul(e1, e2))
+                    vp[t] = get(t, 0) + c1 * c2
+    if p:
+        return {t: c % p for t, c in vp.items() if c % p}
+    return {t: c for t, c in vp.items() if c}
+
+
 def piece_product(E, A, a, B, b):
     """Groebner basis of the product piece A*B in fiber degree a+b.
 
@@ -216,24 +249,38 @@ def piece_product(E, A, a, B, b):
     the exponents of A at t^alpha and B at t^beta, and minimalizing each
     component (a staircase in two variables) gives the reduced basis with
     no polynomial arithmetic.
+
+    Otherwise the generators of A and B become integer vectors once (over
+    GF(p), residues), and their products are taken with int arithmetic,
+    made primitive (monic over GF(p)) with groebner's own normalization,
+    and de-duplicated on that form: u*v = v*u in M*M, and (x*y)*z =
+    (x*z)*y across M^(n-1)*M, and each repeat only adds work that reduces
+    to zero.  The products go to groebner.vector_basis as kernel vectors,
+    with no Polynomial or Fraction in between.
     """
     rank = piece_rank(E.rank, a + b)
     comps_a = _mono_components(A)
     comps_b = _mono_components(B) if comps_a is not None else None
+    index_ab = fiber_products(E.rank, a, b)
     if comps_b is not None:
-        index_ab = fiber_products(E.rank, a, b)
         comps = [[] for _ in range(rank)]
         for row, us in zip(index_ab, comps_a):
             for k, vs in zip(row, comps_b):
                 comps[k].extend(mon_mul(u, v) for u in us for v in vs)
         return _from_mono_components(
             E.ctx, rank, [_mono_minimalize(c) for c in comps])
-    # u*v = v*u in M*M, and (x*y)*z = (x*z)*y across M^(n-1)*M: each
-    # repeated product only adds S-pairs that reduce to zero.
-    gens = tuple(dict.fromkeys(
-        multiply_piece_vectors(E.rank, u, a, v, b, E.ctx)
-        for u in A.gens for v in B.gens))
-    return groebner_basis(SubmoduleData(E.ctx, rank, gens))
+    field = E.ctx.field
+    key = DEFAULT_ORDER.key_function(E.ctx)
+    vs = [_integer_entries(v, field) for v in B.gens]
+    products = {}
+    for u in A.gens:
+        u = _integer_entries(u, field)
+        for v in vs:
+            vp = _integer_product(u, v, index_ab, field.characteristic)
+            if vp:
+                vp = _vp_normalize(vp, max(vp, key=key), field)
+                products.setdefault(frozenset(vp.items()), vp)
+    return vector_basis(E.ctx, rank, list(products.values()))
 
 
 def piece_colon(E, W, gens_low, low, ambient):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from reescalc import Polynomial, RingContext, parse_poly
+from reescalc import InputError, Polynomial, RingContext, parse_poly
 from reescalc.cli import main
 from reescalc.poly import MAX_EXPONENT
 
@@ -207,6 +207,34 @@ def test_exponent_above_cap_exits_4_unexpanded(tmp_path, capsys,
     ctx = RingContext(characteristic=0, base_vars=("X", "Y"))
     assert MAX_EXPONENT == 200
     assert parse_poly("X^200", ctx) == Polynomial.monomial(ctx, (200, 0))
+
+
+def test_nested_power_above_cap_exits_4_unexpanded(tmp_path, capsys,
+                                                   monkeypatch):
+    # Every exponent of ((X+Y)^100)^4 is within the cap, but the outer
+    # power has degree 400 and expanded 401 terms; the spy fails at once
+    # if a power of degree above the cap is taken.
+    real = Polynomial.__pow__
+
+    def bounded_pow(p, n):
+        assert p.total_degree() * n <= MAX_EXPONENT, \
+            f"expanded a power of degree {p.total_degree() * n}"
+        return real(p, n)
+
+    monkeypatch.setattr(Polynomial, "__pow__", bounded_pow)
+    ctx = RingContext(characteristic=0, base_vars=("X", "Y"))
+    for text in ("((X+Y)^100)^4", "(((X+Y)^2)^10)^11", "(X*Y^100)^2"):
+        with pytest.raises(InputError, match="power of degree"):
+            parse_poly(text, ctx)
+    path = _write(tmp_path, "nested.problem",
+                  "matrix {\n  row = X^2, ((X+Y)^100)^4\n}\n")
+    status, out, err = _run(capsys, ["rr", path])
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: power of degree 400 exceeds 200")
+    # the cap itself is allowed, and constants have degree 0
+    assert len(parse_poly("((X+Y)^100)^2", ctx).terms) == 201
+    assert parse_poly("(2^100)^2", ctx) == Polynomial.constant(ctx, 4**100)
 
 
 def test_non_utf8_file_exits_4(tmp_path, capsys):

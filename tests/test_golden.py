@@ -40,6 +40,14 @@ CASES["br-nonunit"] = ("br", "matrix {\n"
                        "  row = 3*X^2+2*Y^2, 7*X*Y+Y^2, 5*Y^3, 0\n"
                        "  row = 0, 6*X^2-11*Y^2, 5*X*Y, 9*Y^2\n}\n",
                        ("--nmax", "6"))
+# the binomial module under X -> X+2Y, whose S-vectors have many terms,
+# and the unshifted one over GF(32003)
+CASES["br-binomial-shifted"] = ("br", "matrix {\n"
+                                "  row = (X+2*Y)^2, (X+2*Y)*Y+Y^2, Y^3, 0\n"
+                                "  row = 0, (X+2*Y)^2-Y^2, (X+2*Y)*Y, Y^2\n"
+                                "}\n", ("--nmax", "6"))
+CASES["br-binomial-gfp"] = ("br", CASES["br-binomial"][1],
+                            ("--nmax", "6", "--char", "32003"))
 NAMES = sorted(CASES) + ["fixtures"]
 
 

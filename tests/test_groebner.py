@@ -15,6 +15,7 @@ from reescalc import groebner
 from reescalc.closures import newton_closure_exps
 from reescalc.context import mon_divides, mon_lcm, mon_mul
 from reescalc.groebner import DEFAULT_ORDER, ModuleOrder, _mono_minimalize
+from reescalc.rees import multiply_piece_vectors, piece_rank
 
 from oracles import (buchberger_oracle, ideal_from_exps,
                      newton_closure_oracle, random_monomial_ideal,
@@ -483,6 +484,69 @@ def test_kernel_matches_criterion_free_buchberger(monkeypatch):
                         for f in buchberger_oracle(tagged, ctx, order)
                         if all(c >= rank for c, _ in f)]
                 assert _vps(preimage(columns, W).gens) == want, (columns, W)
+
+
+def _redundant_products(rng, ctx, rank, terms, coeffs, scalars):
+    """Generators of M^2 for a random M of the given rank with two
+    generators: the three products of those, and each element of M's
+    basis times each generator, as power_piece builds M^n, shuffled with
+    repeats and scalar multiples added."""
+    gens = _random_module(rng, ctx, rank, terms, 2, coeffs)
+    M = SubmoduleData.from_vectors(ctx, rank, gens)
+
+    def times(us, vs):
+        return [w for w in (multiply_piece_vectors(rank, u, 1, v, 1, ctx)
+                            for u, v in itertools.product(us, vs))
+                if any(p.terms for p in w)]
+
+    few = times(gens[:1], gens) + times(gens[1:], gens[1:])
+    products = times(groebner_basis(M).gens, gens)
+    redundant = products + [rng.choice(products)
+                            for _ in range(len(products) // 2)]
+    for _ in range(len(products) // 2):
+        c = rng.choice(scalars)
+        redundant.append(tuple(p.scale(c) for p in rng.choice(products)))
+    rng.shuffle(redundant)
+    return few, redundant
+
+
+def test_redundant_inputs_match_criterion_free_buchberger():
+    # The kernel gets the products M's basis times M's generators, most of
+    # which reduce to zero against the inputs taken before them and are
+    # dropped; the others must still reach the basis.  The oracle gets the
+    # three products of M's generators, which span the same module.
+    # Preimages are compared for ideals of two-term products only: beyond
+    # that the oracle's elimination can take a minute (7 s for one rank-3
+    # preimage, 35-60 s for some of three-term products of rank 1).
+    gf = RingContext(characteristic=32003, base_vars=("X", "Y"))
+    small = (-3, -2, -1, 1, 2, 5)
+    cases = ((CTX, HARD_COEFFS, (Fraction(-3, 7), 2, -1)),
+             (CTX, small, (Fraction(5, 2), -1)),
+             (gf, small, (2, 31999)))
+    rng = random.Random(8008)
+    for ctx, coeffs, scalars in cases:
+        one, zero = Polynomial.one(ctx), Polynomial.zero(ctx)
+        for rank, terms in itertools.product((1, 2), (2, 3)):
+            for _ in range(3):
+                few, redundant = _redundant_products(
+                    rng, ctx, rank, terms, coeffs, scalars)
+                r2 = piece_rank(rank, 2)
+                W = SubmoduleData.from_vectors(ctx, r2, redundant)
+                assert _vps(groebner_basis(W).gens) == buchberger_oracle(
+                    few, ctx, DEFAULT_ORDER), (ctx, few)
+                if rank != 1 or terms != 2:
+                    continue
+                columns = _random_module(rng, ctx, r2, terms, 2, coeffs)
+                tagged = [tuple(col) + ((one, zero) if j == 0 else
+                                        (zero, one))
+                          for j, col in enumerate(columns)]
+                tagged += [tuple(w) + (zero, zero) for w in few]
+                order = ModuleOrder(position="POT", elim_components=r2)
+                want = [{(c - r2, e): x for (c, e), x in f.items()}
+                        for f in buchberger_oracle(tagged, ctx, order)
+                        if all(c >= r2 for c, _ in f)]
+                assert _vps(preimage(columns, W).gens) == want, \
+                    (ctx, columns, few)
 
 
 def test_ideal_bases_match_sympy_grevlex():
