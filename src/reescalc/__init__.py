@@ -1,25 +1,51 @@
 """Exact closures and Rees-algebra graded data for modules in free
-modules over a two-variable polynomial ring."""
+modules over a two-variable polynomial ring.
 
-from .analysis import (AnalysisReport, BRPolynomial, br_coefficients,
-                       br_corollary_check, buchsbaum_check,
-                       direct_sum_buchsbaum, indecomposability_check,
-                       scaled_buchsbaum_check, theorem12_check)
-from .closures import (ClosureOptions, ClosureResult, check_integral_equation,
-                       integral_closure_module, integral_closure_monomial,
-                       is_integral_element, is_reduction, ratliff_rush_ideal,
-                       ratliff_rush_module, rr_via_reduction)
-from .context import PrimeField, RationalField, RingContext
-from .errors import (ContextMismatchError, DeadlineExceeded, InputError,
-                     ParseError, RankMismatchError, ReescalcError,
-                     SoundnessAlert, UnstableChainError)
-from .groebner import (ModuleOrder, SubmoduleData, contains, eliminate, equal,
-                       groebner_basis, intersect, member, minimal_generators,
-                       normal_form, preimage, sum_modules)
-from .poly import Polynomial, parse_poly
-from .rees import (INFINITE, GradedPiece, ModuleEmbedding, colength, colon,
-                   direct_sum, fiber_cone_hilbert, fitting_ideal,
-                   graded_piece, is_parameter_module, maximal_ideal, min_gens,
-                   ord_ideal, saturate, scale_by_ideal)
+The public names below are loaded on first use (PEP 562), so importing
+the package, or one submodule such as reescalc.cli, runs only the
+modules that are actually needed.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "analysis": ("AnalysisReport", "BRPolynomial", "br_coefficients",
+                 "br_corollary_check", "buchsbaum_check",
+                 "direct_sum_buchsbaum", "indecomposability_check",
+                 "scaled_buchsbaum_check", "theorem12_check"),
+    "closures": ("ClosureOptions", "ClosureResult", "check_integral_equation",
+                 "integral_closure_module", "integral_closure_monomial",
+                 "is_integral_element", "is_reduction", "ratliff_rush_ideal",
+                 "ratliff_rush_module", "rr_via_reduction"),
+    "context": ("PrimeField", "RationalField", "RingContext"),
+    "errors": ("ContextMismatchError", "DeadlineExceeded", "InputError",
+               "ParseError", "RankMismatchError", "ReescalcError",
+               "SoundnessAlert", "UnstableChainError"),
+    "groebner": ("ModuleOrder", "SubmoduleData", "contains", "eliminate",
+                 "equal", "groebner_basis", "intersect", "member",
+                 "minimal_generators", "normal_form", "preimage",
+                 "sum_modules"),
+    "poly": ("Polynomial", "parse_poly"),
+    "rees": ("INFINITE", "GradedPiece", "ModuleEmbedding", "colength",
+             "colon", "direct_sum", "fiber_cone_hilbert", "fitting_ideal",
+             "graded_piece", "is_parameter_module", "maximal_ideal",
+             "min_gens", "ord_ideal", "saturate", "scale_by_ideal"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,9 +7,6 @@ reported as a mathematical result, since it can only mean a bug or an
 uncertified closure.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
 
@@ -22,7 +19,6 @@ from .rees import (INFINITE, ModuleEmbedding, colength, direct_sum,
                    scale_by_ideal)
 
 
-@dataclass
 class BRPolynomial:
     """Coefficients of the eventual length polynomial of F^(n+1)/M^(n+1).
 
@@ -32,13 +28,15 @@ class BRPolynomial:
     which the polynomial reproduces every measured length.
     """
 
-    rank: int
-    coefficients: tuple
-    fit_window: tuple
-    validated_from: int
-    lengths: tuple
-
     d = 2
+
+    def __init__(self, rank, coefficients, fit_window, validated_from,
+                 lengths):
+        self.rank = rank
+        self.coefficients = coefficients
+        self.fit_window = fit_window
+        self.validated_from = validated_from
+        self.lengths = lengths
 
     def length_at(self, n):
         dr = self.d + self.rank
@@ -161,13 +159,17 @@ def br_corollary_check(E, B=None, opts=None):
     }
 
 
-@dataclass
 class AnalysisReport:
-    table: list
-    verdicts: dict
-    certification: dict
-    warnings: list = dc_field(default_factory=list)
-    notes: list = dc_field(default_factory=list)
+    """A decider's table of per-power data, its verdicts and their
+    certification, with warnings and notes for the report."""
+
+    def __init__(self, table, verdicts, certification, warnings=None,
+                 notes=None):
+        self.table = table
+        self.verdicts = verdicts
+        self.certification = certification
+        self.warnings = [] if warnings is None else warnings
+        self.notes = [] if notes is None else notes
 
     def as_dict(self):
         return {

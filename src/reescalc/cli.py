@@ -3,18 +3,17 @@
 JSON goes to stdout and is byte-stable for a fixed input; the human
 summary goes to stderr.  Exit codes: 0 computed, 2 inconclusive or
 unproven outcomes present, 3 soundness alarm, 4 input error.
-"""
 
-from __future__ import annotations
+The theorem deciders (analysis) and the built-in corpus (fixtures) are
+imported by the commands that use them, so a call loads only the
+modules its command runs.
+"""
 
 import argparse
 import hashlib
 import json
 import sys
 
-from . import fixtures as corpus
-from .analysis import (br_coefficients, buchsbaum_check,
-                       indecomposability_check, theorem12_check)
 from .closures import integral_closure_module, ratliff_rush_module
 from .errors import (DeadlineExceeded, InputError, ReescalcError,
                      SoundnessAlert, UnstableChainError)
@@ -77,12 +76,14 @@ def _run_iclose(problem, opts, n_max):
 
 
 def _run_br(problem, opts, n_max):
+    from .analysis import br_coefficients
     E = problem.embedding()
     B = br_coefficients(E, n_max=n_max)
     return B.as_dict(), {"certified": True}, [], EXIT_OK
 
 
 def _run_thm12(problem, opts, n_max):
+    from .analysis import theorem12_check
     E = problem.embedding()
     rep = theorem12_check(E, n_max=4 if n_max is None else n_max,
                           candidates=problem.candidate_columns() or None,
@@ -93,6 +94,7 @@ def _run_thm12(problem, opts, n_max):
 
 
 def _run_buchsbaum(problem, opts, n_max):
+    from .analysis import buchsbaum_check
     E = problem.embedding()
     candidates = problem.candidate_columns() or None
     mbar = integral_closure_module(E, candidates=candidates, opts=opts)
@@ -118,6 +120,7 @@ def _run_param(problem, opts, n_max):
 
 
 def _run_indec(problem, opts, n_max):
+    from .analysis import indecomposability_check
     E = problem.embedding()
     check = indecomposability_check(E, problem.factor_ideals(), opts=opts)
     warnings = check.pop("warnings")
@@ -126,7 +129,8 @@ def _run_indec(problem, opts, n_max):
 
 
 def _run_fixtures():
-    all_ok, rows = corpus.run_all()
+    from .fixtures import run_all
+    all_ok, rows = run_all()
     status = EXIT_OK if all_ok else EXIT_INCONCLUSIVE
     return ({"all_ok": all_ok, "checks": _jsonable(rows)},
             {"certified": all_ok}, [], status)

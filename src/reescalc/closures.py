@@ -9,10 +9,7 @@ power, and when some power of the result equals the same power of the
 input the containment in the true closure follows.
 """
 
-from __future__ import annotations
-
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError, SoundnessAlert, UnstableChainError, DeadlineExceeded
 from .groebner import (SubmoduleData, contains, groebner_basis, sum_modules,
@@ -23,7 +20,6 @@ from .rees import (ModuleEmbedding, add_columns, multiply_piece_vectors,
                    piece_colon, piece_product)
 
 
-@dataclass(frozen=True)
 class ClosureOptions:
     """Bounds of the closure computations, checked on construction.
 
@@ -33,21 +29,22 @@ class ClosureOptions:
     closure call.
     """
 
-    l_max: int = 10
-    window: int = 2
-    s_max: int = 5
-    deadline_seconds: float = None
+    __slots__ = ("l_max", "window", "s_max", "deadline_seconds")
 
-    def __post_init__(self):
-        if self.l_max < 0:
-            raise InputError(f"lmax must be at least 0, got {self.l_max}")
-        if self.window < 1:
-            raise InputError(f"window must be at least 1, got {self.window}")
-        if self.s_max < 0:
-            raise InputError(f"smax must be at least 0, got {self.s_max}")
-        if self.deadline_seconds is not None and not self.deadline_seconds > 0:
+    def __init__(self, l_max=10, window=2, s_max=5, deadline_seconds=None):
+        if l_max < 0:
+            raise InputError(f"lmax must be at least 0, got {l_max}")
+        if window < 1:
+            raise InputError(f"window must be at least 1, got {window}")
+        if s_max < 0:
+            raise InputError(f"smax must be at least 0, got {s_max}")
+        if deadline_seconds is not None and not deadline_seconds > 0:
             raise InputError(
-                f"deadline must be positive, got {self.deadline_seconds}")
+                f"deadline must be positive, got {deadline_seconds}")
+        self.l_max = l_max
+        self.window = window
+        self.s_max = s_max
+        self.deadline_seconds = deadline_seconds
 
     def deadline(self):
         return _Deadline(self.deadline_seconds)
@@ -62,14 +59,19 @@ class _Deadline:
             raise DeadlineExceeded("closure computation hit its deadline")
 
 
-@dataclass
 class ClosureResult:
-    submodule: SubmoduleData
-    method: str
-    stabilization_index: int = 0
-    window: int = 0
-    certified: bool = False
-    extra: dict = dc_field(default_factory=dict)
+    """A closure (a SubmoduleData), the method that produced it, its chain
+    data and whether it is certified; extra holds method-specific
+    report fields."""
+
+    def __init__(self, submodule, method, stabilization_index=0, window=0,
+                 certified=False, extra=None):
+        self.submodule = submodule
+        self.method = method
+        self.stabilization_index = stabilization_index
+        self.window = window
+        self.certified = certified
+        self.extra = {} if extra is None else extra
 
 
 # -- the stabilizing chain -----------------------------------------------

@@ -8,8 +8,6 @@ fiber-graded ideals can be read off degree by degree, then falls back to
 degree-reverse-lexicographic comparison inside each block.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import isqrt
 from operator import add, le, sub

@@ -5,8 +5,6 @@ battery and reports one verdict per fixture, for the CLI `fixtures`
 command and the regression suite.
 """
 
-from __future__ import annotations
-
 from .analysis import (br_coefficients, br_corollary_check, buchsbaum_check,
                        direct_sum_buchsbaum, indecomposability_check,
                        scaled_buchsbaum_check, theorem12_check)

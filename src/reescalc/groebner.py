@@ -28,10 +28,7 @@ elements are monic throughout.  The reduced basis is unique, so both
 fields return the same bases as a monic computation would.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -43,7 +40,6 @@ from .poly import Polynomial
 
 # -- orders on module monomials ------------------------------------------
 
-@dataclass(frozen=True)
 class ModuleOrder:
     """Monomial order on a free module over the context's order.
 
@@ -51,11 +47,28 @@ class ModuleOrder:
     the component first.  The first elim_components components dominate
     everything else, which is what syzygy-style eliminations need.  A
     lower component index is larger.  Keys are flat tuples of integers,
-    so _descending can negate them.
+    so _descending can negate them.  Orders are values: equal orders
+    hash alike and share the basis cached for them.
     """
 
-    position: str = "TOP"
-    elim_components: int = 0
+    __slots__ = ("position", "elim_components")
+
+    def __init__(self, position="TOP", elim_components=0):
+        self.position = position
+        self.elim_components = elim_components
+
+    def __eq__(self, other):
+        if other.__class__ is not ModuleOrder:
+            return NotImplemented
+        return ((self.position, self.elim_components)
+                == (other.position, other.elim_components))
+
+    def __hash__(self):
+        return hash((self.position, self.elim_components))
+
+    def __repr__(self):
+        return (f"ModuleOrder(position={self.position!r}, "
+                f"elim_components={self.elim_components!r})")
 
     def key_function(self, ctx):
         monkey = ctx.mon_key
@@ -78,7 +91,6 @@ DEFAULT_ORDER = ModuleOrder()
 
 # -- submodule container -------------------------------------------------
 
-@dataclass(frozen=True)
 class SubmoduleData:
     """A finitely generated submodule of a free module A^rank.
 
@@ -86,22 +98,38 @@ class SubmoduleData:
     reduced Groebner basis for each order is cached after the first
     computation; it is canonical, so concurrent fillers agree.  A basis
     also caches the lead index that normal_form reduces against.
+    Instances compare on (ctx, rank, gens, flags) and hash on
+    (ctx, rank, gens); the cache takes no part in either.
     """
 
-    ctx: object
-    rank: int
-    gens: tuple
-    flags: tuple = ()
-    _cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("ctx", "rank", "gens", "flags", "_cache")
 
-    def __post_init__(self):
-        for g in self.gens:
-            if len(g) != self.rank:
+    def __init__(self, ctx, rank, gens, flags=()):
+        for g in gens:
+            if len(g) != rank:
                 raise RankMismatchError(
-                    f"generator of length {len(g)} in rank-{self.rank} module")
+                    f"generator of length {len(g)} in rank-{rank} module")
             for p in g:
-                if p.ctx != self.ctx:
+                if p.ctx != ctx:
                     raise ContextMismatchError("generator entry in foreign context")
+        self.ctx = ctx
+        self.rank = rank
+        self.gens = gens
+        self.flags = flags
+        self._cache = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not SubmoduleData:
+            return NotImplemented
+        return ((self.ctx, self.rank, self.gens, self.flags)
+                == (other.ctx, other.rank, other.gens, other.flags))
+
+    def __hash__(self):
+        return hash((self.ctx, self.rank, self.gens))
+
+    def __repr__(self):
+        return (f"SubmoduleData(ctx={self.ctx!r}, rank={self.rank!r}, "
+                f"gens={self.gens!r}, flags={self.flags!r})")
 
     # -- constructors ----------------------------------------------------
 
@@ -146,9 +174,6 @@ class SubmoduleData:
     def with_flags(self, *flags):
         return SubmoduleData(self.ctx, self.rank, self.gens,
                              self.flags + tuple(flags))
-
-    def __hash__(self):
-        return hash((self.ctx, self.rank, self.gens))
 
 
 # -- raw vector-polynomial helpers ---------------------------------------

@@ -5,8 +5,6 @@ elements.  The canonical term list (descending in the context order) is
 produced on demand, so arithmetic stays dict-based and cheap.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 
@@ -264,6 +262,11 @@ class Polynomial:
 # such as ((X+Y)^100)^4 whose degree would exceed the cap, is refused
 # before it is expanded.
 MAX_EXPONENT = 200
+# Largest coefficient size of a power, in bits, that parse_poly accepts:
+# the bit length of the base's largest coefficient times the exponent.
+# Constants have degree 0, so only this bounds ((7^200)^200)^40, whose
+# digits each nesting multiplies.
+MAX_POWER_BITS = 16384
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*+-]))")
 
@@ -351,6 +354,10 @@ class _Parser:
             if degree > MAX_EXPONENT:
                 raise InputError(f"power of degree {degree} exceeds "
                                  f"{MAX_EXPONENT} (at position {tok[2]})")
+            bits = _coefficient_bits(base) * tok[1]
+            if bits > MAX_POWER_BITS:
+                raise InputError(f"power of {bits} coefficient bits exceeds "
+                                 f"{MAX_POWER_BITS} (at position {tok[2]})")
             base = base ** tok[1]
         return base
 
@@ -369,12 +376,20 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 
+def _coefficient_bits(p):
+    """Bit length of the largest numerator or denominator of p."""
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for c in p.terms.values()), default=0)
+
+
 def parse_poly(text, ctx):
     """Parse a polynomial expression over the given context.
 
     Grammar: integers, variable names, `^` integer powers, `*`, `+`, `-`,
     parentheses.  Juxtaposition is not multiplication.  An exponent above
-    MAX_EXPONENT, or a power whose degree (the base's total degree times
-    the exponent) would exceed it, raises InputError.
+    MAX_EXPONENT, a power whose degree (the base's total degree times
+    the exponent) would exceed it, or a power whose coefficient bits (the
+    bit length of the base's largest coefficient times the exponent)
+    would exceed MAX_POWER_BITS raises InputError.
     """
     return _Parser(text, ctx).parse()

@@ -27,10 +27,6 @@ Polynomial entries use the expression grammar and are separated by
 commas.  `#` starts a comment.  Every block is optional except matrix.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field as dc_field
-
 from .closures import ClosureOptions
 from .context import RingContext
 from .errors import InputError
@@ -39,13 +35,17 @@ from .poly import parse_poly
 from .rees import ModuleEmbedding
 
 
-@dataclass
 class ProblemFile:
-    ctx: RingContext
-    rows: list
-    candidates: list = dc_field(default_factory=list)
-    factors: list = dc_field(default_factory=list)
-    options: dict = dc_field(default_factory=dict)
+    """A parsed problem file: its ring, the matrix rows, candidate columns
+    and factor ideals as entry strings, and the options block."""
+
+    def __init__(self, ctx, rows, candidates=None, factors=None,
+                 options=None):
+        self.ctx = ctx
+        self.rows = rows
+        self.candidates = [] if candidates is None else candidates
+        self.factors = [] if factors is None else factors
+        self.options = {} if options is None else options
 
     def embedding(self):
         parsed = [[parse_poly(e, self.ctx) for e in row] for row in self.rows]

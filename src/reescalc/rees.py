@@ -12,10 +12,7 @@ pieces of fiber degree 0, so scaling by an ideal is a product and the
 colon of a module by an ideal (`colon`) is a piece colon.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from math import comb, lcm
 
 from .context import mon_mul
@@ -69,13 +66,15 @@ def piece_rank(r, n):
     return comb(n + r - 1, r - 1)
 
 
-@dataclass(frozen=True)
 class GradedPiece:
     """A fiber-degree-n component of an ideal power, as an A-submodule."""
 
-    n: int
-    submodule: SubmoduleData
-    source_power: int
+    __slots__ = ("n", "submodule", "source_power")
+
+    def __init__(self, n, submodule, source_power):
+        self.n = n
+        self.submodule = submodule
+        self.source_power = source_power
 
     @property
     def rank(self):

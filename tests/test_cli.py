@@ -6,7 +6,7 @@ import pytest
 
 from reescalc import InputError, Polynomial, RingContext, parse_poly
 from reescalc.cli import main
-from reescalc.poly import MAX_EXPONENT
+from reescalc.poly import MAX_EXPONENT, MAX_POWER_BITS
 
 RR_PROBLEM = """\
 ring {
@@ -237,6 +237,42 @@ def test_nested_power_above_cap_exits_4_unexpanded(tmp_path, capsys,
     assert parse_poly("(2^100)^2", ctx) == Polynomial.constant(ctx, 4**100)
 
 
+def test_constant_power_above_bit_cap_exits_4_unexpanded(tmp_path, capsys,
+                                                        monkeypatch):
+    # A constant has degree 0, so neither cap above bounds
+    # ((7^200)^200)^40 = 7^1600000, which took 0.6-1.1 s to expand, and
+    # each further nesting multiplies its digits by up to 200; the spy
+    # fails at once if a power whose coefficient bits (largest coefficient
+    # times exponent) exceed the cap is taken.
+    real = Polynomial.__pow__
+
+    def bounded_pow(p, n):
+        bits = n * max((abs(c.numerator).bit_length()
+                        for c in p.terms.values()), default=0)
+        assert bits <= MAX_POWER_BITS, f"expanded a power of {bits} bits"
+        return real(p, n)
+
+    monkeypatch.setattr(Polynomial, "__pow__", bounded_pow)
+    ctx = RingContext(characteristic=0, base_vars=("X", "Y"))
+    for text in ("((7^200)^200)^40", "(7^200)^200", "(2^100*X+Y)^200"):
+        with pytest.raises(InputError, match="coefficient bits"):
+            parse_poly(text, ctx)
+    path = _write(tmp_path, "constant.problem",
+                  "matrix {\n  row = X, Y, ((7^200)^200)^40\n}\n")
+    status, out, err = _run(capsys, ["param", path])
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: power of 112400 coefficient bits exceeds "
+                          "16384")
+    # the cap itself is allowed, and over GF(p) coefficients stay residues
+    assert MAX_POWER_BITS == 16384
+    assert parse_poly("(2^127)^128", ctx) == \
+        Polynomial.constant(ctx, 2 ** (127 * 128))
+    gfp = RingContext(characteristic=32003, base_vars=("X", "Y"))
+    assert parse_poly("((7^200)^200)^40", gfp) == \
+        Polynomial.constant(gfp, pow(7, 1600000, 32003))
+
+
 def test_non_utf8_file_exits_4(tmp_path, capsys):
     path = tmp_path / "bad.problem"
     path.write_bytes(RR_PROBLEM.encode().replace(b"X^4,", b"X^4\xff,"))
@@ -299,3 +335,4 @@ def test_newton_closure_outside_two_variables_exits_4(tmp_path, capsys,
     assert out == ""
     assert err.startswith("error: ")
     assert "two base variables" in err
+

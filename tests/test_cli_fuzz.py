@@ -1,0 +1,68 @@
+"""The command line's exit-code contract on generated problem files:
+every run exits 0, 2, 3 or 4 and raises nothing."""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+from reescalc.cli import main
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_ENTRY = st.recursive(
+    st.sampled_from(["X", "Y", "0", "1", "2", "-3", "7", "Z"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map("".join),
+        st.tuples(inner, st.integers(0, 3)).map(
+            lambda t: f"({t[0]})^{t[1]}")),
+    max_leaves=4)
+_RING = st.sampled_from(["", "ring {\n  char = 0\n}\n",
+                         "ring {\n  char = 32003\n}\n",
+                         "ring {\n  vars = X, Y\n  char = 2\n}\n",
+                         "ring {\n  vars = X, Y, Z\n}\n",
+                         "ring {\n  vars = X\n}\n",
+                         "ring {\n  char = 4\n}\n"])
+_OPTION = st.sampled_from(["lmax = 3", "lmax = -1", "window = 0",
+                           "window = 1", "nmax = 2", "smax = two",
+                           "deadline = 0", "deadline = 30", "index = 1"])
+
+
+@st.composite
+def _problem_texts(draw):
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=1, max_size=3),
+                         min_size=1, max_size=2))
+    text = draw(_RING) + "matrix {\n" + "".join(
+        f"  row = {', '.join(row)}\n" for row in rows) + "}\n"
+    options = draw(st.lists(_OPTION, max_size=2))
+    if options:
+        text += "options {\n" + "".join(f"  {o}\n" for o in options) + "}\n"
+    if draw(st.booleans()):
+        # one character dropped or one inserted; no digit is inserted,
+        # so an exponent grows only where a drop joins two digits
+        i = draw(st.integers(0, len(text)))
+        insert = draw(st.sampled_from(["", "{", "}", "=", ",", "^", "(",
+                                       ")", "*", "#", "\n", "X", "\xff"]))
+        text = text[:i] + insert + text[i + (not insert):]
+    return text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["param", "fitting"]),
+       text=st.one_of(_problem_texts(),
+                      st.text(alphabet="XY01^*+-(),={}#\n matrixrow",
+                              max_size=60)))
+def test_cli_exit_codes_hold_for_generated_problems(tmp_path_factory,
+                                                    command, text):
+    path = tmp_path_factory.mktemp("fuzz") / "generated.problem"
+    path.write_bytes(text.encode("latin-1"))
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        status = main([command, str(path)])
+    assert status in (0, 2, 3, 4), (status, text)
+    if status == 4:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        json.loads(out.getvalue())

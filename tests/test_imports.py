@@ -1,0 +1,119 @@
+"""What a command-line call imports, and the lazy public namespace.
+
+The start-up checks run fresh interpreters and compare the sets of
+modules they loaded; they measure no time.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import reescalc
+
+from test_acceptance import PROBLEMS
+
+SRC = str(Path(reescalc.__file__).resolve().parent.parent)
+
+# The names `reescalc` exports, by defining module.
+PUBLIC = {
+    "analysis": ("AnalysisReport", "BRPolynomial", "br_coefficients",
+                 "br_corollary_check", "buchsbaum_check",
+                 "direct_sum_buchsbaum", "indecomposability_check",
+                 "scaled_buchsbaum_check", "theorem12_check"),
+    "closures": ("ClosureOptions", "ClosureResult", "check_integral_equation",
+                 "integral_closure_module", "integral_closure_monomial",
+                 "is_integral_element", "is_reduction", "ratliff_rush_ideal",
+                 "ratliff_rush_module", "rr_via_reduction"),
+    "context": ("PrimeField", "RationalField", "RingContext"),
+    "errors": ("ContextMismatchError", "DeadlineExceeded", "InputError",
+               "ParseError", "RankMismatchError", "ReescalcError",
+               "SoundnessAlert", "UnstableChainError"),
+    "groebner": ("ModuleOrder", "SubmoduleData", "contains", "eliminate",
+                 "equal", "groebner_basis", "intersect", "member",
+                 "minimal_generators", "normal_form", "preimage",
+                 "sum_modules"),
+    "poly": ("Polynomial", "parse_poly"),
+    "rees": ("INFINITE", "GradedPiece", "ModuleEmbedding", "colength",
+             "colon", "direct_sum", "fiber_cone_hilbert", "fitting_ideal",
+             "graded_piece", "is_parameter_module", "maximal_ideal",
+             "min_gens", "ord_ideal", "saturate", "scale_by_ideal"),
+}
+NAMES = {name: module for module, names in PUBLIC.items() for name in names}
+
+# Printed by a fresh interpreter after running the code before it.
+_MODULES = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+
+
+def _loaded(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code + _MODULES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_deciders_corpus_or_dataclasses():
+    loaded = _loaded("import reescalc.cli")
+    assert "reescalc.cli" in loaded
+    assert not loaded & {"dataclasses", "reescalc.analysis",
+                         "reescalc.fixtures"}
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _loaded("import reescalc")
+    assert not {m for m in loaded if m.startswith("reescalc.")}
+
+
+def test_param_call_loads_no_deciders(tmp_path):
+    path = tmp_path / "param.problem"
+    path.write_text(PROBLEMS["param"])
+    loaded = _loaded(
+        "import contextlib, io\n"
+        "from reescalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main(['param', {str(path)!r}]) == 0\n")
+    assert "reescalc.rees" in loaded
+    assert not loaded & {"dataclasses", "reescalc.analysis",
+                         "reescalc.fixtures"}
+
+
+def test_public_names_are_the_defining_modules_objects():
+    assert len(NAMES) == 59
+    assert sorted(reescalc.__all__) == sorted(NAMES)
+    for name, module in NAMES.items():
+        expected = getattr(importlib.import_module(f"reescalc.{module}"),
+                           name)
+        assert getattr(reescalc, name) is expected, name
+        namespace = {}
+        exec(f"from reescalc import {name}", namespace)
+        assert namespace[name] is expected, name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from reescalc import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(NAMES)
+    for name, value in namespace.items():
+        assert value is getattr(reescalc, name)
+    assert set(NAMES) <= set(dir(reescalc))
+    assert "__version__" in dir(reescalc)
+
+
+def test_unknown_name_raises_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        reescalc.no_such_name
+    with pytest.raises(ImportError):
+        exec("from reescalc import no_such_name", {})
+    namespace = {}
+    exec("from reescalc import groebner, fixtures", namespace)
+    assert namespace["groebner"] is sys.modules["reescalc.groebner"]
+    assert namespace["fixtures"] is sys.modules["reescalc.fixtures"]
