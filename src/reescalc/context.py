@@ -110,38 +110,32 @@ def _negrev(exps):
 class RingContext:
     """Immutable description of the ambient polynomial ring.
 
-    Variables are stored as base block followed by fiber block, with any
-    auxiliary elimination variables appended last.  Elimination variables
-    always dominate the order; fiber degree is compared before base degree.
+    Variables are stored as base block followed by fiber block; fiber
+    degree is compared before base degree.  The context describes the
+    ring only: an order in which some variables or components dominate,
+    as elimination needs, is a groebner.ModuleOrder over it.
     """
 
-    __slots__ = ("characteristic", "base_vars", "fiber_vars", "aux_vars",
-                 "field", "vars", "nvars", "_nbase", "_nfiber", "var_index",
-                 "_elim_indices", "_hash", "_key_cache")
+    __slots__ = ("characteristic", "base_vars", "fiber_vars", "field",
+                 "vars", "nvars", "_nbase", "_nfiber", "var_index", "_hash",
+                 "_key_cache")
 
-    def __init__(self, characteristic=0, base_vars=("X", "Y"), fiber_vars=(),
-                 aux_vars=(), elim_indices=None):
+    def __init__(self, characteristic=0, base_vars=("X", "Y"), fiber_vars=()):
         base_vars = tuple(base_vars)
         fiber_vars = tuple(fiber_vars)
-        aux_vars = tuple(aux_vars)
-        allvars = base_vars + fiber_vars + aux_vars
+        allvars = base_vars + fiber_vars
         if len(set(allvars)) != len(allvars) or any(not v for v in allvars):
             raise InputError("variable names must be distinct and non-empty")
         self.characteristic = characteristic
         self.base_vars = base_vars
         self.fiber_vars = fiber_vars
-        self.aux_vars = aux_vars
         self.field = RationalField() if characteristic == 0 else PrimeField(characteristic)
         self.vars = allvars
         self.nvars = len(allvars)
         self._nbase = len(base_vars)
         self._nfiber = len(fiber_vars)
         self.var_index = {v: i for i, v in enumerate(allvars)}
-        if elim_indices is None:
-            elim_indices = tuple(range(self._nbase + self._nfiber, self.nvars))
-        self._elim_indices = tuple(elim_indices)
-        self._hash = hash((characteristic, base_vars, fiber_vars, aux_vars,
-                           self._elim_indices))
+        self._hash = hash((characteristic, base_vars, fiber_vars))
         self._key_cache = {}
 
     # -- degrees ---------------------------------------------------------
@@ -163,13 +157,9 @@ class RingContext:
         if got is not None:
             return got
         nb = self._nbase
-        nf = self._nfiber
-        fiber = exps[nb:nb + nf]
+        fiber = exps[nb:nb + self._nfiber]
         base = exps[:nb]
         key = (sum(fiber), *_negrev(fiber), sum(base), *_negrev(base))
-        if self._elim_indices:
-            elim = tuple(exps[i] for i in self._elim_indices)
-            key = (sum(elim), *_negrev(elim)) + key
         self._key_cache[exps] = key
         return key
 
@@ -178,17 +168,6 @@ class RingContext:
     def with_fiber(self, fiber_vars):
         return RingContext(self.characteristic, self.base_vars, tuple(fiber_vars))
 
-    def with_aux_var(self, name="_h"):
-        """Extend by one auxiliary variable that dominates the order."""
-        return RingContext(self.characteristic, self.base_vars,
-                           self.fiber_vars, self.aux_vars + (name,))
-
-    def with_elimination(self, names):
-        """Same variables, but the named ones dominate the order."""
-        idx = tuple(sorted(self.var_index[n] for n in names))
-        return RingContext(self.characteristic, self.base_vars,
-                           self.fiber_vars, self.aux_vars, elim_indices=idx)
-
     # -- equality --------------------------------------------------------
 
     def __eq__(self, other):
@@ -196,10 +175,8 @@ class RingContext:
             return True
         return (isinstance(other, RingContext)
                 and self.characteristic == other.characteristic
-                and self.vars == other.vars
                 and self.base_vars == other.base_vars
-                and self.fiber_vars == other.fiber_vars
-                and self._elim_indices == other._elim_indices)
+                and self.fiber_vars == other.fiber_vars)
 
     def __hash__(self):
         return self._hash
@@ -208,8 +185,6 @@ class RingContext:
         bits = [f"char={self.characteristic}", f"base={'%s' % (self.base_vars,)}"]
         if self.fiber_vars:
             bits.append(f"fiber={'%s' % (self.fiber_vars,)}")
-        if self.aux_vars:
-            bits.append(f"aux={'%s' % (self.aux_vars,)}")
         return f"RingContext({', '.join(bits)})"
 
 

@@ -2,7 +2,10 @@
 
 Everything downstream (closures, graded pieces, theorem deciders) reduces
 to the operations here: reduced Groebner bases, normal forms, membership,
-preimages, intersection, and elimination.
+preimages, intersection, and elimination.  Each of them is a Groebner
+basis under a ModuleOrder over one ring: preimage lets the ambient
+components dominate, eliminate the named variables, and intersect
+eliminates an extra variable _h through eliminate.
 
 Internally a module element is a dict mapping (component, exponent tuple)
 to a nonzero coefficient.  Generators that are all single terms take a
@@ -32,8 +35,8 @@ from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .context import (mon_coprime, mon_div, mon_divides, mon_lcm, mon_mul,
-                      mon_one)
+from .context import (RingContext, _negrev, mon_coprime, mon_div, mon_divides,
+                      mon_lcm, mon_mul, mon_one)
 from .errors import ContextMismatchError, RankMismatchError
 from .poly import Polynomial
 
@@ -44,34 +47,51 @@ class ModuleOrder:
     """Monomial order on a free module over the context's order.
 
     position 'TOP' compares the monomial first (term over position), 'POT'
-    the component first.  The first elim_components components dominate
-    everything else, which is what syzygy-style eliminations need.  A
+    the component first.  Two blocks dominate, as eliminations need: the
+    first elim_components components, then the variables at the indices
+    elim_vars, compared by degree and then reverse-lexicographically.  A
     lower component index is larger.  Keys are flat tuples of integers,
-    so _descending can negate them.  Orders are values: equal orders
+    so _descending can negate them; the monomial part of an elimination
+    key is memoized per order and ring.  Orders are values: equal orders
     hash alike and share the basis cached for them.
     """
 
-    __slots__ = ("position", "elim_components")
+    __slots__ = ("position", "elim_components", "elim_vars", "_memo")
 
-    def __init__(self, position="TOP", elim_components=0):
+    def __init__(self, position="TOP", elim_components=0, elim_vars=()):
         self.position = position
         self.elim_components = elim_components
+        self.elim_vars = tuple(elim_vars)
+        self._memo = {}  # ring -> {exponents: monomial part of the key}
+
+    def _values(self):
+        return self.position, self.elim_components, self.elim_vars
 
     def __eq__(self, other):
         if other.__class__ is not ModuleOrder:
             return NotImplemented
-        return ((self.position, self.elim_components)
-                == (other.position, other.elim_components))
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash((self.position, self.elim_components))
+        return hash(self._values())
 
     def __repr__(self):
         return (f"ModuleOrder(position={self.position!r}, "
-                f"elim_components={self.elim_components!r})")
+                f"elim_components={self.elim_components!r}, "
+                f"elim_vars={self.elim_vars!r})")
 
     def key_function(self, ctx):
         monkey = ctx.mon_key
+        if self.elim_vars:
+            memo = self._memo.setdefault(ctx, {})
+            idx, ring_key = self.elim_vars, monkey
+
+            def monkey(e):
+                k = memo.get(e)
+                if k is None:
+                    block = [e[i] for i in idx]
+                    k = memo[e] = (sum(block), *_negrev(block), *ring_key(e))
+                return k
         elim = self.elim_components
         if self.position == "TOP":
             def key(term):
@@ -110,7 +130,7 @@ class SubmoduleData:
                 raise RankMismatchError(
                     f"generator of length {len(g)} in rank-{rank} module")
             for p in g:
-                if p.ctx != ctx:
+                if p.ctx is not ctx and p.ctx != ctx:
                     raise ContextMismatchError("generator entry in foreign context")
         self.ctx = ctx
         self.rank = rank
@@ -571,11 +591,11 @@ def _mono_ideal_intersect(a_list, b_list):
     return _sweep([(x, y) for x, y in zip(xs, ys) if y != _INF])
 
 
-def _from_mono_components(ctx, rank, comps):
-    """The reduced basis with the given minimal generators per component;
-    it is its own cached basis."""
+def _from_mono_components(ctx, rank, comps, order=DEFAULT_ORDER):
+    """The reduced basis with the given minimal generators per component,
+    sorted by lead term under order; it is its own cached basis."""
     z = Polynomial.zero(ctx)
-    key = DEFAULT_ORDER.key_function(ctx)
+    key = order.key_function(ctx)
     leads = [(c, e) for c, lst in enumerate(comps) for e in lst]
     leads.sort(key=key)
     gens = []
@@ -583,7 +603,7 @@ def _from_mono_components(ctx, rank, comps):
         gens.append(tuple(Polynomial.monomial(ctx, e) if i == c else z
                           for i in range(rank)))
     gb = SubmoduleData(ctx, rank, tuple(gens))
-    gb._cache[DEFAULT_ORDER] = gb
+    gb._cache[order] = gb
     return gb
 
 
@@ -601,8 +621,7 @@ def groebner_basis(U, order=None):
         return cached
     comps = _mono_components(U)
     if comps is not None:
-        gb = _from_mono_components(U.ctx, U.rank, comps)
-        gb._cache[cache_key] = gb
+        gb = _from_mono_components(U.ctx, U.rank, comps, cache_key)
     else:
         gb = vector_basis(U.ctx, U.rank, [_to_vp(g) for g in U.gens],
                           cache_key)
@@ -714,7 +733,8 @@ def preimage(columns, W):
 
 
 def intersect(U, V):
-    """U intersect V via one auxiliary homogenizing variable.
+    """U intersect V: the elements free of _h in h*U + (1-h)*V, over the
+    ring with one more base variable _h, found by eliminate.
 
     When one module contains the other, the usual case in the colon
     chains, the smaller one is returned and the much larger Groebner
@@ -735,42 +755,28 @@ def intersect(U, V):
     if contains(V, U):
         return U
     ctx = U.ctx
-    aux = ctx.with_aux_var("_h")
-    h = Polynomial.variable(aux, "_h")
-    one_minus_h = Polynomial.one(aux) - h
-    gens = []
-    for g in U.gens:
-        gens.append(tuple(p.map_context(aux) * h for p in g))
-    for g in V.gens:
-        gens.append(tuple(p.map_context(aux) * one_minus_h for p in g))
-    mixed = SubmoduleData(aux, U.rank, tuple(gens))
-    gb = groebner_basis(mixed)
-    keep = []
-    for g in gb.gens:
-        if any(p.uses_vars(("_h",)) for p in g):
-            continue
-        keep.append(tuple(p.map_context(ctx) for p in g))
-    return SubmoduleData(ctx, U.rank, tuple(keep))
+    ext = RingContext(ctx.characteristic, ctx.base_vars + ("_h",),
+                      ctx.fiber_vars)
+    h = Polynomial.variable(ext, "_h")
+    one_minus_h = Polynomial.one(ext) - h
+    gens = tuple(tuple(p.map_context(ext) * f for p in g)
+                 for f, W in ((h, U), (one_minus_h, V)) for g in W.gens)
+    meet = eliminate(SubmoduleData(ext, U.rank, gens), ("_h",))
+    return SubmoduleData(ctx, U.rank, tuple(
+        tuple(p.map_context(ctx) for p in g) for g in meet.gens))
 
 
 def eliminate(U, var_names):
     """Generators of U not involving the named variables.
 
-    Computed with a block order in which the eliminated variables dominate.
+    They are the elements of U's reduced basis, under the order in which
+    the named variables dominate, that do not involve them.
     """
     var_names = tuple(var_names)
-    ctx = U.ctx
-    ectx = ctx.with_elimination(var_names)
-    lifted = SubmoduleData(ectx, U.rank,
-                           tuple(tuple(p.map_context(ectx) for p in g)
-                                 for g in U.gens))
-    gb = groebner_basis(lifted)
-    keep = []
-    for g in gb.gens:
-        if any(p.uses_vars(var_names) for p in g):
-            continue
-        keep.append(tuple(p.map_context(ctx) for p in g))
-    return SubmoduleData(ctx, U.rank, tuple(keep))
+    order = ModuleOrder(elim_vars=sorted(U.ctx.var_index[n] for n in var_names))
+    return SubmoduleData(U.ctx, U.rank, tuple(
+        g for g in groebner_basis(U, order).gens
+        if not any(p.uses_vars(var_names) for p in g)))
 
 
 def minimal_generators(U):

@@ -89,7 +89,7 @@ class ModuleEmbedding:
     """
 
     def __init__(self, ctx, columns, rank=None):
-        if ctx.fiber_vars or ctx.aux_vars:
+        if ctx.fiber_vars:
             raise InputError("embedding matrix lives over the base ring")
         columns = tuple(tuple(col) for col in columns)
         if rank is None:
@@ -102,7 +102,7 @@ class ModuleEmbedding:
             if len(col) != rank:
                 raise RankMismatchError("ragged generator matrix")
             for p in col:
-                if p.ctx != ctx:
+                if p.ctx is not ctx and p.ctx != ctx:
                     raise ContextMismatchError("matrix entry in foreign context")
         self.ctx = ctx
         self.rank = rank
@@ -405,7 +405,7 @@ def colength(P):
     some component's staircase fails to close off.
     """
     U = P.submodule if isinstance(P, GradedPiece) else P
-    if U.ctx.fiber_vars or U.ctx.aux_vars:
+    if U.ctx.fiber_vars:
         raise InputError("colength is computed over the base ring")
     gb = groebner_basis(U)
     comps = [[] for _ in range(U.rank)]

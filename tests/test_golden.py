@@ -48,6 +48,17 @@ CASES["br-binomial-shifted"] = ("br", "matrix {\n"
                                 "}\n", ("--nmax", "6"))
 CASES["br-binomial-gfp"] = ("br", CASES["br-binomial"][1],
                             ("--nmax", "6", "--char", "32003"))
+# the colon chain of a non-monomial module, and the candidate check of a
+# presentation: both run the general piece colon, preimages and
+# intersections
+CASES["rr-binomial"] = ("rr", CASES["br-binomial"][1], ())
+CASES["iclose-presentation"] = (
+    "iclose", "matrix {\n"
+    "  row = X^3, X^2*Y^2, X*Y^3, Y^5, 0, 0, 0\n"
+    "  row = 0, 0, X^3, 0, X^2*Y^2, X*Y^4, Y^5\n}\n"
+    "candidates {\n  col = X*Y^4, 0\n}\n"
+    "factors {\n  ideal = X, Y^2\n"
+    "  ideal = X^5, X^4*Y^2, X^3*Y^4, X^2*Y^5, X*Y^7, Y^8\n}\n", ())
 NAMES = sorted(CASES) + ["fixtures"]
 
 

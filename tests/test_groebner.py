@@ -328,6 +328,9 @@ def test_colon_of_non_monomial_modules_matches_linear_algebra():
 
 def test_intersection_of_nested_modules_skips_the_extended_ring(
         monkeypatch):
+    def no_elimination(U, var_names):
+        raise AssertionError("nested modules reached the extended ring")
+
     rng = random.Random(3131)
     nested = 0
     for _ in range(30):
@@ -338,7 +341,7 @@ def test_intersection_of_nested_modules_skips_the_extended_ring(
         nested += 1
         W = sum_modules(U, extra)
         with monkeypatch.context() as m:
-            m.setattr(RingContext, "with_aux_var", None)
+            m.setattr(groebner, "eliminate", no_elimination)
             assert equal(intersect(U, W), U)
             assert equal(intersect(W, U), U)
     assert nested >= 10
@@ -564,28 +567,84 @@ def test_ideal_bases_match_sympy_grevlex():
                          (0, large), (32003, large)):
         ctx = RingContext(characteristic=char, base_vars=("X", "Y"))
         field = ctx.field
-
-        def coeff(c):
-            return field.coerce(Fraction(str(c)))
-
         for terms in (2, 3):
             for _ in range(12):
                 polys = [Polynomial.from_terms(
                     ctx, _random_poly(rng, ctx, terms, 4, coeffs).terms.items())
                     for _ in range(rng.randint(2, 3))]
-                exprs = [sum(int(c) * sx ** a * sy ** b
-                             for (a, b), c in p.terms.items())
-                         for p in polys]
-                extra = {"modulus": char} if char else {}
-                G = sympy.groebner(exprs, sx, sy, order="grevlex", **extra)
-                want = []
-                for q in G.polys:
-                    inv = field.invert(coeff(q.LC(order="grevlex")))
-                    want.append(sorted((e, field.mul(coeff(c), inv))
-                                       for e, c in q.as_dict().items()))
-                got = groebner_basis(SubmoduleData.ideal(ctx, polys)).gens
-                assert sorted(sorted(g[0].terms.items()) for g in got) == \
-                    sorted(want), exprs
+                exprs = [_sympy_expr(p, sx, sy) for p in polys]
+                got = groebner_basis(SubmoduleData.ideal(ctx, polys))
+                assert _terms(got) == _sympy_grevlex(sympy, exprs, (sx, sy),
+                                                     field), exprs
+
+
+def _sympy_expr(p, sx, sy):
+    return sum(int(c) * sx ** a * sy ** b for (a, b), c in p.terms.items())
+
+
+def _terms(U):
+    """The reduced basis of the ideal U, each element as its sorted terms,
+    in sorted order."""
+    return sorted(sorted(g[0].terms.items()) for g in groebner_basis(U).gens)
+
+
+def _sympy_grevlex(sympy, exprs, gens, field):
+    """sympy's reduced grevlex basis of the ideal of exprs in k[gens], each
+    element made monic in field and given as _terms gives ours."""
+    if not exprs:
+        return []
+    extra = {"modulus": field.characteristic} if field.characteristic else {}
+    G = sympy.groebner(exprs, *gens, order="grevlex", **extra)
+
+    def coeff(c):
+        return field.coerce(Fraction(str(c)))
+
+    want = []
+    for q in G.polys:
+        inv = field.invert(coeff(q.LC(order="grevlex")))
+        want.append(sorted((e, field.mul(coeff(c), inv))
+                           for e, c in q.as_dict().items()))
+    return sorted(want)
+
+
+def test_intersections_and_eliminations_match_sympy():
+    # U intersect V against the elements free of t in sympy's lex basis of
+    # t*U + (1-t)*V with t first, and eliminating Y from U against those
+    # free of Y in its lex basis with Y first; both are then compared as
+    # reduced grevlex bases.  Most pairs are not nested, so intersect
+    # really builds the extended ring, and most eliminations are nonzero.
+    sympy = pytest.importorskip("sympy")
+    sx, sy, st = sympy.symbols("X Y t")
+    rng = random.Random(1010)
+    crossing = eliminated = 0
+    for char in (0, 32003):
+        ctx = RingContext(characteristic=char, base_vars=("X", "Y"))
+        field = ctx.field
+        extra = {"modulus": char} if char else {}
+
+        def lex_free_of_first(exprs, *gens):
+            G = sympy.groebner(exprs, *gens, order="lex", **extra)
+            return [q for q in G.exprs if gens[0] not in q.free_symbols]
+
+        for terms in (2, 3):
+            for _ in range(8):
+                U, V = (SubmoduleData.ideal(ctx, [Polynomial.from_terms(
+                    ctx, _random_poly(rng, ctx, terms, 3).terms.items())
+                    for _ in range(rng.randint(1, 2))]) for _ in range(2))
+                fu = [_sympy_expr(g[0], sx, sy) for g in U.gens]
+                fv = [_sympy_expr(g[0], sx, sy) for g in V.gens]
+                crossing += not (contains(U, V) or contains(V, U))
+                want = _sympy_grevlex(sympy, lex_free_of_first(
+                    [st * f for f in fu] + [(1 - st) * f for f in fv],
+                    st, sx, sy), (sx, sy), field)
+                assert _terms(intersect(U, V)) == want, (fu, fv)
+                E = eliminate(U, ("Y",))
+                assert not any(g[0].uses_vars(("Y",)) for g in E.gens)
+                eliminated += bool(E.gens)
+                want = _sympy_grevlex(sympy, lex_free_of_first(fu, sy, sx),
+                                      (sx, sy), field)
+                assert _terms(E) == want, fu
+    assert crossing >= 20 and eliminated >= 15
 
 
 def test_results_over_qq_hold_fractions():
