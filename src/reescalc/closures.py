@@ -12,12 +12,11 @@ input the containment in the true closure follows.
 import time
 
 from .errors import InputError, SoundnessAlert, UnstableChainError, DeadlineExceeded
-from .groebner import (SubmoduleData, contains, groebner_basis, sum_modules,
+from .groebner import (SubmoduleData, contains, groebner_basis,
                        _from_mono_components, _mono_components,
                        _mono_minimalize)
 from .poly import Polynomial
-from .rees import (ModuleEmbedding, add_columns, multiply_piece_vectors,
-                   piece_colon, piece_product)
+from .rees import ModuleEmbedding, add_columns, piece_colon, piece_product
 
 
 class ClosureOptions:
@@ -179,41 +178,6 @@ def ratliff_rush_module(E, n=1, opts=None):
         raise SoundnessAlert("module colon chain result lost the input")
     return ClosureResult(result, "colon-chain", l_star, opts.window,
                          certified=False, extra={"degreewise": True})
-
-
-def rr_via_reduction(E, reduction_columns, opts=None):
-    """Ratliff-Rush closure through colons against powers of a reduction."""
-    opts = opts or ClosureOptions()
-    deadline = opts.deadline()
-    L = SubmoduleData(E.ctx, E.rank, tuple(tuple(c) for c in reduction_columns))
-    M = E.submodule()
-    if not contains(M, L):
-        raise InputError("reduction columns do not lie in the module")
-    ok, s = is_reduction(L, M, opts.s_max)
-    if not ok:
-        raise InputError(
-            f"columns not verified to span a reduction within s_max={opts.s_max}")
-    current = [tuple(col) for col in L.gens]  # x_i^n as piece-n vectors
-
-    def step(n, acc):
-        nonlocal current
-        if n > 1:
-            current = [multiply_piece_vectors(E.rank, xv, n - 1,
-                                              tuple(col), 1, E.ctx)
-                       for xv, col in zip(current, L.gens)]
-        piece = piece_colon(E, E.power_piece(n + 1), current, n, 1)
-        return groebner_basis(sum_modules(acc, piece))
-
-    acc, l_star = _stabilize(step, groebner_basis(M), opts, deadline,
-                             "reduction chain")
-    rr = ratliff_rush_module(E, 1, opts)
-    if rr.submodule.gens != acc.gens:
-        raise SoundnessAlert(
-            "reduction-based closure disagrees with the colon-chain closure")
-    return ClosureResult(acc, "reduction-based", l_star, opts.window,
-                         certified=False,
-                         extra={"reduction_exponent": s,
-                                "cross_checked": True})
 
 
 # -- integral closure ----------------------------------------------------

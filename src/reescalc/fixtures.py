@@ -82,7 +82,7 @@ def indecomposable_presentation(ctx=None):
         ["0", "0", "X^3", "0", "X^2*Y^2", "X*Y^4", "Y^5"],
     ])
     candidate = (parse_poly("X*Y^4", ctx), Polynomial.zero(ctx))
-    ctx_s = E.ctx_S
+    ctx_s = ctx.with_fiber(("t1", "t2"))
     x = parse_poly("X*Y^4*t1", ctx_s)
     c1 = parse_poly("0 - Y*(X*Y^3*t1 + X^3*t2)", ctx_s)
     c2 = parse_poly("(X^4*t1)*(Y^5*t2)", ctx_s)

@@ -118,13 +118,13 @@ class SubmoduleData:
     reduced Groebner basis for each order is cached after the first
     computation; it is canonical, so concurrent fillers agree.  A basis
     also caches the lead index that normal_form reduces against.
-    Instances compare on (ctx, rank, gens, flags) and hash on
-    (ctx, rank, gens); the cache takes no part in either.
+    Instances compare and hash on (ctx, rank, gens); the cache takes no
+    part in either.
     """
 
-    __slots__ = ("ctx", "rank", "gens", "flags", "_cache")
+    __slots__ = ("ctx", "rank", "gens", "_cache")
 
-    def __init__(self, ctx, rank, gens, flags=()):
+    def __init__(self, ctx, rank, gens):
         for g in gens:
             if len(g) != rank:
                 raise RankMismatchError(
@@ -135,21 +135,20 @@ class SubmoduleData:
         self.ctx = ctx
         self.rank = rank
         self.gens = gens
-        self.flags = flags
         self._cache = {}
 
     def __eq__(self, other):
         if other.__class__ is not SubmoduleData:
             return NotImplemented
-        return ((self.ctx, self.rank, self.gens, self.flags)
-                == (other.ctx, other.rank, other.gens, other.flags))
+        return ((self.ctx, self.rank, self.gens)
+                == (other.ctx, other.rank, other.gens))
 
     def __hash__(self):
         return hash((self.ctx, self.rank, self.gens))
 
     def __repr__(self):
         return (f"SubmoduleData(ctx={self.ctx!r}, rank={self.rank!r}, "
-                f"gens={self.gens!r}, flags={self.flags!r})")
+                f"gens={self.gens!r})")
 
     # -- constructors ----------------------------------------------------
 
@@ -190,10 +189,6 @@ class SubmoduleData:
             if len(nonzero) > 1 or (nonzero and not nonzero[0].is_term()):
                 return False
         return True
-
-    def with_flags(self, *flags):
-        return SubmoduleData(self.ctx, self.rank, self.gens,
-                             self.flags + tuple(flags))
 
 
 # -- raw vector-polynomial helpers ---------------------------------------
@@ -686,12 +681,6 @@ def equal(U, V):
     return groebner_basis(U).gens == groebner_basis(V).gens
 
 
-def sum_modules(U, V):
-    if U.rank != V.rank or U.ctx != V.ctx:
-        raise RankMismatchError("sum of modules in different ambients")
-    return SubmoduleData(U.ctx, U.rank, U.gens + V.gens)
-
-
 def preimage(columns, W):
     """Generators of {v in A^p : sum v_j * columns[j] in W}.
 
@@ -778,17 +767,3 @@ def eliminate(U, var_names):
         g for g in groebner_basis(U, order).gens
         if not any(p.uses_vars(var_names) for p in g)))
 
-
-def minimal_generators(U):
-    """Generators of U pruned so none is in the span of the others."""
-    gens = [g for g in U.gens if any(not p.is_zero() for p in g)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens)):
-            rest = SubmoduleData(U.ctx, U.rank, tuple(gens[:i] + gens[i + 1:]))
-            if member(gens[i], rest):
-                gens.pop(i)
-                changed = True
-                break
-    return SubmoduleData(U.ctx, U.rank, tuple(gens))

@@ -7,6 +7,7 @@ produced on demand, so arithmetic stays dict-based and cheap.
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .context import mon_mul, mon_one
 from .errors import ContextMismatchError, InputError, ParseError
@@ -267,6 +268,10 @@ MAX_EXPONENT = 200
 # Constants have degree 0, so only this bounds ((7^200)^200)^40, whose
 # digits each nesting multiplies.
 MAX_POWER_BITS = 16384
+# Largest number of terms a power may expand to, by the smaller of two
+# upper bounds (see _power_terms_bound).  The degree cap alone lets
+# (X+Y+1)^200 through, and its 20301 terms take minutes to expand.
+MAX_POWER_TERMS = 2000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*+-]))")
 
@@ -358,6 +363,10 @@ class _Parser:
             if bits > MAX_POWER_BITS:
                 raise InputError(f"power of {bits} coefficient bits exceeds "
                                  f"{MAX_POWER_BITS} (at position {tok[2]})")
+            terms = _power_terms_bound(base, tok[1])
+            if terms > MAX_POWER_TERMS:
+                raise InputError(f"power of up to {terms} terms exceeds "
+                                 f"{MAX_POWER_TERMS} (at position {tok[2]})")
             base = base ** tok[1]
         return base
 
@@ -382,6 +391,22 @@ def _coefficient_bits(p):
                 for c in p.terms.values()), default=0)
 
 
+def _power_terms_bound(p, n):
+    """An upper bound on the number of terms of p^n, the smaller of two:
+    the number of multisets of n of p's t terms, C(n+t-1, t-1), and the
+    number of monomials in p's v variables whose degree lies between n
+    times p's lowest degree and n times its highest."""
+    t = len(p.terms)
+    if t <= 1 or n == 0:
+        return 1
+    degrees = [sum(e) for e in p.terms]
+    v = sum(1 for i in range(p.ctx.nvars) if any(e[i] for e in p.terms))
+    low, high = n * min(degrees), n * max(degrees)
+    # monomials in v variables of degree at most d: C(d+v, v)
+    in_degrees = comb(high + v, v) - (comb(low - 1 + v, v) if low else 0)
+    return min(comb(n + t - 1, t - 1), in_degrees)
+
+
 def parse_poly(text, ctx):
     """Parse a polynomial expression over the given context.
 
@@ -390,6 +415,7 @@ def parse_poly(text, ctx):
     MAX_EXPONENT, a power whose degree (the base's total degree times
     the exponent) would exceed it, or a power whose coefficient bits (the
     bit length of the base's largest coefficient times the exponent)
-    would exceed MAX_POWER_BITS raises InputError.
+    would exceed MAX_POWER_BITS, or a power that may expand to more than
+    MAX_POWER_TERMS terms raises InputError.
     """
     return _Parser(text, ctx).parse()

@@ -66,21 +66,6 @@ def piece_rank(r, n):
     return comb(n + r - 1, r - 1)
 
 
-class GradedPiece:
-    """A fiber-degree-n component of an ideal power, as an A-submodule."""
-
-    __slots__ = ("n", "submodule", "source_power")
-
-    def __init__(self, n, submodule, source_power):
-        self.n = n
-        self.submodule = submodule
-        self.source_power = source_power
-
-    @property
-    def rank(self):
-        return self.submodule.rank
-
-
 class ModuleEmbedding:
     """M inside F = A^r together with its image ideal MS in S.
 
@@ -98,16 +83,10 @@ class ModuleEmbedding:
             rank = len(columns[0])
         if rank < 1:
             raise InputError("free module rank must be positive")
-        for col in columns:
-            if len(col) != rank:
-                raise RankMismatchError("ragged generator matrix")
-            for p in col:
-                if p.ctx is not ctx and p.ctx != ctx:
-                    raise ContextMismatchError("matrix entry in foreign context")
+        self._submodule = SubmoduleData(ctx, rank, columns)
         self.ctx = ctx
         self.rank = rank
         self.columns = columns
-        self.ctx_S = ctx.with_fiber(tuple(f"t{i+1}" for i in range(rank)))
         self._power_cache = {}
         self._colength = None
 
@@ -127,18 +106,15 @@ class ModuleEmbedding:
         return cls(ctx, columns, rank=len(rows))
 
     @classmethod
-    def from_ideal(cls, polys, ctx):
-        return cls(ctx, [(p,) for p in polys], rank=1)
-
-    @classmethod
     def from_submodule(cls, U):
         return cls(U.ctx, U.gens, rank=U.rank)
 
     # -- structure -------------------------------------------------------
 
     def submodule(self):
-        """M as a SubmoduleData inside A^r."""
-        return SubmoduleData(self.ctx, self.rank, self.columns)
+        """M as a SubmoduleData inside A^r, one object per embedding, so
+        its Groebner basis is computed once."""
+        return self._submodule
 
     def finite_colength(self):
         return self.colength_F_mod_M() is not INFINITE
@@ -325,50 +301,15 @@ def piece_colon(E, W, gens_low, low, ambient):
 def colon(U, J):
     """U :_{A^q} J = {v : vJ contained in U} for an ideal J, the piece
     colon with J in fiber degree 0.
-
-    Colon by the zero ideal legally returns the ambient free module with a
-    flag instead of raising.
     """
     if J.rank != 1:
         raise RankMismatchError("colon denominator must be an ideal")
     if U.ctx != J.ctx:
         raise ContextMismatchError("colon across contexts")
-    result = piece_colon(U, U, J.gens, 0, 1)
-    if J.is_zero():
-        return result.with_flags("colon-by-zero-ideal")
-    return result
+    return piece_colon(U, U, J.gens, 0, 1)
 
 
-def saturate(U, J):
-    """Stable value of the chain U : J, U : J^2, ... (full colon chain)."""
-    current = groebner_basis(U)
-    while True:
-        nxt = groebner_basis(colon(current, J))
-        if nxt.gens == current.gens:
-            return current.with_flags(*(f for f in J.flags))
-        current = nxt
-
-
-# -- graded-piece operations ---------------------------------------------
-
-def graded_piece(E, ideal_power, n):
-    """Fiber-degree-n component of (MS)^k as an A-submodule.
-
-    For k = n this is M^n itself; for n < k the piece is zero; otherwise
-    it is M^k times the free piece of degree n - k.
-    """
-    if ideal_power < 1:
-        raise InputError("ideal power must be positive")
-    if n < 0:
-        raise InputError("fiber degree must be non-negative")
-    if n < ideal_power:
-        return GradedPiece(n, SubmoduleData.zero(E.ctx, piece_rank(E.rank, n)),
-                           ideal_power)
-    free = SubmoduleData.free(E.ctx, piece_rank(E.rank, n - ideal_power))
-    return GradedPiece(n, piece_product(E, E.power_piece(ideal_power),
-                                        ideal_power, free, n - ideal_power),
-                       ideal_power)
-
+# -- lengths and generators ----------------------------------------------
 
 def _staircase_count(exps_list, nvars):
     """Standard monomials below a monomial ideal; INFINITE if unbounded."""
@@ -398,13 +339,12 @@ def _staircase_count(exps_list, nvars):
     return count
 
 
-def colength(P):
-    """Length of the quotient of the ambient free module by P.
+def colength(U):
+    """Length of the quotient of the ambient free module by U.
 
     Counts standard monomials of the leading-term module; INFINITE when
     some component's staircase fails to close off.
     """
-    U = P.submodule if isinstance(P, GradedPiece) else P
     if U.ctx.fiber_vars:
         raise InputError("colength is computed over the base ring")
     gb = groebner_basis(U)
@@ -438,14 +378,9 @@ def maximal_ideal(ctx):
 def min_gens(target):
     """mu = dim_k(M / mM) by greedy selection against mM.
 
-    Accepts a ModuleEmbedding, SubmoduleData, or GradedPiece.
+    Accepts a ModuleEmbedding or a SubmoduleData.
     """
-    if isinstance(target, ModuleEmbedding):
-        U = target.submodule()
-    elif isinstance(target, GradedPiece):
-        U = target.submodule
-    else:
-        U = target
+    U = target.submodule() if isinstance(target, ModuleEmbedding) else target
     ctx = U.ctx
     mvars = [Polynomial.variable(ctx, v) for v in ctx.base_vars]
     m_gens = [tuple(x * p for p in g) for g in U.gens for x in mvars]
@@ -527,15 +462,6 @@ def ord_ideal(I):
     return min(degs)
 
 
-def fiber_cone_hilbert(E, n):
-    """Hilbert function of the fiber cone: mu of the n-th power piece."""
-    if n < 0:
-        raise InputError("fiber cone degree must be non-negative")
-    if n == 0:
-        return 1
-    return min_gens(E.power_piece(n))
-
-
 # -- embedding constructions ---------------------------------------------
 
 def direct_sum(E1, E2):
@@ -559,10 +485,3 @@ def scale_by_ideal(E, I):
 def add_columns(E, extra_columns):
     return ModuleEmbedding(E.ctx, E.columns + tuple(tuple(c) for c in extra_columns),
                            rank=E.rank)
-
-
-def pad_with_zero_row(E):
-    """Embed the same module into a free module of one higher rank."""
-    z = Polynomial.zero(E.ctx)
-    cols = [tuple(col) + (z,) for col in E.columns]
-    return ModuleEmbedding(E.ctx, cols, rank=E.rank + 1)

@@ -23,7 +23,7 @@ def _p(s):
 
 
 def _ideal_embedding(*gens):
-    return ModuleEmbedding.from_ideal([_p(g) for g in gens], CTX)
+    return ModuleEmbedding(CTX, [(_p(g),) for g in gens], rank=1)
 
 
 def _diag_embedding(gens1, gens2):

@@ -1,11 +1,10 @@
 """The contract every stabilizing colon chain keeps.
 
-The three routes to the Ratliff-Rush closure of I = (X^4, X^3*Y, X*Y^3,
-Y^4) -- the ideal chain, the rank-1 module chain and the chain against
-the reduction (X^4, Y^4) -- share one rule: the value is the chain's
-last change, confirmed by `window` equal steps; a change after step
-`l_max` raises UnstableChainError carrying the new value; an expired
-deadline raises DeadlineExceeded.
+The two routes to the Ratliff-Rush closure of I = (X^4, X^3*Y, X*Y^3,
+Y^4) -- the ideal chain and the rank-1 module chain -- share one rule:
+the value is the chain's last change, confirmed by `window` equal steps;
+a change after step `l_max` raises UnstableChainError carrying the new
+value; an expired deadline raises DeadlineExceeded.
 """
 
 import pytest
@@ -13,7 +12,7 @@ import pytest
 from reescalc import (ClosureOptions, DeadlineExceeded, ModuleEmbedding,
                       RingContext, SubmoduleData, UnstableChainError,
                       groebner_basis, parse_poly, ratliff_rush_ideal,
-                      ratliff_rush_module, rr_via_reduction)
+                      ratliff_rush_module)
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
@@ -34,13 +33,7 @@ def _module_route(opts):
     return ratliff_rush_module(ModuleEmbedding.from_submodule(I), 1, opts)
 
 
-def _reduction_route(opts):
-    E = ModuleEmbedding.from_submodule(I)
-    reduction = [(parse_poly("X^4", CTX),), (parse_poly("Y^4", CTX),)]
-    return rr_via_reduction(E, reduction, opts)
-
-
-ROUTES = [_ideal_route, _module_route, _reduction_route]
+ROUTES = [_ideal_route, _module_route]
 
 
 @pytest.mark.parametrize("route", ROUTES)

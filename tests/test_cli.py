@@ -6,7 +6,7 @@ import pytest
 
 from reescalc import InputError, Polynomial, RingContext, parse_poly
 from reescalc.cli import main
-from reescalc.poly import MAX_EXPONENT, MAX_POWER_BITS
+from reescalc.poly import MAX_EXPONENT, MAX_POWER_BITS, MAX_POWER_TERMS
 
 RR_PROBLEM = """\
 ring {
@@ -235,6 +235,40 @@ def test_nested_power_above_cap_exits_4_unexpanded(tmp_path, capsys,
     # the cap itself is allowed, and constants have degree 0
     assert len(parse_poly("((X+Y)^100)^2", ctx).terms) == 201
     assert parse_poly("(2^100)^2", ctx) == Polynomial.constant(ctx, 4**100)
+
+
+def test_power_above_term_cap_exits_4_unexpanded(tmp_path, capsys,
+                                                 monkeypatch):
+    # (X+Y+1)^200 is within the degree and bit caps, but it expands to
+    # 20301 terms and ran for more than 300 s.  Apart from powers of
+    # single terms, these inputs hold no power small enough to take, so
+    # the spy fails at any other.
+    real = Polynomial.__pow__
+
+    def no_pow(p, n):
+        assert len(p.terms) == 1, f"expanded a {len(p.terms)}-term base"
+        return real(p, n)
+
+    ctx = RingContext(characteristic=0, base_vars=("X", "Y"))
+    with monkeypatch.context() as m:
+        m.setattr(Polynomial, "__pow__", no_pow)
+        # the first two are refused by the count of monomials by degree,
+        # the last by the count of multisets of its terms
+        for text in ("(X+Y+1)^200", "(X^2+X*Y+Y^2+X+Y+1)^40",
+                     "(X^3+Y^3+1)^66"):
+            with pytest.raises(InputError, match="terms exceeds"):
+                parse_poly(text, ctx)
+        path = _write(tmp_path, "terms.problem",
+                      "matrix {\n  row = X, Y, (X+Y+1)^200\n}\n")
+        status, out, err = _run(capsys, ["param", path])
+    assert status == 4
+    assert out == ""
+    assert err.startswith(f"error: power of up to 20301 terms exceeds "
+                          f"{MAX_POWER_TERMS}")
+    # the smaller bound counts: two of the 101 terms of (X+Y)^100 make
+    # 5151 multisets, but only the 201 monomials of degree 200
+    assert len(parse_poly("((X+Y)^100)^2", ctx).terms) == 201
+    assert len(parse_poly("(X+Y+1)^40", ctx).terms) == 861
 
 
 def test_constant_power_above_bit_cap_exits_4_unexpanded(tmp_path, capsys,

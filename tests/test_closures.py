@@ -9,11 +9,10 @@ from reescalc import (InputError, ModuleEmbedding, Polynomial, RingContext,
                       groebner_basis, integral_closure_module,
                       integral_closure_monomial, is_integral_element,
                       is_reduction, parse_poly, ratliff_rush_ideal,
-                      ratliff_rush_module, rr_via_reduction)
+                      ratliff_rush_module)
 from reescalc.closures import newton_closure_exps
 from reescalc.fixtures import (indecomposable_presentation, parameter_module,
                                rr_ideal_pair, square_direct_sum)
-from reescalc.rees import pad_with_zero_row
 
 from oracles import (ideal_from_exps, newton_closure_oracle,
                      random_monomial_ideal)
@@ -102,29 +101,12 @@ def test_rr_module_parameter_module_is_closed():
 def test_rr_closure_commutes_with_zero_row_padding():
     pair = rr_ideal_pair(CTX)
     E = ModuleEmbedding.from_submodule(pair["I"])
-    P = pad_with_zero_row(E)
-    res = ratliff_rush_module(P, 1)
     z = Polynomial.zero(CTX)
+    P = ModuleEmbedding(CTX, [col + (z,) for col in E.columns], rank=2)
+    res = ratliff_rush_module(P, 1)
     want = SubmoduleData(CTX, 2, tuple(
         (g[0], z) for g in groebner_basis(pair["I_closure"]).gens))
     assert equal(res.submodule, want)
-
-
-def test_rr_via_reduction_cross_checks():
-    pair = rr_ideal_pair(CTX)
-    E = ModuleEmbedding.from_submodule(pair["I"])
-    res = rr_via_reduction(E, [(_p("X^4"),), (_p("Y^4"),)])
-    assert equal(res.submodule, pair["I_closure"])
-    assert res.extra["cross_checked"]
-
-
-def test_rr_via_reduction_rejects_non_reductions():
-    pair = rr_ideal_pair(CTX)
-    E = ModuleEmbedding.from_submodule(pair["I"])
-    with pytest.raises(InputError):
-        rr_via_reduction(E, [(_p("X^4"),)])
-    with pytest.raises(InputError):
-        rr_via_reduction(E, [(_p("X^5"),), (_p("Y^4"),)])
 
 
 # -- Newton polyhedron closures -------------------------------------------

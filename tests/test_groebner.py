@@ -8,9 +8,8 @@ import pytest
 
 from reescalc import (INFINITE, ModuleEmbedding, Polynomial, RingContext,
                       SubmoduleData, colength, colon, contains, eliminate,
-                      equal, groebner_basis, intersect, member,
-                      minimal_generators, normal_form, parse_poly, preimage,
-                      saturate, sum_modules)
+                      equal, groebner_basis, intersect, member, normal_form,
+                      parse_poly, preimage)
 from reescalc import groebner
 from reescalc.closures import newton_closure_exps
 from reescalc.context import mon_divides, mon_lcm, mon_mul
@@ -134,7 +133,7 @@ def test_normal_form_idempotent_and_linear():
 def test_sum_and_contains():
     U = _ideal(X ** 2)
     V = _ideal(Y ** 2)
-    W = sum_modules(U, V)
+    W = SubmoduleData(CTX, 1, U.gens + V.gens)
     assert contains(W, U) and contains(W, V)
     assert not contains(U, V)
     assert equal(W, _ideal(X ** 2, Y ** 2))
@@ -162,14 +161,9 @@ def test_intersection_matches_lcm_for_monomials():
 
 
 def test_saturation_example():
-    # one colon step gives (X, Y); the saturation reaches (1) because
-    # (X*Y)^2 already lies in the ideal
+    # the first step of the saturation chain of (X^2*Y, X*Y^2) by (X*Y)
     U = _ideal(X ** 2 * Y, X * Y ** 2)
     assert equal(colon(U, _ideal(X * Y)), _ideal(X, Y))
-    got = saturate(U, _ideal(X * Y))
-    assert equal(got, _ideal(Polynomial.one(CTX)))
-    # (X^2) : (Y)^inf is unchanged since Y is a nonzerodivisor off (X)
-    assert equal(saturate(_ideal(X ** 2), _ideal(Y)), _ideal(X ** 2))
 
 
 def test_elimination_example():
@@ -195,16 +189,9 @@ def test_preimage_syzygy():
     assert not member((Polynomial.one(CTX), ZERO), pre)
 
 
-def test_minimal_generators():
-    U = _ideal(X ** 2, X ** 3, Y, X * Y)
-    m = minimal_generators(U)
-    assert sorted(str(g[0]) for g in m.gens) == ["X^2", "Y"]
-
-
 def test_colon_by_zero_ideal_flagged():
     U = _ideal(X)
     got = colon(U, SubmoduleData.zero(CTX, 1))
-    assert "colon-by-zero-ideal" in got.flags
     assert member((Polynomial.one(CTX),), got)
 
 
@@ -339,7 +326,7 @@ def test_intersection_of_nested_modules_skips_the_extended_ring(
         if extra.rank != U.rank:
             continue
         nested += 1
-        W = sum_modules(U, extra)
+        W = SubmoduleData(CTX, U.rank, U.gens + extra.gens)
         with monkeypatch.context() as m:
             m.setattr(groebner, "eliminate", no_elimination)
             assert equal(intersect(U, W), U)
@@ -613,10 +600,13 @@ def test_intersections_and_eliminations_match_sympy():
     # free of Y in its lex basis with Y first; both are then compared as
     # reduced grevlex bases.  Most pairs are not nested, so intersect
     # really builds the extended ring, and most eliminations are nonzero.
+    # The colon U : V, the general branch of rees.piece_colon, is checked
+    # against the intersection over g in V of (U intersect (g)) / g, each
+    # quotient taken with sympy.div and its remainder required to be 0.
     sympy = pytest.importorskip("sympy")
     sx, sy, st = sympy.symbols("X Y t")
     rng = random.Random(1010)
-    crossing = eliminated = 0
+    crossing = eliminated = proper_colons = 0
     for char in (0, 32003):
         ctx = RingContext(characteristic=char, base_vars=("X", "Y"))
         field = ctx.field
@@ -626,6 +616,18 @@ def test_intersections_and_eliminations_match_sympy():
             G = sympy.groebner(exprs, *gens, order="lex", **extra)
             return [q for q in G.exprs if gens[0] not in q.free_symbols]
 
+        def meet(fu, fv):
+            return lex_free_of_first(
+                [st * f for f in fu] + [(1 - st) * f for f in fv], st, sx, sy)
+
+        def quotients(exprs, g):
+            out = []
+            for f in exprs:
+                q, r = sympy.div(f, g, sx, sy, **extra)
+                assert r == 0, (f, g)
+                out.append(q)
+            return out
+
         for terms in (2, 3):
             for _ in range(8):
                 U, V = (SubmoduleData.ideal(ctx, [Polynomial.from_terms(
@@ -634,17 +636,25 @@ def test_intersections_and_eliminations_match_sympy():
                 fu = [_sympy_expr(g[0], sx, sy) for g in U.gens]
                 fv = [_sympy_expr(g[0], sx, sy) for g in V.gens]
                 crossing += not (contains(U, V) or contains(V, U))
-                want = _sympy_grevlex(sympy, lex_free_of_first(
-                    [st * f for f in fu] + [(1 - st) * f for f in fv],
-                    st, sx, sy), (sx, sy), field)
+                want = _sympy_grevlex(sympy, meet(fu, fv), (sx, sy), field)
                 assert _terms(intersect(U, V)) == want, (fu, fv)
+                quot = None
+                for g in fv:
+                    part = quotients(meet(fu, [g]), g)
+                    quot = part if quot is None else meet(quot, part)
+                got = colon(U, V)
+                proper_colons += not (got.gens == groebner_basis(U).gens
+                                      or contains(got, SubmoduleData.free(
+                                          ctx, 1)))
+                assert _terms(got) == _sympy_grevlex(
+                    sympy, quot, (sx, sy), field), (fu, fv)
                 E = eliminate(U, ("Y",))
                 assert not any(g[0].uses_vars(("Y",)) for g in E.gens)
                 eliminated += bool(E.gens)
                 want = _sympy_grevlex(sympy, lex_free_of_first(fu, sy, sx),
                                       (sx, sy), field)
                 assert _terms(E) == want, fu
-    assert crossing >= 20 and eliminated >= 15
+    assert crossing >= 20 and eliminated >= 15 and proper_colons >= 10
 
 
 def test_results_over_qq_hold_fractions():

@@ -40,9 +40,6 @@ def test_submodule_equality_and_hash_include_what_they_did():
     groebner_basis(U)
     assert U._cache and not same._cache
     assert U == same and hash(U) == hash(same)
-    flagged = U.with_flags("colon-by-zero-ideal")
-    assert flagged != U and hash(flagged) == hash(U)
-    assert flagged == same.with_flags("colon-by-zero-ideal")
     assert U != _module(["X^2+Y", "X*Y"], ["Y^2", "X-Y"])
     assert U != SubmoduleData(CTX, 2, U.gens[:1])
     other_ring = RingContext(characteristic=32003, base_vars=("X", "Y"))

@@ -7,12 +7,12 @@ import pytest
 
 from reescalc import (INFINITE, InputError, ModuleEmbedding, Polynomial,
                       RingContext, SubmoduleData, colength, direct_sum, equal,
-                      fiber_cone_hilbert, fitting_ideal, graded_piece,
-                      groebner, groebner_basis, is_parameter_module,
-                      maximal_ideal, min_gens, ord_ideal, parse_poly, rees)
+                      fitting_ideal, groebner, groebner_basis,
+                      is_parameter_module, maximal_ideal, min_gens, ord_ideal,
+                      parse_poly, rees)
 from reescalc.fixtures import (indecomposable_presentation, parameter_module,
                                square_direct_sum)
-from reescalc.rees import fiber_basis, pad_with_zero_row, piece_rank
+from reescalc.rees import fiber_basis, piece_rank
 
 from oracles import colength_oracle
 
@@ -30,7 +30,7 @@ def _ideal(*gens):
 def m_power_embedding(n):
     gens = [_p(f"X^{n-k}*Y^{k}" if 0 < k < n else
                (f"X^{n}" if k == 0 else f"Y^{n}")) for k in range(n + 1)]
-    return ModuleEmbedding.from_ideal(gens, CTX)
+    return ModuleEmbedding.from_submodule(SubmoduleData.ideal(CTX, gens))
 
 
 def test_colength_of_maximal_ideal_powers():
@@ -87,21 +87,8 @@ def test_min_gens_examples():
     assert min_gens(E) == 8
 
 
-def test_graded_piece_basic_shapes():
-    E = parameter_module(CTX)
-    # below the ideal power the piece is zero
-    P = graded_piece(E, 2, 1)
-    assert P.submodule.is_zero()
-    # at fiber degree = power the piece is the module power itself
-    P = graded_piece(E, 2, 2)
-    assert equal(P.submodule, E.power_piece(2))
-    # one degree up, the piece contains the t-shifted power generators
-    P = graded_piece(E, 2, 3)
-    assert P.rank == 4 and not P.submodule.is_zero()
-
-
 def test_power_piece_rank_one_matches_ideal_powers():
-    E = ModuleEmbedding.from_ideal([_p("X^2"), _p("Y^3")], CTX)
+    E = ModuleEmbedding.from_submodule(_ideal("X^2", "Y^3"))
     P2 = E.power_piece(2)
     assert equal(P2, _ideal("X^4", "X^2*Y^3", "Y^6"))
 
@@ -113,11 +100,10 @@ def test_ord_examples():
 
 
 def test_fiber_cone_hilbert_of_maximal_ideal():
+    # the Hilbert function of the fiber cone is mu of the n-th power
     E = m_power_embedding(1)
-    assert fiber_cone_hilbert(E, 0) == 1
-    assert fiber_cone_hilbert(E, 1) == 2
-    assert fiber_cone_hilbert(E, 2) == 3
-    assert fiber_cone_hilbert(E, 3) == 4
+    for n in range(4):
+        assert min_gens(E.power_piece(n)) == n + 1
 
 
 def test_fitting_ideals_of_presentation():
@@ -160,11 +146,12 @@ def test_direct_sum_shapes():
 
 def test_zero_row_padding_preserves_module_invariants():
     E = parameter_module(CTX)
-    P = pad_with_zero_row(E)
-    assert P.rank == E.rank + 1
+    z = Polynomial.zero(CTX)
+    P = ModuleEmbedding(CTX, [col + (z,) for col in E.columns],
+                        rank=E.rank + 1)
     assert min_gens(P) == min_gens(E)
     for n in (1, 2, 3):
-        assert fiber_cone_hilbert(P, n) == fiber_cone_hilbert(E, n)
+        assert min_gens(P.power_piece(n)) == min_gens(E.power_piece(n))
     # the quotient by the padded module gains a free summand
     assert P.colength_F_mod_M() is INFINITE
 
@@ -174,30 +161,26 @@ def test_maximal_ideal_helper():
     assert equal(m, _ideal("X", "Y"))
 
 
-def _columns_power_oracle(E, n, shift=0):
+def _columns_power_oracle(E, n):
     """groebner_basis of all n-fold products of the columns, multiplied as
-    t-linear forms in S = A[t1..tr] and by every t-monomial of degree
-    shift, read off by fiber monomial."""
-    S = E.ctx_S
+    t-linear forms in S = A[t1..tr] and read off by fiber monomial."""
+    S = E.ctx.with_fiber(tuple(f"t{i + 1}" for i in range(E.rank)))
     nb = len(E.ctx.base_vars)
     t = [Polynomial.variable(S, v) for v in S.fiber_vars]
     forms = [sum((p.map_context(S) * t[i] for i, p in enumerate(col)),
                  Polynomial.zero(S)) for col in E.columns]
-    shifts, _ = fiber_basis(E.rank, shift)
-    _, index = fiber_basis(E.rank, n + shift)
+    _, index = fiber_basis(E.rank, n)
     products = []
     for combo in itertools.combinations_with_replacement(forms, n):
         f = Polynomial.one(S)
         for g in combo:
             f = f * g
-        for beta in shifts:
-            vec = [{} for _ in index]
-            for exps, coeff in (f * Polynomial.monomial(
-                    S, (0,) * nb + beta)).terms.items():
-                vec[index[exps[nb:]]][exps[:nb]] = coeff
-            products.append(tuple(Polynomial(E.ctx, terms) for terms in vec))
+        vec = [{} for _ in index]
+        for exps, coeff in f.terms.items():
+            vec[index[exps[nb:]]][exps[:nb]] = coeff
+        products.append(tuple(Polynomial(E.ctx, terms) for terms in vec))
     return groebner_basis(
-        SubmoduleData(E.ctx, piece_rank(E.rank, n + shift), tuple(products)))
+        SubmoduleData(E.ctx, piece_rank(E.rank, n), tuple(products)))
 
 
 BINOMIAL_ROWS = (("X^2", "X*Y+Y^2", "Y^3", "0"),
@@ -217,13 +200,6 @@ def test_power_schedule_matches_column_products():
         for n in range(1, 5):
             assert E.power_piece(n).gens == \
                 _columns_power_oracle(E, n).gens, (rows, n)
-
-
-def test_graded_piece_matches_shifted_column_products():
-    E = _embedding(BINOMIAL_ROWS)
-    for k, n in ((1, 1), (1, 2), (1, 3), (2, 3), (2, 4)):
-        assert graded_piece(E, k, n).submodule.gens == \
-            _columns_power_oracle(E, k, n - k).gens, (k, n)
 
 
 def test_monomial_powers_of_shifted_ideal_multiply_without_buchberger(
