@@ -21,9 +21,9 @@ _EXPORTS = {
     "errors": ("ContextMismatchError", "DeadlineExceeded", "InputError",
                "ParseError", "RankMismatchError", "ReescalcError",
                "SoundnessAlert", "UnstableChainError"),
-    "groebner": ("ModuleOrder", "SubmoduleData", "contains", "eliminate",
-                 "equal", "groebner_basis", "intersect", "member",
-                 "normal_form", "preimage"),
+    "groebner": ("ModuleOrder", "SubmoduleData", "contains", "equal",
+                 "groebner_basis", "intersect", "member", "normal_form",
+                 "preimage"),
     "poly": ("Polynomial", "parse_poly"),
     "rees": ("INFINITE", "ModuleEmbedding", "colength", "colon",
              "direct_sum", "fitting_ideal", "is_parameter_module",

@@ -112,8 +112,8 @@ class RingContext:
 
     Variables are stored as base block followed by fiber block; fiber
     degree is compared before base degree.  The context describes the
-    ring only: an order in which some variables or components dominate,
-    as elimination needs, is a groebner.ModuleOrder over it.
+    ring only: an order in which a block of components dominates, as
+    elimination needs, is a groebner.ModuleOrder over it.
     """
 
     __slots__ = ("characteristic", "base_vars", "fiber_vars", "field",

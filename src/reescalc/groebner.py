@@ -2,10 +2,11 @@
 
 Everything downstream (closures, graded pieces, theorem deciders) reduces
 to the operations here: reduced Groebner bases, normal forms, membership,
-preimages, intersection, and elimination.  Each of them is a Groebner
-basis under a ModuleOrder over one ring: preimage lets the ambient
-components dominate, eliminate the named variables, and intersect
-eliminates an extra variable _h through eliminate.
+preimages and intersection.  Each of them is a Groebner basis under a
+ModuleOrder over one ring.  Preimage and intersection are one
+elimination of a block of components: both pair the vectors they start
+from with tags in a second block, and read the result off the basis
+elements free of the first (_eliminate_block).
 
 Internally a module element is a dict mapping (component, exponent tuple)
 to a nonzero coefficient.  Generators that are all single terms take a
@@ -35,8 +36,7 @@ from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .context import (RingContext, _negrev, mon_coprime, mon_div, mon_divides,
-                      mon_lcm, mon_mul, mon_one)
+from .context import mon_coprime, mon_div, mon_divides, mon_lcm, mon_mul
 from .errors import ContextMismatchError, RankMismatchError
 from .poly import Polynomial
 
@@ -44,65 +44,40 @@ from .poly import Polynomial
 # -- orders on module monomials ------------------------------------------
 
 class ModuleOrder:
-    """Monomial order on a free module over the context's order.
+    """Term-over-position order on a free module over the context's order.
 
-    position 'TOP' compares the monomial first (term over position), 'POT'
-    the component first.  Two blocks dominate, as eliminations need: the
-    first elim_components components, then the variables at the indices
-    elim_vars, compared by degree and then reverse-lexicographically.  A
-    lower component index is larger.  Keys are flat tuples of integers,
-    so _descending can negate them; the monomial part of an elimination
-    key is memoized per order and ring.  Orders are values: equal orders
-    hash alike and share the basis cached for them.
+    The monomial is compared first, then the component, a lower index
+    being larger.  The first elim_components components dominate all
+    others, as the one elimination here needs: preimage and intersect
+    both read their result off the elements free of that block.  Keys
+    are flat tuples of integers, so _descending can negate them.  Orders
+    are values: equal orders hash alike and share the basis cached for
+    them.
     """
 
-    __slots__ = ("position", "elim_components", "elim_vars", "_memo")
+    __slots__ = ("elim_components",)
 
-    def __init__(self, position="TOP", elim_components=0, elim_vars=()):
-        self.position = position
+    def __init__(self, elim_components=0):
         self.elim_components = elim_components
-        self.elim_vars = tuple(elim_vars)
-        self._memo = {}  # ring -> {exponents: monomial part of the key}
-
-    def _values(self):
-        return self.position, self.elim_components, self.elim_vars
 
     def __eq__(self, other):
         if other.__class__ is not ModuleOrder:
             return NotImplemented
-        return self._values() == other._values()
+        return self.elim_components == other.elim_components
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self.elim_components)
 
     def __repr__(self):
-        return (f"ModuleOrder(position={self.position!r}, "
-                f"elim_components={self.elim_components!r}, "
-                f"elim_vars={self.elim_vars!r})")
+        return f"ModuleOrder(elim_components={self.elim_components!r})"
 
     def key_function(self, ctx):
         monkey = ctx.mon_key
-        if self.elim_vars:
-            memo = self._memo.setdefault(ctx, {})
-            idx, ring_key = self.elim_vars, monkey
-
-            def monkey(e):
-                k = memo.get(e)
-                if k is None:
-                    block = [e[i] for i in idx]
-                    k = memo[e] = (sum(block), *_negrev(block), *ring_key(e))
-                return k
         elim = self.elim_components
-        if self.position == "TOP":
-            def key(term):
-                c, e = term
-                return (1 if c < elim else 0, *monkey(e), -c)
-        elif self.position == "POT":
-            def key(term):
-                c, e = term
-                return (1 if c < elim else 0, -c, *monkey(e))
-        else:
-            raise ValueError(f"unknown position policy {self.position!r}")
+
+        def key(term):
+            c, e = term
+            return (1 if c < elim else 0, *monkey(e), -c)
         return key
 
 
@@ -681,53 +656,47 @@ def equal(U, V):
     return groebner_basis(U).gens == groebner_basis(V).gens
 
 
+def _eliminate_block(pairs, W, rank):
+    """The b with (0, b) in the submodule of A^(q + rank), q = W.rank,
+    generated by the pairs (a, b) and by (w, 0) for w in W.gens.
+
+    Under the order in which the first q components dominate, the
+    elements of its reduced basis with no term there are a basis of the
+    b; term over position orders them, monic and reduced, exactly as the
+    default order does, so they are the result's own cached basis.
+    """
+    ctx, q = W.ctx, W.rank
+    vps = [_to_vp(tuple(a) + tuple(b)) for a, b in pairs]
+    vps += map(_to_vp, W.gens)
+    key = ModuleOrder(elim_components=q).key_function(ctx)
+    gens = tuple(_from_vp(ctx, rank, {(c - q, e): x
+                                      for (c, e), x in vp.items()})
+                 for vp in _buchberger(vps, key, ctx.field, q + rank)
+                 if all(c >= q for c, _ in vp))
+    gb = SubmoduleData(ctx, rank, gens)
+    gb._cache[DEFAULT_ORDER] = gb
+    return gb
+
+
 def preimage(columns, W):
-    """Generators of {v in A^p : sum v_j * columns[j] in W}.
+    """{v in A^p : sum v_j * columns[j] in W}, as its reduced basis.
 
     columns: list of vectors in A^q (q = W.rank).  Computed by the syzygy
-    method: tag each column with a unit vector, run a Groebner basis with
-    the ambient components dominating, and read off the elements whose
-    ambient part vanished.
+    method: each column, tagged with a unit vector of A^p, goes into one
+    block elimination with W.
     """
-    ctx = W.ctx
-    q = W.rank
-    p = len(columns)
-    field = ctx.field
-    order = ModuleOrder(position="POT", elim_components=q)
-    key = order.key_function(ctx)
-    vps = []
-    one = field.one
-    for j, col in enumerate(columns):
-        vp = {}
-        for c, poly in enumerate(col):
-            for exps, coeff in poly.terms.items():
-                vp[(c, exps)] = coeff
-        vp[(q + j, mon_one(ctx.nvars))] = one
-        vps.append(vp)
-    for g in W.gens:
-        vp = {}
-        for c, poly in enumerate(g):
-            for exps, coeff in poly.terms.items():
-                vp[(c, exps)] = coeff
-        if vp:
-            vps.append(vp)
-    basis = _buchberger(vps, key, field, q + p)
-    gens = []
-    for vp in basis:
-        if any(t[0] < q for t in vp):
-            continue
-        shifted = {(t[0] - q, t[1]): c for t, c in vp.items()}
-        gens.append(_from_vp(ctx, p, shifted))
-    return SubmoduleData(ctx, p, tuple(gens))
+    ctx, p = W.ctx, len(columns)
+    units = SubmoduleData.free(ctx, p).gens
+    return _eliminate_block(zip(columns, units), W, p)
 
 
 def intersect(U, V):
-    """U intersect V: the elements free of _h in h*U + (1-h)*V, over the
-    ring with one more base variable _h, found by eliminate.
+    """U intersect V: the b with (0, b) in the module generated by the
+    (u, u) for u in U and the (v, 0) for v in V (Greuel & Pfister, A
+    Singular Introduction to Commutative Algebra, ch. 2).
 
     When one module contains the other, the usual case in the colon
-    chains, the smaller one is returned and the much larger Groebner
-    basis in the extended ring is never built.
+    chains, the smaller one is returned and no elimination runs.
     """
     if U.rank != V.rank:
         raise RankMismatchError("intersection of modules of different rank")
@@ -743,27 +712,4 @@ def intersect(U, V):
         return V
     if contains(V, U):
         return U
-    ctx = U.ctx
-    ext = RingContext(ctx.characteristic, ctx.base_vars + ("_h",),
-                      ctx.fiber_vars)
-    h = Polynomial.variable(ext, "_h")
-    one_minus_h = Polynomial.one(ext) - h
-    gens = tuple(tuple(p.map_context(ext) * f for p in g)
-                 for f, W in ((h, U), (one_minus_h, V)) for g in W.gens)
-    meet = eliminate(SubmoduleData(ext, U.rank, gens), ("_h",))
-    return SubmoduleData(ctx, U.rank, tuple(
-        tuple(p.map_context(ctx) for p in g) for g in meet.gens))
-
-
-def eliminate(U, var_names):
-    """Generators of U not involving the named variables.
-
-    They are the elements of U's reduced basis, under the order in which
-    the named variables dominate, that do not involve them.
-    """
-    var_names = tuple(var_names)
-    order = ModuleOrder(elim_vars=sorted(U.ctx.var_index[n] for n in var_names))
-    return SubmoduleData(U.ctx, U.rank, tuple(
-        g for g in groebner_basis(U, order).gens
-        if not any(p.uses_vars(var_names) for p in g)))
-
+    return _eliminate_block(((u, u) for u in U.gens), V, U.rank)

@@ -188,36 +188,6 @@ class Polynomial:
             return self
         return self.scale(self.ctx.field.invert(self.leading_coefficient()))
 
-    # -- mapping between contexts ----------------------------------------
-
-    def map_context(self, new_ctx):
-        """Reinterpret over new_ctx, matching variables by name.
-
-        Every variable actually appearing must exist in the target.
-        """
-        old = self.ctx
-        if new_ctx.vars == old.vars and new_ctx.characteristic == old.characteristic:
-            return Polynomial(new_ctx, dict(self.terms))
-        lut = []
-        for name in old.vars:
-            lut.append(new_ctx.var_index.get(name))
-        terms = {}
-        for exps, coeff in self.terms.items():
-            out = [0] * new_ctx.nvars
-            for i, e in enumerate(exps):
-                if e:
-                    j = lut[i]
-                    if j is None:
-                        raise ContextMismatchError(
-                            f"variable {old.vars[i]!r} absent from target context")
-                    out[j] = e
-            terms[tuple(out)] = coeff
-        return Polynomial(new_ctx, terms)
-
-    def uses_vars(self, names):
-        idx = [self.ctx.var_index[n] for n in names]
-        return any(any(e[i] for i in idx) for e in self.terms)
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):
@@ -272,6 +242,15 @@ MAX_POWER_BITS = 16384
 # upper bounds (see _power_terms_bound).  The degree cap alone lets
 # (X+Y+1)^200 through, and its 20301 terms take minutes to expand.
 MAX_POWER_TERMS = 2000
+# Largest sum of those bounds over the powers of one expression, or of
+# one problem file (a PowerBudget shared by its entries): each
+# (X+Y+1)^61 is under the cap above and takes 1.35 s, and a row of six
+# of them took 12.6 s.  Powers of one term cost nothing and count 0.
+MAX_TOTAL_POWER_TERMS = 4000
+# Deepest nesting of parentheses parse_poly accepts.  Each level takes
+# four frames of the recursive-descent parser, which overflowed Python's
+# stack at about 250 levels.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*+-]))")
 
@@ -297,10 +276,22 @@ def _tokenize(text):
     return tokens
 
 
+class PowerBudget:
+    """The term bounds spent so far by the powers that share this budget,
+    against MAX_TOTAL_POWER_TERMS."""
+
+    __slots__ = ("spent",)
+
+    def __init__(self):
+        self.spent = 0
+
+
 class _Parser:
-    def __init__(self, text, ctx):
+    def __init__(self, text, ctx, budget):
         self.tokens = _tokenize(text)
         self.ctx = ctx
+        self.budget = budget
+        self.depth = 0
         self.i = 0
 
     def peek(self):
@@ -367,6 +358,13 @@ class _Parser:
             if terms > MAX_POWER_TERMS:
                 raise InputError(f"power of up to {terms} terms exceeds "
                                  f"{MAX_POWER_TERMS} (at position {tok[2]})")
+            if len(base.terms) > 1:
+                self.budget.spent += terms
+                if self.budget.spent > MAX_TOTAL_POWER_TERMS:
+                    raise InputError(
+                        f"powers of up to {self.budget.spent} terms in all "
+                        f"exceed {MAX_TOTAL_POWER_TERMS} "
+                        f"(at position {tok[2]})")
             base = base ** tok[1]
         return base
 
@@ -379,8 +377,13 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
             return Polynomial.variable(self.ctx, tok[1])
         if tok[0] == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise InputError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING} (at position {tok[2]})")
             p = self.expr()
             self.expect(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
@@ -407,7 +410,7 @@ def _power_terms_bound(p, n):
     return min(comb(n + t - 1, t - 1), in_degrees)
 
 
-def parse_poly(text, ctx):
+def parse_poly(text, ctx, budget=None):
     """Parse a polynomial expression over the given context.
 
     Grammar: integers, variable names, `^` integer powers, `*`, `+`, `-`,
@@ -416,6 +419,10 @@ def parse_poly(text, ctx):
     the exponent) would exceed it, or a power whose coefficient bits (the
     bit length of the base's largest coefficient times the exponent)
     would exceed MAX_POWER_BITS, or a power that may expand to more than
-    MAX_POWER_TERMS terms raises InputError.
+    MAX_POWER_TERMS terms raises InputError.  So does a power whose
+    bound takes the sum over the budget's powers past
+    MAX_TOTAL_POWER_TERMS, and parentheses nested deeper than
+    MAX_NESTING.  Without a budget the powers of this expression share
+    one.
     """
-    return _Parser(text, ctx).parse()
+    return _Parser(text, ctx, budget or PowerBudget()).parse()

@@ -31,13 +31,15 @@ from .closures import ClosureOptions
 from .context import RingContext
 from .errors import InputError
 from .groebner import SubmoduleData
-from .poly import parse_poly
+from .poly import PowerBudget, parse_poly
 from .rees import ModuleEmbedding
 
 
 class ProblemFile:
     """A parsed problem file: its ring, the matrix rows, candidate columns
-    and factor ideals as entry strings, and the options block."""
+    and factor ideals as entry strings, and the options block.  The
+    entries are parsed when asked for, and the powers of all of them
+    share one PowerBudget."""
 
     def __init__(self, ctx, rows, candidates=None, factors=None,
                  options=None):
@@ -46,9 +48,13 @@ class ProblemFile:
         self.candidates = [] if candidates is None else candidates
         self.factors = [] if factors is None else factors
         self.options = {} if options is None else options
+        self._budget = PowerBudget()
+
+    def _parse(self, entry):
+        return parse_poly(entry, self.ctx, self._budget)
 
     def embedding(self):
-        parsed = [[parse_poly(e, self.ctx) for e in row] for row in self.rows]
+        parsed = [[self._parse(e) for e in row] for row in self.rows]
         return ModuleEmbedding.from_matrix(self.ctx, parsed)
 
     def candidate_columns(self):
@@ -58,12 +64,11 @@ class ProblemFile:
             if len(col) != rank:
                 raise InputError(
                     f"candidate column of length {len(col)}, expected {rank}")
-            cols.append(tuple(parse_poly(e, self.ctx) for e in col))
+            cols.append(tuple(map(self._parse, col)))
         return cols
 
     def factor_ideals(self):
-        return [SubmoduleData.ideal(self.ctx,
-                                    [parse_poly(e, self.ctx) for e in gens])
+        return [SubmoduleData.ideal(self.ctx, list(map(self._parse, gens)))
                 for gens in self.factors]
 
     def closure_options(self):

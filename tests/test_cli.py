@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from reescalc import InputError, Polynomial, RingContext, parse_poly
+from reescalc import InputError, Polynomial, RingContext, parse_poly, poly
 from reescalc.cli import main
 from reescalc.poly import MAX_EXPONENT, MAX_POWER_BITS, MAX_POWER_TERMS
 
@@ -305,6 +305,54 @@ def test_constant_power_above_bit_cap_exits_4_unexpanded(tmp_path, capsys,
     gfp = RingContext(characteristic=32003, base_vars=("X", "Y"))
     assert parse_poly("((7^200)^200)^40", gfp) == \
         Polynomial.constant(gfp, pow(7, 1600000, 32003))
+
+
+def test_powers_of_one_file_share_one_term_budget(tmp_path, capsys,
+                                                  monkeypatch):
+    # Each (X+Y+1)^61 (up to 1953 terms, 1.35 s to expand) is within the
+    # caps of one power, but a row of six ran `fitting` for 12.6 s.  The
+    # powers of one file, and of one expression, spend one budget of term
+    # bounds; the power that would exceed it is refused unexpanded.  The
+    # spy records the powers taken and leaves them unexpanded.
+    taken = []
+
+    def spy(p, n):
+        taken.append(n)
+        return p
+
+    monkeypatch.setattr(Polynomial, "__pow__", spy)
+    big = "(X+Y+1)^61"
+    path = _write(tmp_path, "budget.problem",
+                  f"matrix {{\n  row = {big}, X\n  row = {big}, {big}\n}}\n")
+    status, out, err = _run(capsys, ["param", path])
+    assert status == 4
+    assert out == ""
+    assert err.startswith(f"error: powers of up to {3 * 1953} terms in all "
+                          f"exceed {poly.MAX_TOTAL_POWER_TERMS}")
+    assert taken == [61, 61]
+    ctx = RingContext(characteristic=0, base_vars=("X", "Y"))
+    with pytest.raises(InputError, match="terms in all exceed"):
+        parse_poly(" + ".join([big] * 3), ctx)
+    # the budget itself is allowed, and powers of one term spend none of it
+    assert 2 * 1953 <= poly.MAX_TOTAL_POWER_TERMS < 3 * 1953
+    parse_poly(" + ".join([big] * 2 + ["X^200"] * 100), ctx)
+
+
+def test_deep_parentheses_exit_4(tmp_path, capsys):
+    # 260 nested parentheses overflowed the recursive-descent parser, and
+    # every command exited 1 with a RecursionError traceback.
+    deep = "(" * 300 + "X" + ")" * 300
+    path = _write(tmp_path, "deep.problem",
+                  f"matrix {{\n  row = {deep}, Y\n}}\n")
+    status, out, err = _run(capsys, ["param", path])
+    assert status == 4
+    assert out == ""
+    assert err.startswith(f"error: parentheses nested deeper than "
+                          f"{poly.MAX_NESTING}")
+    ctx = RingContext(characteristic=0, base_vars=("X", "Y"))
+    depth = poly.MAX_NESTING
+    assert parse_poly("(" * depth + "X" + ")" * depth, ctx) == \
+        Polynomial.variable(ctx, "X")
 
 
 def test_non_utf8_file_exits_4(tmp_path, capsys):

@@ -59,6 +59,15 @@ CASES["iclose-presentation"] = (
     "candidates {\n  col = X*Y^4, 0\n}\n"
     "factors {\n  ideal = X, Y^2\n"
     "  ideal = X^5, X^4*Y^2, X^3*Y^4, X^2*Y^5, X*Y^7, Y^8\n}\n", ())
+# a module whose colon chain intersects two pieces that are not nested,
+# so the general intersection runs, over QQ and over GF(32003)
+CASES["rr-crossing"] = ("rr", "matrix {\n"
+                        "  row = Y^2+3*X^2, X^3+3*X*Y^2, X*Y^2-2*X*Y, "
+                        "X*Y-3*X^2*Y\n"
+                        "  row = X^2*Y-3*X^3, X^3-2*Y^2, Y^2-2*X*Y^2, "
+                        "Y^3+2*X*Y^2\n}\n", ())
+CASES["rr-crossing-gfp"] = ("rr", CASES["rr-crossing"][1],
+                            ("--char", "32003"))
 NAMES = sorted(CASES) + ["fixtures"]
 
 

@@ -1,4 +1,4 @@
-"""Groebner engine: bases, membership, colon, intersection, elimination."""
+"""Groebner engine: bases, membership, colon, preimage, intersection."""
 
 import itertools
 import random
@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from reescalc import (INFINITE, ModuleEmbedding, Polynomial, RingContext,
-                      SubmoduleData, colength, colon, contains, eliminate,
-                      equal, groebner_basis, intersect, member, normal_form,
+                      SubmoduleData, colength, colon, contains, equal,
+                      groebner_basis, intersect, member, normal_form,
                       parse_poly, preimage)
 from reescalc import groebner
 from reescalc.closures import newton_closure_exps
@@ -166,18 +166,6 @@ def test_saturation_example():
     assert equal(colon(U, _ideal(X * Y)), _ideal(X, Y))
 
 
-def test_elimination_example():
-    # eliminate Y from (X - Y^2, Y^3) to get the ideal of relations in X
-    U = _ideal(X - Y * Y, Y ** 3)
-    elim_ctx_result = eliminate(U, ("Y",))
-    gens = [g[0] for g in elim_ctx_result.gens]
-    assert len(gens) == 1
-    p = gens[0]
-    assert not p.uses_vars(("Y",))
-    # X = Y^2 and Y^3 = 0 force X^2 = Y^4 = Y * Y^3 = 0
-    assert str(p) in ("X^2",)
-
-
 def test_preimage_syzygy():
     # preimage of (X*Y) under [X, Y]: pairs (a, b) with a*X + b*Y in (X*Y)
     W = _ideal(X * Y)
@@ -313,10 +301,9 @@ def test_colon_of_non_monomial_modules_matches_linear_algebra():
     assert strict >= 5
 
 
-def test_intersection_of_nested_modules_skips_the_extended_ring(
-        monkeypatch):
-    def no_elimination(U, var_names):
-        raise AssertionError("nested modules reached the extended ring")
+def test_intersection_of_nested_modules_skips_the_elimination(monkeypatch):
+    def no_elimination(pairs, W, rank):
+        raise AssertionError("nested modules reached the elimination")
 
     rng = random.Random(3131)
     nested = 0
@@ -328,14 +315,64 @@ def test_intersection_of_nested_modules_skips_the_extended_ring(
         nested += 1
         W = SubmoduleData(CTX, U.rank, U.gens + extra.gens)
         with monkeypatch.context() as m:
-            m.setattr(groebner, "eliminate", no_elimination)
+            m.setattr(groebner, "_eliminate_block", no_elimination)
             assert equal(intersect(U, W), U)
             assert equal(intersect(W, U), U)
     assert nested >= 10
-    # modules that are not nested still meet through the extended ring
+    # modules that are not nested still meet through the elimination
     one = Polynomial.one(CTX)
     got = intersect(_ideal(X * X - Y), _ideal(X * Y - Y))
     assert equal(got, _ideal((X * X - Y) * (X - one) * Y))
+
+
+def _finite_colength_module(rng, ctx, rank, coeffs):
+    """Three random three-term generators of the given rank, with
+    X^a*e_i and Y^b*e_i for every component i, a and b in 3..5."""
+    zero = Polynomial.zero(ctx)
+    gens = _random_module(rng, ctx, rank, 3, 3, coeffs)
+    for i in range(rank):
+        for name in ("X", "Y"):
+            p = Polynomial.variable(ctx, name) ** rng.randint(3, 5)
+            gens.append(tuple(p if k == i else zero for k in range(rank)))
+    return SubmoduleData.from_vectors(ctx, rank, gens)
+
+
+def test_intersections_match_the_colength_formula():
+    # For U and V of finite colength in F, l(F/(U cap V)) = l(F/U) +
+    # l(F/V) - l(F/(U+V)), so a module inside U and V with that colength
+    # is U cap V.  That checks intersect(U, V), and the image of
+    # preimage(V.gens, U) under the generators of V, which is U cap V too,
+    # with no intersection in the oracle.  Each result's own basis must
+    # also equal the basis recomputed from its generators.
+    def recomputed(R):
+        return groebner_basis(SubmoduleData(R.ctx, R.rank, R.gens)).gens
+
+    rng = random.Random(9090)
+    gf = RingContext(characteristic=32003, base_vars=("X", "Y"))
+    small = (-3, -2, -1, 1, 2, 5)
+    crossing = 0
+    for ctx, coeffs in ((CTX, small), (gf, small), (CTX, HARD_COEFFS)):
+        for rank in (2, 3):
+            for _ in range(4):
+                U, V = (_finite_colength_module(rng, ctx, rank, coeffs)
+                        for _ in range(2))
+                if contains(U, V) or contains(V, U):
+                    continue
+                crossing += 1
+                want = (colength(U) + colength(V) - colength(
+                    SubmoduleData(ctx, rank, U.gens + V.gens)))
+                R = intersect(U, V)
+                P = preimage(V.gens, U)
+                image = SubmoduleData(ctx, rank, tuple(
+                    tuple(sum((c * v[i] for c, v in zip(g, V.gens)),
+                              Polynomial.zero(ctx)) for i in range(rank))
+                    for g in P.gens))
+                for meet in (R, image):
+                    assert contains(U, meet) and contains(V, meet), (U, V)
+                    assert colength(meet) == want, (U, V)
+                assert groebner_basis(R).gens == recomputed(R)
+                assert groebner_basis(P).gens == recomputed(P)
+    assert crossing >= 18
 
 
 def _random_exps(rng, width, top):
@@ -423,8 +460,8 @@ def _vps(vectors):
 
 
 def test_kernel_matches_criterion_free_buchberger(monkeypatch):
-    # groebner_basis under the default TOP order, and preimage under its
-    # POT elimination order, against a Buchberger that reduces every pair.
+    # groebner_basis under the default order, and preimage under its
+    # block elimination order, against a Buchberger that reduces every pair.
     # In three variables the lead index scans in place of the staircase;
     # there the oracle takes too long on preimages, so only bases are
     # compared.  The first case runs the QQ kernel's scaling branches:
@@ -469,7 +506,7 @@ def test_kernel_matches_criterion_free_buchberger(monkeypatch):
                                              for k in range(len(columns)))
                           for j, col in enumerate(columns)]
                 tagged += [tuple(w) + (zero,) * len(columns) for w in W.gens]
-                order = ModuleOrder(position="POT", elim_components=rank)
+                order = ModuleOrder(elim_components=rank)
                 want = [{(c - rank, e): x for (c, e), x in f.items()}
                         for f in buchberger_oracle(tagged, ctx, order)
                         if all(c >= rank for c, _ in f)]
@@ -531,7 +568,7 @@ def test_redundant_inputs_match_criterion_free_buchberger():
                                         (zero, one))
                           for j, col in enumerate(columns)]
                 tagged += [tuple(w) + (zero, zero) for w in few]
-                order = ModuleOrder(position="POT", elim_components=r2)
+                order = ModuleOrder(elim_components=r2)
                 want = [{(c - r2, e): x for (c, e), x in f.items()}
                         for f in buchberger_oracle(tagged, ctx, order)
                         if all(c >= r2 for c, _ in f)]
@@ -594,31 +631,26 @@ def _sympy_grevlex(sympy, exprs, gens, field):
     return sorted(want)
 
 
-def test_intersections_and_eliminations_match_sympy():
+def test_intersections_match_sympy():
     # U intersect V against the elements free of t in sympy's lex basis of
-    # t*U + (1-t)*V with t first, and eliminating Y from U against those
-    # free of Y in its lex basis with Y first; both are then compared as
-    # reduced grevlex bases.  Most pairs are not nested, so intersect
-    # really builds the extended ring, and most eliminations are nonzero.
-    # The colon U : V, the general branch of rees.piece_colon, is checked
+    # t*U + (1-t)*V with t first, compared as reduced grevlex bases.  Most
+    # pairs are not nested, so intersect really runs its elimination.  The
+    # colon U : V, the general branch of rees.piece_colon, is checked
     # against the intersection over g in V of (U intersect (g)) / g, each
     # quotient taken with sympy.div and its remainder required to be 0.
     sympy = pytest.importorskip("sympy")
     sx, sy, st = sympy.symbols("X Y t")
     rng = random.Random(1010)
-    crossing = eliminated = proper_colons = 0
+    crossing = proper_colons = 0
     for char in (0, 32003):
         ctx = RingContext(characteristic=char, base_vars=("X", "Y"))
         field = ctx.field
         extra = {"modulus": char} if char else {}
 
-        def lex_free_of_first(exprs, *gens):
-            G = sympy.groebner(exprs, *gens, order="lex", **extra)
-            return [q for q in G.exprs if gens[0] not in q.free_symbols]
-
         def meet(fu, fv):
-            return lex_free_of_first(
-                [st * f for f in fu] + [(1 - st) * f for f in fv], st, sx, sy)
+            exprs = [st * f for f in fu] + [(1 - st) * f for f in fv]
+            G = sympy.groebner(exprs, st, sx, sy, order="lex", **extra)
+            return [q for q in G.exprs if st not in q.free_symbols]
 
         def quotients(exprs, g):
             out = []
@@ -648,13 +680,7 @@ def test_intersections_and_eliminations_match_sympy():
                                           ctx, 1)))
                 assert _terms(got) == _sympy_grevlex(
                     sympy, quot, (sx, sy), field), (fu, fv)
-                E = eliminate(U, ("Y",))
-                assert not any(g[0].uses_vars(("Y",)) for g in E.gens)
-                eliminated += bool(E.gens)
-                want = _sympy_grevlex(sympy, lex_free_of_first(fu, sy, sx),
-                                      (sx, sy), field)
-                assert _terms(E) == want, fu
-    assert crossing >= 20 and eliminated >= 15 and proper_colons >= 10
+    assert crossing >= 20 and proper_colons >= 10
 
 
 def test_results_over_qq_hold_fractions():

@@ -17,14 +17,12 @@ def _module(*rows):
 
 
 def test_equal_module_orders_share_one_cached_basis():
-    a, b = ModuleOrder("POT", 1), ModuleOrder("POT", 1)
+    a, b = ModuleOrder(1), ModuleOrder(elim_components=1)
     assert a is not b
     assert a == b and hash(a) == hash(b)
-    assert a != ModuleOrder("POT", 2) and a != ModuleOrder("TOP", 1)
-    assert a != ModuleOrder("POT", 1, (0,))
-    assert ModuleOrder() == ModuleOrder("TOP", 0) == ModuleOrder("TOP", 0, ())
-    assert ModuleOrder(elim_vars=[1]) == ModuleOrder(elim_vars=(1,))
-    assert a != ("POT", 1)
+    assert a != ModuleOrder(2) and a != ModuleOrder()
+    assert ModuleOrder() == ModuleOrder(0)
+    assert a != 1
     U = _module(["X^2+Y", "X*Y"], ["Y^2", "X+Y"])
     basis = groebner_basis(U, a)
     entries = len(U._cache)

@@ -167,7 +167,11 @@ def _columns_power_oracle(E, n):
     S = E.ctx.with_fiber(tuple(f"t{i + 1}" for i in range(E.rank)))
     nb = len(E.ctx.base_vars)
     t = [Polynomial.variable(S, v) for v in S.fiber_vars]
-    forms = [sum((p.map_context(S) * t[i] for i, p in enumerate(col)),
+    pad = (0,) * E.rank
+
+    def lift(p):
+        return Polynomial(S, {e + pad: c for e, c in p.terms.items()})
+    forms = [sum((lift(p) * t[i] for i, p in enumerate(col)),
                  Polynomial.zero(S)) for col in E.columns]
     _, index = fiber_basis(E.rank, n)
     products = []
