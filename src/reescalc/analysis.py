@@ -81,11 +81,8 @@ def br_coefficients(E, n_max=None):
     exactly, and the polynomial is validated backward until the first
     mismatch.
     """
-    d = len(E.ctx.base_vars)
-    if d != 2:
-        raise InputError("length analysis requires exactly two base variables")
     r = E.rank
-    ncoef = d + r
+    ncoef = BRPolynomial.d + r
     if n_max is None:
         n_max = ncoef + 4
     if n_max < ncoef + 2:
@@ -201,8 +198,6 @@ def theorem12_check(E, n_max=4, candidates=None, opts=None):
     opts = opts or ClosureOptions()
     if n_max < 1:
         raise InputError("n_max must be at least 1")
-    if len(E.ctx.base_vars) != 2:
-        raise InputError("analysis requires exactly two base variables")
     if not E.finite_colength():
         raise InputError("analysis requires finite colength")
     mbar = integral_closure_module(E, candidates=candidates, opts=opts)

@@ -16,7 +16,8 @@ from .groebner import (SubmoduleData, contains, groebner_basis,
                        _from_mono_components, _mono_components,
                        _mono_minimalize)
 from .poly import Polynomial
-from .rees import ModuleEmbedding, add_columns, piece_colon, piece_product
+from .rees import (ModuleEmbedding, add_columns, colength, fiber_basis,
+                   multiply_piece_vectors, piece_colon, piece_product)
 
 
 class ClosureOptions:
@@ -82,20 +83,25 @@ def _stabilize(step, first, opts, deadline, what):
     (value, l*) with l* the step of that change, 0 if there was none.
     Values are reduced bases, so equal generators mean equal modules.
     A change after step l_max raises UnstableChainError carrying the new
-    value.
+    value and the colengths of value_0 .. value_l, which are computed
+    only then.
     """
     value = first
+    values = [first]
     l = l_star = 0
     while l - l_star < opts.window:
         deadline.check()
         l += 1
         new = step(l, value)
+        values.append(new)
         if new.gens != value.gens:
             value, l_star = new, l
             if l > opts.l_max:
+                colengths = tuple(map(colength, values))
                 raise UnstableChainError(
-                    f"{what} did not stabilize within l_max={opts.l_max}",
-                    last_value=new)
+                    f"{what} did not stabilize within l_max={opts.l_max}; "
+                    f"colengths {', '.join(map(str, colengths))}",
+                    last_value=new, colengths=colengths)
     return value, l_star
 
 
@@ -215,9 +221,7 @@ def newton_closure_exps(exps_list):
 
 def _newton_closure(ctx, comps):
     """Reduced basis of the integral closure of the direct sum of the
-    two-variable monomial ideals comps, one per component."""
-    if len(ctx.base_vars) != 2 or ctx.fiber_vars:
-        raise InputError("Newton closure works in two base variables")
+    monomial ideals comps, one per component."""
     return _from_mono_components(
         ctx, len(comps), [newton_closure_exps(e) if e else [] for e in comps])
 
@@ -287,26 +291,53 @@ def is_integral_element(E, column, s_max=5):
 
 
 def check_integral_equation(x, coeffs):
-    """Verify x^n + c1*x^(n-1) + ... + cn = 0 exactly in S.
+    """Verify x^n + c1*x^(n-1) + ... + cn = 0 exactly in S = A[t1..tr].
 
-    Each ci must be fiber-homogeneous of degree i * deg(x)."""
-    if x.is_zero():
+    An element of S is a dict from t-exponent tuples to Polynomials over
+    A: X^4*Y^5*t1*t2 is {(1, 1): X^4*Y^5}.  x must be nonzero and
+    fiber-homogeneous, and each nonzero ci fiber-homogeneous of degree
+    i * deg(x).  Each power of x is a vector over the graded piece of its
+    degree (fiber_basis), built by multiply_piece_vectors."""
+    x = _piece_vector(x)
+    if x is None:
         raise InputError("integral equation for the zero element")
-    if not x.is_fiber_homogeneous():
-        raise InputError("element is not fiber-homogeneous")
-    d = x.fiber_degree()
-    n = len(coeffs)
-    if n == 0:
+    if not coeffs:
         raise InputError("empty coefficient list")
-    total = x ** n
+    r, d, x = x
+    n, ctx = len(coeffs), x[0].ctx
+    powers = [(Polynomial.one(ctx),)]
+    for k in range(n):
+        powers.append(multiply_piece_vectors(r, powers[k], k * d, x, d, ctx))
+    total = powers[n]
     for i, c in enumerate(coeffs, start=1):
-        if not c.is_zero():
-            if not c.is_fiber_homogeneous() or c.fiber_degree() != i * d:
-                raise InputError(
-                    f"coefficient {i} has fiber degree "
-                    f"{c.fiber_degree()}, expected {i * d}")
-            total = total + c * x ** (n - i)
-    return total.is_zero()
+        c = _piece_vector(c)
+        if c is None:
+            continue
+        if c[:2] != (r, i * d):
+            raise InputError(
+                f"coefficient {i} has fiber degree {c[1]} in {c[0]} "
+                f"t-variables, expected {i * d} in {r}")
+        term = multiply_piece_vectors(r, c[2], i * d, powers[n - i],
+                                      (n - i) * d, ctx)
+        total = [p + q for p, q in zip(total, term)]
+    return all(p.is_zero() for p in total)
+
+
+def _piece_vector(element):
+    """(r, degree, vector over the degree's fiber basis) of a nonzero
+    fiber-homogeneous element of S given as a dict; None if it is zero."""
+    element = {t: p for t, p in element.items() if not p.is_zero()}
+    if not element:
+        return None
+    shapes = {(len(t), sum(t)) for t in element}
+    if len(shapes) != 1:
+        raise InputError("element of S is not fiber-homogeneous")
+    ((r, d),) = shapes
+    _, index = fiber_basis(r, d)
+    vec = [Polynomial.zero(next(iter(element.values())).ctx)] * len(index)
+    for t, p in element.items():
+        vec[index[t]] = p
+    return r, d, tuple(vec)
 
 
 def is_reduction(L, M, s_max=5):

@@ -1,11 +1,10 @@
-"""Coefficient fields, ring contexts, and monomial orders.
+"""Coefficient fields, the ring context, and the monomial order.
 
-A context fixes the coefficient field (exact rationals or a prime field),
-the base variables (the coordinate ring A), the fiber variables (the
-polynomial extension S = A[t1..tr]), and a total monomial order.  The
-default order compares total fiber degree first, so graded pieces of
-fiber-graded ideals can be read off degree by degree, then falls back to
-degree-reverse-lexicographic comparison inside each block.
+The engine works in A = k[X, Y]: a context fixes the coefficient field
+(exact rationals or a prime field) and the names of the two variables,
+and orders monomials, exponent pairs (a, b), degree-reverse-
+lexicographically.  The Rees algebra S = A[t1..tr] is never a ring here:
+its graded pieces are free A-modules (rees.fiber_basis).
 """
 
 from fractions import Fraction
@@ -13,8 +12,6 @@ from math import isqrt
 from operator import add, le, sub
 
 from .errors import InputError
-
-Exponents = tuple  # one non-negative int per context variable
 
 
 class RationalField:
@@ -103,70 +100,44 @@ class PrimeField:
         return hash(("GF", self.characteristic))
 
 
-def _negrev(exps):
-    return tuple(-e for e in reversed(exps))
-
-
 class RingContext:
-    """Immutable description of the ambient polynomial ring.
+    """Immutable description of the ring A = k[X, Y].
 
-    Variables are stored as base block followed by fiber block; fiber
-    degree is compared before base degree.  The context describes the
-    ring only: an order in which a block of components dominates, as
-    elimination needs, is a groebner.ModuleOrder over it.
+    base_vars names exactly two distinct variables; anything else raises
+    InputError, so every ring the engine meets has two.  The context
+    describes the ring only: an order in which a block of components
+    dominates, as elimination needs, is a groebner.ModuleOrder over it.
     """
 
-    __slots__ = ("characteristic", "base_vars", "fiber_vars", "field",
-                 "vars", "nvars", "_nbase", "_nfiber", "var_index", "_hash",
-                 "_key_cache")
+    __slots__ = ("characteristic", "base_vars", "field", "nvars",
+                 "var_index", "_hash", "_key_cache")
 
-    def __init__(self, characteristic=0, base_vars=("X", "Y"), fiber_vars=()):
+    def __init__(self, characteristic=0, base_vars=("X", "Y")):
         base_vars = tuple(base_vars)
-        fiber_vars = tuple(fiber_vars)
-        allvars = base_vars + fiber_vars
-        if len(set(allvars)) != len(allvars) or any(not v for v in allvars):
-            raise InputError("variable names must be distinct and non-empty")
+        if len(set(base_vars)) != 2 or len(base_vars) != 2 \
+                or not all(base_vars):
+            raise InputError(
+                "the ring needs exactly two base variables with distinct, "
+                f"non-empty names, got {', '.join(map(repr, base_vars))}")
         self.characteristic = characteristic
         self.base_vars = base_vars
-        self.fiber_vars = fiber_vars
         self.field = RationalField() if characteristic == 0 else PrimeField(characteristic)
-        self.vars = allvars
-        self.nvars = len(allvars)
-        self._nbase = len(base_vars)
-        self._nfiber = len(fiber_vars)
-        self.var_index = {v: i for i, v in enumerate(allvars)}
-        self._hash = hash((characteristic, base_vars, fiber_vars))
+        self.nvars = 2
+        self.var_index = {v: i for i, v in enumerate(base_vars)}
+        self._hash = hash((characteristic, base_vars))
         self._key_cache = {}
-
-    # -- degrees ---------------------------------------------------------
-
-    def base_degree(self, exps):
-        nb = self._nbase
-        return sum(exps[:nb])
-
-    def fiber_degree(self, exps):
-        nb = self._nbase
-        return sum(exps[nb:nb + self._nfiber])
 
     # -- order -----------------------------------------------------------
 
     def mon_key(self, exps):
-        """Sort key, a flat tuple of integers; larger key means larger
-        monomial."""
+        """Sort key of an exponent pair (a, b), a flat tuple of integers;
+        larger key means larger monomial."""
         got = self._key_cache.get(exps)
         if got is not None:
             return got
-        nb = self._nbase
-        fiber = exps[nb:nb + self._nfiber]
-        base = exps[:nb]
-        key = (sum(fiber), *_negrev(fiber), sum(base), *_negrev(base))
-        self._key_cache[exps] = key
+        a, b = exps
+        key = self._key_cache[exps] = (a + b, -b, -a)
         return key
-
-    # -- derived contexts ------------------------------------------------
-
-    def with_fiber(self, fiber_vars):
-        return RingContext(self.characteristic, self.base_vars, tuple(fiber_vars))
 
     # -- equality --------------------------------------------------------
 
@@ -175,17 +146,14 @@ class RingContext:
             return True
         return (isinstance(other, RingContext)
                 and self.characteristic == other.characteristic
-                and self.base_vars == other.base_vars
-                and self.fiber_vars == other.fiber_vars)
+                and self.base_vars == other.base_vars)
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        bits = [f"char={self.characteristic}", f"base={'%s' % (self.base_vars,)}"]
-        if self.fiber_vars:
-            bits.append(f"fiber={'%s' % (self.fiber_vars,)}")
-        return f"RingContext({', '.join(bits)})"
+        return (f"RingContext(char={self.characteristic}, "
+                f"base={'%s' % (self.base_vars,)})")
 
 
 # -- exponent-tuple helpers ----------------------------------------------

@@ -29,12 +29,14 @@ class InputError(ReescalcError):
 class UnstableChainError(ReescalcError):
     """A colon chain failed to stabilize within the step budget.
 
-    Carries the last chain value so callers can inspect it.
+    Carries the last chain value, and the colengths of the chain's
+    values from value_0 on, so callers can inspect them.
     """
 
-    def __init__(self, message, last_value=None):
+    def __init__(self, message, last_value=None, colengths=()):
         super().__init__(message)
         self.last_value = last_value
+        self.colengths = colengths
 
 
 class DeadlineExceeded(ReescalcError):

@@ -82,11 +82,12 @@ def indecomposable_presentation(ctx=None):
         ["0", "0", "X^3", "0", "X^2*Y^2", "X*Y^4", "Y^5"],
     ])
     candidate = (parse_poly("X*Y^4", ctx), Polynomial.zero(ctx))
-    ctx_s = ctx.with_fiber(("t1", "t2"))
-    x = parse_poly("X*Y^4*t1", ctx_s)
-    c1 = parse_poly("0 - Y*(X*Y^3*t1 + X^3*t2)", ctx_s)
-    c2 = parse_poly("(X^4*t1)*(Y^5*t2)", ctx_s)
-    c2_misprint = parse_poly("(X^3*t1)*(Y^5*t2)", ctx_s)
+    # elements of S = A[t1, t2], as {t-exponents: coefficient over A}
+    x = {(1, 0): parse_poly("X*Y^4", ctx)}
+    c1 = {(1, 0): parse_poly("-X*Y^4", ctx),
+          (0, 1): parse_poly("-X^3*Y", ctx)}
+    c2 = {(1, 1): parse_poly("X^4*Y^5", ctx)}
+    c2_misprint = {(1, 1): parse_poly("X^3*Y^5", ctx)}
     factor_small = _ideal(ctx, ["X", "Y^2"])
     factor_big = integral_closure_monomial(
         _ideal(ctx, ["X^5", "Y^8"])).submodule

@@ -1,4 +1,5 @@
-"""Buchberger's algorithm for ideals and submodules of free modules.
+"""Buchberger's algorithm for ideals and submodules of free modules over
+A = k[X, Y].
 
 Everything downstream (closures, graded pieces, theorem deciders) reduces
 to the operations here: reduced Groebner bases, normal forms, membership,
@@ -8,22 +9,21 @@ elimination of a block of components: both pair the vectors they start
 from with tags in a second block, and read the result off the basis
 elements free of the first (_eliminate_block).
 
-Internally a module element is a dict mapping (component, exponent tuple)
+Internally a module element is a dict mapping (component, exponent pair)
 to a nonzero coefficient.  Generators that are all single terms take a
 fast combinatorial path: the S-vector of two terms vanishes, so a reduced
-basis is just the set of minimal terms per component.
+basis is just the staircase of minimal terms per component.
 
 Other generators go through Buchberger's algorithm.  Its pairs are
 installed by the Gebauer-Moeller update, and each reduction takes terms
 from a max-heap and finds its reducer in a lead index: per component, a
-staircase searched by bisection in two variables, a list otherwise.  The
-index grows with the basis, and a cached basis keeps one for
-normal_form.  Inputs are taken lazily: each waits in the pair queue under
-its lead term and is reduced against the basis so far when its turn
-comes, so the many redundant products that build a module's powers are
-dropped as zero remainders instead of being paired.  vector_basis takes
-inputs that are already kernel vectors, as rees.piece_product builds
-them, and groebner_basis goes through it too.
+staircase searched by bisection.  The index grows with the basis, and a
+cached basis keeps one for normal_form.  Inputs are taken lazily: each
+waits in the pair queue under its lead term and is reduced against the
+basis so far when its turn comes, so the many redundant products that
+build a module's powers are dropped as zero remainders instead of being
+paired.  vector_basis takes inputs that are already kernel vectors, as
+rees.piece_product builds them, and groebner_basis goes through it too.
 
 Over QQ the kernel computes with primitive integer vectors and
 pseudo-reduction in place of Fraction arithmetic, and makes the basis
@@ -207,10 +207,9 @@ def _vp_normalize(vp, lt, field):
 class _LeadIndex:
     """Kernel elements by lead term, for finding a reducer.
 
-    Each component keeps only minimal leads.  In two variables they form a
-    staircase, and the one lead that can divide (x, y) is the last corner
-    with a <= x, found by bisection; exponent tuples of another length
-    take a scan of that component's leads.
+    Each component keeps only minimal leads.  They form a staircase, and
+    the one lead that can divide (x, y) is the last corner with a <= x,
+    found by bisection.
     """
 
     def __init__(self):
@@ -221,12 +220,6 @@ class _LeadIndex:
         the indexed leads that lead divides."""
         c, e = lead
         xs, ys, entries = self._comps.setdefault(c, ([], [], []))
-        if len(e) != 2:
-            if not any(mon_divides(lt[1], e) for lt, _ in entries):
-                entries[:] = [en for en in entries
-                              if not mon_divides(e, en[0][1])]
-                entries.append((lead, vp))
-            return
         x, y = e
         i = bisect_right(xs, x)
         if i and ys[i - 1] <= y:
@@ -244,9 +237,6 @@ class _LeadIndex:
         if comp is None:
             return None
         xs, ys, entries = comp
-        if len(e) != 2:
-            return next((en for en in entries if mon_divides(en[0][1], e)),
-                        None)
         i = bisect_right(xs, e[0]) - 1
         if i >= 0 and ys[i] <= e[1]:
             return entries[i]
@@ -458,14 +448,12 @@ def _autoreduce(entries, key, down, field):
 
 # -- monomial fast paths -------------------------------------------------
 #
-# A monomial ideal is kept as its minimal exponent tuples, sorted.  In two
-# variables that list is a staircase: corners (a, b) with a strictly
-# rising and b strictly falling, and (x, y) lies in the ideal iff y is at
-# least the b of the last corner with a <= x (Miller & Sturmfels,
-# Combinatorial Commutative Algebra, ch. 3).  Minimalizing is then a sort
-# and one sweep, and intersecting a merge of two staircases; exponent
-# tuples of another length (more variables) take one divisibility pass and
-# the all-pairs lcm instead.
+# A monomial ideal is kept as its minimal exponent pairs, sorted: a
+# staircase of corners (a, b) with a strictly rising and b strictly
+# falling, and (x, y) lies in the ideal iff y is at least the b of the
+# last corner with a <= x (Miller & Sturmfels, Combinatorial Commutative
+# Algebra, ch. 3).  Minimalizing is a sort and one sweep, a colon by a
+# monomial one shifting pass, and intersecting a merge of two staircases.
 
 _INF = float("inf")
 
@@ -481,19 +469,9 @@ def _sweep(pts):
 
 
 def _mono_minimalize(exps_list):
-    """Minimal exponent tuples under divisibility, sorted.
-
-    After the lexicographic sort a divisor comes before every tuple it
-    divides, so one pass against the kept tuples suffices.
-    """
-    pts = sorted(set(exps_list))
-    if pts and len(pts[0]) == 2:
-        return _sweep(pts)
-    out = []
-    for e in pts:
-        if not any(mon_divides(o, e) for o in out):
-            out.append(e)
-    return out
+    """Minimal exponent pairs under divisibility: the staircase of the
+    ideal they generate."""
+    return _sweep(sorted(set(exps_list)))
 
 
 def _mono_components(U):
@@ -519,8 +497,6 @@ def _mono_ideal_colon_single(exps_list, g):
     repeat an a, where the last corner has the lowest b and stays, or a b,
     where the first stays; one pass gives the staircase of the colon.
     """
-    if len(g) != 2:
-        return _mono_minimalize([mon_div(mon_lcm(e, g), g) for e in exps_list])
     g0, g1 = g
     out = []
     for a, b in exps_list:
@@ -554,8 +530,6 @@ def _mono_ideal_intersect(a_list, b_list):
     """
     if not a_list or not b_list:
         return []
-    if len(a_list[0]) != 2:
-        return _mono_minimalize([mon_lcm(a, b) for a in a_list for b in b_list])
     xs = sorted({a for a, _ in a_list} | {a for a, _ in b_list})
     ys = map(max, _stair_heights(a_list, xs), _stair_heights(b_list, xs))
     return _sweep([(x, y) for x, y in zip(xs, ys) if y != _INF])

@@ -100,20 +100,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def base_degree(self):
-        if not self.terms:
-            return -1
-        return max(self.ctx.base_degree(e) for e in self.terms)
-
-    def fiber_degree(self):
-        if not self.terms:
-            return -1
-        return max(self.ctx.fiber_degree(e) for e in self.terms)
-
-    def is_fiber_homogeneous(self):
-        degs = {self.ctx.fiber_degree(e) for e in self.terms}
-        return len(degs) <= 1
-
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other):
@@ -206,7 +192,7 @@ class Polynomial:
         for exps, coeff in self.sorted_terms():
             mono = "*".join(
                 f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.ctx.vars, exps) if e)
+                for v, e in zip(self.ctx.base_vars, exps) if e)
             neg = isinstance(coeff, Fraction) and coeff < 0
             mag = -coeff if neg else coeff
             if not mono:

@@ -1,9 +1,11 @@
 """Rees-algebra layer: embeddings M in A^r, graded pieces, colengths.
 
-A module M inside F = A^r is held as a generator matrix; its image ideal
-MS in S = A[t1..tr] is generated by t-linear forms.  The fiber-degree-n
-piece of (MS)^k is a submodule of a free A-module whose basis is the set
-of degree-n t-monomials, which is where all length computations happen.
+A module M inside F = A^r, A = k[X, Y], is held as a generator matrix;
+its image ideal MS in S = A[t1..tr] is generated by t-linear forms.  The
+fiber-degree-n piece of (MS)^k is a submodule of a free A-module whose
+basis is the set of degree-n t-monomials, which is where all length
+computations happen.  S is never a ring of its own: an element of S is a
+vector over such a basis in each of its degrees.
 
 Pieces meet in exactly two operations: `piece_product`, the product of
 two pieces, and `piece_colon`, the vectors of one fiber degree that a set
@@ -74,8 +76,6 @@ class ModuleEmbedding:
     """
 
     def __init__(self, ctx, columns, rank=None):
-        if ctx.fiber_vars:
-            raise InputError("embedding matrix lives over the base ring")
         columns = tuple(tuple(col) for col in columns)
         if rank is None:
             if not columns:
@@ -311,32 +311,18 @@ def colon(U, J):
 
 # -- lengths and generators ----------------------------------------------
 
-def _staircase_count(exps_list, nvars):
-    """Standard monomials below a monomial ideal; INFINITE if unbounded."""
+def _staircase_count(exps_list):
+    """Standard monomials below the monomial ideal of the minimal exponent
+    pairs exps_list; INFINITE if unbounded."""
     if not exps_list:
         return INFINITE
-    if any(all(e == 0 for e in exps) for exps in exps_list):
-        return 0
-    if nvars == 2:
-        pts = sorted(exps_list)
-        if pts[0][0] != 0 or pts[-1][1] != 0:
-            return INFINITE
-        total = 0
-        for (a1, b1), (a2, _) in zip(pts, pts[1:]):
-            total += (a2 - a1) * b1
-        return total
-    bounds = []
-    for i in range(nvars):
-        pure = [e[i] for e in exps_list
-                if all(x == 0 for j, x in enumerate(e) if j != i)]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
-    count = 0
-    for point in itertools.product(*(range(b) for b in bounds)):
-        if not any(all(x <= y for x, y in zip(e, point)) for e in exps_list):
-            count += 1
-    return count
+    pts = sorted(exps_list)
+    if pts[0][0] != 0 or pts[-1][1] != 0:
+        return INFINITE
+    total = 0
+    for (a1, b1), (a2, _) in zip(pts, pts[1:]):
+        total += (a2 - a1) * b1
+    return total
 
 
 def colength(U):
@@ -345,8 +331,6 @@ def colength(U):
     Counts standard monomials of the leading-term module; INFINITE when
     some component's staircase fails to close off.
     """
-    if U.ctx.fiber_vars:
-        raise InputError("colength is computed over the base ring")
     gb = groebner_basis(U)
     comps = [[] for _ in range(U.rank)]
     for g in gb.gens:
@@ -363,7 +347,7 @@ def colength(U):
             comps[lead_comp].append(lead)
     total = 0
     for lst in comps:
-        cnt = _staircase_count(lst, U.ctx.nvars)
+        cnt = _staircase_count(lst)
         if cnt is INFINITE:
             return INFINITE
         total += cnt
@@ -456,7 +440,7 @@ def ord_ideal(I):
         p = g[0]
         if p.is_zero():
             continue
-        degs.append(min(I.ctx.base_degree(e) for e in p.terms))
+        degs.append(min(a + b for a, b in p.terms))
     if not degs:
         raise InputError("ord of the zero ideal is undefined")
     return min(degs)

@@ -4,7 +4,8 @@ The two routes to the Ratliff-Rush closure of I = (X^4, X^3*Y, X*Y^3,
 Y^4) -- the ideal chain and the rank-1 module chain -- share one rule:
 the value is the chain's last change, confirmed by `window` equal steps;
 a change after step `l_max` raises UnstableChainError carrying the new
-value; an expired deadline raises DeadlineExceeded.
+value and the colengths of the chain's values; an expired deadline raises
+DeadlineExceeded.
 """
 
 import pytest
@@ -49,6 +50,16 @@ def test_change_after_l_max_raises_with_new_value(route):
     with pytest.raises(UnstableChainError) as info:
         route(ClosureOptions(l_max=0))
     assert info.value.last_value.gens == M4.gens
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_unstable_chain_carries_its_colengths(route):
+    # value_0 = I and value_1 = m^4: l(A/m^4) = 10, and I misses only
+    # X^2*Y^2 from m^4
+    with pytest.raises(UnstableChainError) as info:
+        route(ClosureOptions(l_max=0))
+    assert info.value.colengths == (11, 10)
+    assert str(info.value).endswith("colengths 11, 10")
 
 
 @pytest.mark.parametrize("route", ROUTES)

@@ -141,6 +141,15 @@ def test_inconclusive_thm12_window_exits_2(tmp_path, capsys):
     assert report["warnings"]
 
 
+def test_unstable_rr_chain_exits_2_with_its_colengths(tmp_path, capsys):
+    path = _write(tmp_path, "rr.problem", RR_PROBLEM)
+    status, out, err = _run(capsys, ["rr", path, "--lmax", "0"])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("inconclusive: ")
+    assert "colengths 11, 10" in err
+
+
 def test_prime_field_warning(tmp_path, capsys):
     path = _write(tmp_path, "rr.problem", RR_PROBLEM)
     status, out, _ = _run(capsys, ["rr", path, "--char", "32003"])
@@ -402,13 +411,16 @@ def test_unwritable_json_path_exits_4(tmp_path, capsys):
     assert not json_path.exists()
 
 
-@pytest.mark.parametrize("command", ["iclose", "buchsbaum"])
+@pytest.mark.parametrize("command", ["rr", "iclose", "br", "thm12",
+                                     "buchsbaum", "fitting", "param",
+                                     "indec"])
 @pytest.mark.parametrize("ring", [
     ("X, Y, Z", "X^2, Y^3, Z^2, X*Y"),
     ("X", "X^2, X^3"),
 ], ids=["three-vars", "one-var"])
-def test_newton_closure_outside_two_variables_exits_4(tmp_path, capsys,
-                                                       command, ring):
+def test_every_command_outside_two_variables_exits_4(tmp_path, capsys,
+                                                      command, ring):
+    # the ring is refused once, when the problem file builds its context
     variables, row = ring
     text = f"ring {{\n  vars = {variables}\n}}\nmatrix {{\n  row = {row}\n}}\n"
     path = _write(tmp_path, "ring.problem", text)

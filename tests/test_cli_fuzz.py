@@ -10,7 +10,8 @@ import pytest
 from reescalc.cli import main
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (example, given, settings,  # noqa: E402
+                        strategies as st)
 
 _ENTRY = st.recursive(
     st.sampled_from(["X", "Y", "0", "1", "2", "-3", "7", "Z"]),
@@ -64,5 +65,59 @@ def test_cli_exit_codes_hold_for_generated_problems(tmp_path_factory,
     assert status in (0, 2, 3, 4), (status, text)
     if status == 4:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        json.loads(out.getvalue())
+
+
+_MONOMIAL = st.sampled_from(["X", "Y", "X^2", "X*Y", "Y^2"])
+_LOW_DEGREE_ENTRY = st.tuples(
+    st.sampled_from(["0", "", "2*", "3*"]), _MONOMIAL,
+    st.sampled_from(["", " + ", " - "]),
+    st.sampled_from(["", "2*", "5*"]), _MONOMIAL).map(
+        lambda t: "0" if t[0] == "0" else
+        t[0] + t[1] + (t[2] + t[3] + t[4] if t[2] else ""))
+
+
+@st.composite
+def _small_modules(draw):
+    """Rank 1 or 2, at most 3 columns, entries in (X, Y) of degree at
+    most 2.  The options block bounds the colon chains and each closure
+    call; br has no deadline, and runs on rank-2 modules from this set
+    can take over 30 s, so the examples drawn are a fixed set
+    (derandomize) whose cost is measured, not bounded."""
+    rank = draw(st.integers(1, 2))
+    width = draw(st.integers(1, 3))
+    rows = [[draw(_LOW_DEGREE_ENTRY) for _ in range(width)]
+            for _ in range(rank)]
+    return (draw(st.sampled_from(["", "ring {\n  char = 32003\n}\n"]))
+            + "matrix {\n"
+            + "".join(f"  row = {', '.join(row)}\n" for row in rows)
+            + "}\noptions {\n  lmax = 3\n  deadline = 5\n}\n")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["rr", "br"]), bound=st.booleans(),
+       text=_small_modules())
+@example(command="rr", bound=True,
+         text="matrix {\n  row = X^4, X^3*Y, X*Y^3, Y^4\n}\n")
+def test_rr_and_br_exit_codes_hold_for_generated_modules(tmp_path_factory,
+                                                         command, bound,
+                                                         text):
+    # bound: br fits its polynomial from n_max = 6, and rr runs with
+    # --lmax 0, so a module whose chain changes at all exits 2, as the
+    # explicit example does
+    path = tmp_path_factory.mktemp("fuzz") / "generated.problem"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if bound:
+        argv += ["--nmax", "6"] if command == "br" else ["--lmax", "0"]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        status = main(argv)
+    assert status in (0, 2, 3, 4), (status, argv, text)
+    if status == 4:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    elif status == 2 and not out.getvalue():
+        assert err.getvalue().startswith("inconclusive: ")
     else:
         json.loads(out.getvalue())

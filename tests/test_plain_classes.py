@@ -52,9 +52,12 @@ def test_submodule_construction_still_checks_its_generators():
     with pytest.raises(RankMismatchError):
         SubmoduleData(CTX, 2, ((one,),))
     foreign = Polynomial.one(RingContext(characteristic=0,
-                                         base_vars=("X", "Y", "Z")))
+                                         base_vars=("U", "V")))
     with pytest.raises(ContextMismatchError):
         SubmoduleData(CTX, 1, ((foreign,),))
+    for names in (("X",), ("X", "Y", "Z")):
+        with pytest.raises(InputError, match="two base variables"):
+            RingContext(characteristic=0, base_vars=names)
 
 
 def test_default_lists_and_dicts_are_never_shared():

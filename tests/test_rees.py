@@ -12,7 +12,6 @@ from reescalc import (INFINITE, InputError, ModuleEmbedding, Polynomial,
                       parse_poly, rees)
 from reescalc.fixtures import (indecomposable_presentation, parameter_module,
                                square_direct_sum)
-from reescalc.rees import fiber_basis, piece_rank
 
 from oracles import colength_oracle
 
@@ -163,28 +162,32 @@ def test_maximal_ideal_helper():
 
 def _columns_power_oracle(E, n):
     """groebner_basis of all n-fold products of the columns, multiplied as
-    t-linear forms in S = A[t1..tr] and read off by fiber monomial."""
-    S = E.ctx.with_fiber(tuple(f"t{i + 1}" for i in range(E.rank)))
-    nb = len(E.ctx.base_vars)
-    t = [Polynomial.variable(S, v) for v in S.fiber_vars]
-    pad = (0,) * E.rank
-
-    def lift(p):
-        return Polynomial(S, {e + pad: c for e, c in p.terms.items()})
-    forms = [sum((lift(p) * t[i] for i, p in enumerate(col)),
-                 Polynomial.zero(S)) for col in E.columns]
-    _, index = fiber_basis(E.rank, n)
+    t-linear forms in S = A[t1..tr], each a dict from t-exponents to a
+    coefficient over A, and read off by t-monomial, degree-n ones
+    descending in degree reverse lexicographic order."""
+    r = E.rank
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    forms = [{units[i]: p for i, p in enumerate(col) if not p.is_zero()}
+             for col in E.columns]
+    monos = sorted((e for e in itertools.product(range(n + 1), repeat=r)
+                    if sum(e) == n), key=lambda e: e[::-1])
+    index = {e: i for i, e in enumerate(monos)}
+    zero = Polynomial.zero(E.ctx)
     products = []
     for combo in itertools.combinations_with_replacement(forms, n):
-        f = Polynomial.one(S)
+        f = {(0,) * r: Polynomial.one(E.ctx)}
         for g in combo:
-            f = f * g
-        vec = [{} for _ in index]
-        for exps, coeff in f.terms.items():
-            vec[index[exps[nb:]]][exps[:nb]] = coeff
-        products.append(tuple(Polynomial(E.ctx, terms) for terms in vec))
-    return groebner_basis(
-        SubmoduleData(E.ctx, piece_rank(E.rank, n), tuple(products)))
+            h = {}
+            for s, p in f.items():
+                for t, q in g.items():
+                    u = tuple(a + b for a, b in zip(s, t))
+                    h[u] = h.get(u, zero) + p * q
+            f = h
+        vec = [zero] * len(monos)
+        for t, p in f.items():
+            vec[index[t]] = p
+        products.append(tuple(vec))
+    return groebner_basis(SubmoduleData(E.ctx, len(monos), tuple(products)))
 
 
 BINOMIAL_ROWS = (("X^2", "X*Y+Y^2", "Y^3", "0"),
