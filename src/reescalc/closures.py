@@ -24,9 +24,11 @@ class ClosureOptions:
     """Bounds of the closure computations, checked on construction.
 
     A colon chain stops `window` steps after its last change; a change
-    after step `l_max` makes it unstable.  Reduction tests try exponents
+    after step `l_max` makes it unstable.  Both count steps k of the
+    chain M^(n+k) : M^k (_power_chain).  Reduction tests try exponents
     up to `s_max`.  `deadline_seconds` (None for no deadline) limits each
-    closure call.
+    closure call; it is checked before each chain step and inside a
+    step's colon.
     """
 
     __slots__ = ("l_max", "window", "s_max", "deadline_seconds")
@@ -106,11 +108,20 @@ def _stabilize(step, first, opts, deadline, what):
 
 
 def _power_chain(E, n, opts, deadline, what):
-    """Stable value of the degree-n colons M^(n(l+1)) : M^(nl), starting
-    from M^n."""
-    def step(l, _value):
-        low = E.power_piece(n * l)
-        return piece_colon(E, E.power_piece(n * (l + 1)), low.gens, n * l, n)
+    """Stable value of the degree-n colons B_k = M^(n+k) : M^k, starting
+    from B_0 = M^n.
+
+    The chain ascends, x*M^k in M^(n+k) giving x*M^(k+1) in M^(n+k+1),
+    and its union is the Ratliff-Rush closure of M^n: the colons
+    M^(n(l+1)) : M^(nl) are its steps k = nl, and x*M^k in M^(n+k) gives
+    x*M^(nk) in M^(n(k+1)).  So each step passes the value before it to
+    piece_colon as a submodule of the colon, and at n >= 2 the chain
+    builds no power above M^(n+k).  opts.l_max and opts.window count
+    steps k.
+    """
+    def step(k, value):
+        return piece_colon(E, E.power_piece(n + k), E.power_piece(k).gens,
+                           k, n, inside=value, deadline=deadline)
 
     return _stabilize(step, E.power_piece(n), opts, deadline, what)
 

@@ -587,19 +587,27 @@ def vector_basis(ctx, rank, vps, order=DEFAULT_ORDER):
     return gb
 
 
-def normal_form(vec, U, order=None):
-    """Remainder of vec on division by the (Groebner basis of) U."""
-    if len(vec) != U.rank:
-        raise RankMismatchError(f"vector length {len(vec)} vs rank {U.rank}")
+def _basis_index(U, order=None):
+    """The _LeadIndex of U's reduced basis for order, cached on the basis.
+    Its entries are monic, so _vp_normal_form never scales against it."""
     gb = groebner_basis(U, order)
     order = order or DEFAULT_ORDER
-    key = order.key_function(U.ctx)
     index = gb._cache.get((_LeadIndex, order))
     if index is None:
+        key = order.key_function(U.ctx)
         index = gb._cache[_LeadIndex, order] = _LeadIndex()
         for vp in map(_to_vp, gb.gens):
             if vp:
                 index.add(max(vp, key=key), vp)
+    return index
+
+
+def normal_form(vec, U, order=None):
+    """Remainder of vec on division by the (Groebner basis of) U."""
+    if len(vec) != U.rank:
+        raise RankMismatchError(f"vector length {len(vec)} vs rank {U.rank}")
+    index = _basis_index(U, order)
+    key = (order or DEFAULT_ORDER).key_function(U.ctx)
     r = _vp_normal_form(_to_vp(vec), index, _descending(key), U.ctx.field)
     return _from_vp(U.ctx, U.rank, r)
 

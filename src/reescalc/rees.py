@@ -11,19 +11,25 @@ Pieces meet in exactly two operations: `piece_product`, the product of
 two pieces, and `piece_colon`, the vectors of one fiber degree that a set
 of vectors of another multiplies into a piece.  Ideals of A are the
 pieces of fiber degree 0, so scaling by an ideal is a product and the
-colon of a module by an ideal (`colon`) is a piece colon.
+colon of a module by an ideal (`colon`) is a piece colon.  A colon takes
+one of three routes: staircases for monomial pieces, linear algebra over
+k on the standard monomials of a known submodule of the colon when that
+has finite colength, and otherwise preimages and intersections.
 """
 
 import itertools
+from heapq import heapify, heappop, heappush
 from math import comb, lcm
 
 from .context import mon_mul
 from .errors import ContextMismatchError, InputError, RankMismatchError
 from .groebner import (DEFAULT_ORDER, SubmoduleData, contains,
                        groebner_basis, intersect, member, preimage,
-                       vector_basis, _from_mono_components, _mono_components,
+                       vector_basis, _basis_index, _descending,
+                       _from_mono_components, _mono_components,
                        _mono_ideal_colon_single, _mono_ideal_intersect,
-                       _mono_minimalize, _vp_normalize)
+                       _mono_minimalize, _to_vp, _vp_normal_form,
+                       _vp_normalize)
 from .poly import Polynomial
 
 INFINITE = float("inf")
@@ -258,15 +264,26 @@ def piece_product(E, A, a, B, b):
     return vector_basis(E.ctx, rank, list(products.values()))
 
 
-def piece_colon(E, W, gens_low, low, ambient):
+def piece_colon(E, W, gens_low, low, ambient, inside=None, deadline=None):
     """{v in the fiber-degree-ambient free piece : v*g in W for every g}.
 
     The g are vectors of fiber degree low; zero ones impose no condition.
-    E is as in piece_product.  When W and the g are monomial, each g
-    shifts components by a fixed t-monomial, so the colon splits into one
-    ideal colon per component, intersected over the g.  Otherwise each g
-    maps the basis vectors of the ambient piece into the piece of W, and
-    the preimage of W is a syzygy computation over the base ring.
+    E is as in piece_product.  inside, when given, is a submodule of the
+    ambient piece that the caller knows lies in the colon, and deadline,
+    when given, is checked once per standard monomial of the second
+    route.  The first of three routes that applies computes the colon:
+
+    - monomial: W and the g are monomial.  Each g shifts components by a
+      fixed t-monomial, so the colon splits into one ideal colon per
+      component, intersected over the g.
+    - linear algebra: inside has finite colength.  v -> (NF_W(v*g))_g is
+      k-linear on the ambient piece F and vanishes on inside, so the
+      colon is inside plus the kernel of that map on the span of inside's
+      standard monomials, a finite-dimensional space (_colon_kernel).
+    - syzygy: otherwise each g maps the basis vectors of the ambient
+      piece into the piece of W, the preimage of W is a syzygy
+      computation over the base ring, and the colon is the intersection
+      of the preimages.
     """
     r, ctx = E.rank, E.ctx
     rank_amb = piece_rank(r, ambient)
@@ -288,6 +305,14 @@ def piece_colon(E, W, gens_low, low, ambient):
                         acc, part)
             comps.append(acc)
         return _from_mono_components(ctx, rank_amb, comps)
+    if inside is not None:
+        B, stairs = _standard_stairs(inside)
+        if stairs is not None:
+            kernel = _colon_kernel(W, gens_low, index, stairs, deadline)
+            if not kernel:
+                return B
+            return vector_basis(ctx, rank_amb,
+                                [_to_vp(b) for b in B.gens] + kernel)
     units = SubmoduleData.free(ctx, rank_amb).gens
     result = None
     for g in gens_low:
@@ -298,45 +323,126 @@ def piece_colon(E, W, gens_low, low, ambient):
     return result
 
 
+def _colon_kernel(W, gens_low, products, stairs, deadline):
+    """Vectors that, with inside, generate the colon of piece_colon: the
+    kernel of s -> (NF_W(s*g))_g on the span of the standard monomials s
+    of inside, whose lead staircases are stairs, as dicts from (component,
+    exponent pair) to a coefficient.  products is the fiber_products
+    table of the ambient and the low degree.
+
+    The s are walked column by column, X^a*Y^b after X^a*Y^(b-1) and the
+    foot X^a after X^(a-1), all standard as the staircase is an order
+    ideal.  So each image is the normal form of the one before it times
+    a variable, NF_W(x*v) = NF_W(x*NF_W(v)), as in FGLM (Faugere,
+    Gianni, Lazard & Mora, J. Symb. Comput. 16, 1993).  W's basis is
+    monic, so the reduction never scales.  The images are eliminated one
+    by one over the field, each row tagged with the combination of
+    standard monomials it came from (Marinari, Moeller & Mora, AAECC 4,
+    1993); a row that reduces to zero leaves its tag, an element of the
+    colon.
+    """
+    ctx = W.ctx
+    field = ctx.field
+    basis_index = _basis_index(W)
+    down = _descending(DEFAULT_ORDER.key_function(ctx))
+
+    def normal_form(vp):
+        return _vp_normal_form(vp, basis_index, down, field)
+
+    def times(vps, x):
+        return [normal_form({(k, mon_mul(e, x)): y
+                             for (k, e), y in vp.items()}) for vp in vps]
+
+    pivots = {}
+    kernel = []
+    for c, steps in enumerate(stairs):
+        for a1, a2, height in steps:
+            for a in range(a1, a2):
+                if a:
+                    foot = times(foot, (1, 0))
+                else:
+                    foot = [normal_form({(products[c][j], e): y
+                                         for j, p in enumerate(g)
+                                         for e, y in p.terms.items()})
+                            for g in gens_low]
+                column = foot
+                for b in range(height):
+                    if deadline is not None:
+                        deadline.check()
+                    if b:
+                        column = times(column, (0, 1))
+                    tag = _eliminate(
+                        {(i, t): y for i, vp in enumerate(column)
+                         for t, y in vp.items()},
+                        {(c, (a, b)): field.one}, pivots, field)
+                    if tag is not None:
+                        kernel.append(tag)
+    return kernel
+
+
+def _eliminate(row, tag, pivots, field):
+    """Reduce row, and its tag alongside, against the pivot rows: each is
+    stored under its least term, with the inverse of its coefficient
+    there.  Return the tag if the row reduces to zero; otherwise store
+    the row as a new pivot and return None.  A pivot row only has terms
+    above its pivot, so taking the row's terms least first reaches each
+    one at most once."""
+    add, mul, neg = field.add, field.mul, field.neg
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        t = heappop(heap)
+        x = row.get(t)
+        hit = None if x is None else pivots.get(t)
+        if hit is None:
+            continue
+        pivot_row, pivot_tag, inv = hit
+        f = neg(mul(x, inv))
+        for vec, other in ((row, pivot_row), (tag, pivot_tag)):
+            for u, y in other.items():
+                old = vec.get(u)
+                if old is None:
+                    vec[u] = mul(f, y)
+                    if vec is row:
+                        heappush(heap, u)
+                    continue
+                nc = add(old, mul(f, y))
+                if nc == 0:
+                    del vec[u]
+                else:
+                    vec[u] = nc
+    if not row:
+        return tag
+    t = min(row)
+    pivots[t] = (row, tag, field.invert(row[t]))
+    return None
+
+
 def colon(U, J):
     """U :_{A^q} J = {v : vJ contained in U} for an ideal J, the piece
-    colon with J in fiber degree 0.
+    colon with J in fiber degree 0 and U inside it.
     """
     if J.rank != 1:
         raise RankMismatchError("colon denominator must be an ideal")
     if U.ctx != J.ctx:
         raise ContextMismatchError("colon across contexts")
-    return piece_colon(U, U, J.gens, 0, 1)
+    return piece_colon(U, U, J.gens, 0, 1, inside=U)
 
 
 # -- lengths and generators ----------------------------------------------
 
-def _staircase_count(exps_list):
-    """Standard monomials below the monomial ideal of the minimal exponent
-    pairs exps_list; INFINITE if unbounded."""
-    if not exps_list:
-        return INFINITE
-    pts = sorted(exps_list)
-    if pts[0][0] != 0 or pts[-1][1] != 0:
-        return INFINITE
-    total = 0
-    for (a1, b1), (a2, _) in zip(pts, pts[1:]):
-        total += (a2 - a1) * b1
-    return total
-
-
-def colength(U):
-    """Length of the quotient of the ambient free module by U.
-
-    Counts standard monomials of the leading-term module; INFINITE when
-    some component's staircase fails to close off.
-    """
+def _standard_stairs(U):
+    """U's reduced basis and, per component, the staircase of its lead
+    terms as steps (a1, a2, b): the standard monomials X^a*Y^b' in the
+    component are those with a1 <= a < a2 and b' < b for some step.  The
+    steps are None when a staircase does not close off, that is when U
+    has infinite colength."""
     gb = groebner_basis(U)
+    key = U.ctx.mon_key
     comps = [[] for _ in range(U.rank)]
     for g in gb.gens:
         lead_comp = None
         lead = None
-        key = U.ctx.mon_key
         for c, p in enumerate(g):
             if p.is_zero():
                 continue
@@ -345,13 +451,26 @@ def colength(U):
                 lead, lead_comp = m, c
         if lead is not None:
             comps[lead_comp].append(lead)
-    total = 0
+    stairs = []
     for lst in comps:
-        cnt = _staircase_count(lst)
-        if cnt is INFINITE:
-            return INFINITE
-        total += cnt
-    return total
+        pts = sorted(lst)
+        if not pts or pts[0][0] != 0 or pts[-1][1] != 0:
+            return gb, None
+        stairs.append([(a1, a2, b1)
+                       for (a1, b1), (a2, _) in zip(pts, pts[1:])])
+    return gb, stairs
+
+
+def colength(U):
+    """Length of the quotient of the ambient free module by U.
+
+    Counts standard monomials of the leading-term module; INFINITE when
+    some component's staircase fails to close off.
+    """
+    _, stairs = _standard_stairs(U)
+    if stairs is None:
+        return INFINITE
+    return sum((a2 - a1) * b for steps in stairs for a1, a2, b in steps)
 
 
 def maximal_ideal(ctx):

@@ -11,7 +11,7 @@ DeadlineExceeded.
 import pytest
 
 from reescalc import (ClosureOptions, DeadlineExceeded, ModuleEmbedding,
-                      RingContext, SubmoduleData, UnstableChainError,
+                      RingContext, SubmoduleData, UnstableChainError, closures,
                       groebner_basis, parse_poly, ratliff_rush_ideal,
                       ratliff_rush_module)
 
@@ -66,3 +66,34 @@ def test_unstable_chain_carries_its_colengths(route):
 def test_expired_deadline_raises(route):
     with pytest.raises(DeadlineExceeded):
         route(ClosureOptions(deadline_seconds=1e-9))
+
+
+def test_deadline_is_checked_inside_a_chain_step(monkeypatch):
+    # The chain checks its deadline before each step, and the linear-
+    # algebra colon once per standard monomial.  A deadline that expires
+    # on its second check stops the first step of a non-monomial chain
+    # before that step's piece_colon returns.
+    checks, events = [], []
+
+    def check(self):
+        checks.append(1)
+        if len(checks) == 2:
+            raise DeadlineExceeded("expired on the second check")
+
+    real = closures.piece_colon
+
+    def piece_colon(*args, **kwargs):
+        events.append("enter")
+        result = real(*args, **kwargs)
+        events.append("return")
+        return result
+
+    monkeypatch.setattr(closures._Deadline, "check", check)
+    monkeypatch.setattr(closures, "piece_colon", piece_colon)
+    E = ModuleEmbedding.from_matrix(CTX, [
+        [parse_poly(e, CTX) for e in row]
+        for row in (("X^2", "X*Y+Y^2", "Y^3", "0"),
+                    ("0", "X^2-Y^2", "X*Y", "Y^2"))])
+    with pytest.raises(DeadlineExceeded):
+        ratliff_rush_module(E, 1, ClosureOptions(deadline_seconds=60))
+    assert events == ["enter"]

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from reescalc import (InputError, ModuleEmbedding, Polynomial, RingContext,
-                      SubmoduleData, check_integral_equation, contains, equal,
-                      groebner_basis, integral_closure_module,
+from reescalc import (ClosureOptions, InputError, ModuleEmbedding,
+                      Polynomial, RingContext, SubmoduleData,
+                      check_integral_equation, contains, direct_sum, equal,
+                      groebner, groebner_basis, integral_closure_module,
                       integral_closure_monomial, is_integral_element,
                       is_reduction, parse_poly, ratliff_rush_ideal,
-                      ratliff_rush_module)
+                      ratliff_rush_module, rees)
 from reescalc.closures import newton_closure_exps
 from reescalc.fixtures import (indecomposable_presentation, parameter_module,
                                rr_ideal_pair, square_direct_sum)
@@ -107,6 +108,66 @@ def test_rr_closure_commutes_with_zero_row_padding():
     want = SubmoduleData(CTX, 2, tuple(
         (g[0], z) for g in groebner_basis(pair["I_closure"]).gens))
     assert equal(res.submodule, want)
+
+
+def _chain_over_powers_of_the_power(E, n, window):
+    """The stable value of M^(n(l+1)) : M^(nl) from M^n, stopping
+    `window` steps after its last change."""
+    value, l, l_star = E.power_piece(n), 0, 0
+    while l - l_star < window:
+        l += 1
+        new = rees.piece_colon(E, E.power_piece(n * (l + 1)),
+                               E.power_piece(n * l).gens, n * l, n)
+        if new.gens != value.gens:
+            value, l_star = new, l
+    return value
+
+
+def _gapped_ideal(rng):
+    """(X^d, Y^d) and some of X^(d-i)*Y^i for i in 1, 2, d-2, d-1, with
+    d from 6 to 9: the middle of degree d is missing, and the powers of
+    such an ideal often have a Ratliff-Rush closure larger than them."""
+    d = rng.randint(6, 9)
+    keep = [i for i in (1, 2, d - 2, d - 1) if rng.random() < 0.5]
+    return ideal_from_exps(CTX, [(d - i, i)
+                                 for i in sorted({0, *keep, d})])
+
+
+def test_chain_of_steps_k_agrees_with_chain_over_powers_of_the_power():
+    # The module chain steps M^(n+k) : M^k; at n >= 2 the chain over
+    # M^(n(l+1)) : M^(nl) has the same union, and with the same window it
+    # stops at the same value on random gapped ideals and rank-2 direct
+    # sums of them, which stay on the monomial branch of piece_colon.
+    rng = random.Random(2222)
+    opts = ClosureOptions()
+    proper = 0
+    for trial in range(16):
+        parts = [ModuleEmbedding.from_submodule(_gapped_ideal(rng))
+                 for _ in range(1 + trial % 2)]
+        E = parts[0] if len(parts) == 1 else direct_sum(*parts)
+        for n in (2, 3):
+            got = ratliff_rush_module(E, n, opts).submodule
+            want = _chain_over_powers_of_the_power(E, n, opts.window)
+            assert got.gens == want.gens, (E.columns, n)
+            proper += got.gens != E.power_piece(n).gens
+    assert proper >= 4
+
+
+def test_finite_colength_chains_reach_no_preimage(monkeypatch, tmp_path):
+    # rr on the binomial module and iclose on the presentation take the
+    # linear-algebra colon at every step; a module of infinite colength
+    # still takes the preimage (syzygy) route.
+    from test_golden import _report
+    calls = []
+    real = groebner.preimage
+    for module in (groebner, rees):
+        monkeypatch.setattr(module, "preimage",
+                            lambda *args: calls.append(1) or real(*args))
+    for name in ("rr-binomial", "iclose-presentation"):
+        _report(name, tmp_path)
+    assert calls == []
+    _report("rr-infinite", tmp_path)
+    assert calls
 
 
 # -- Newton polyhedron closures -------------------------------------------

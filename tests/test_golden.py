@@ -49,8 +49,7 @@ CASES["br-binomial-shifted"] = ("br", "matrix {\n"
 CASES["br-binomial-gfp"] = ("br", CASES["br-binomial"][1],
                             ("--nmax", "6", "--char", "32003"))
 # the colon chain of a non-monomial module, and the candidate check of a
-# presentation: both run the general piece colon, preimages and
-# intersections
+# presentation: both run the linear-algebra piece colon
 CASES["rr-binomial"] = ("rr", CASES["br-binomial"][1], ())
 CASES["iclose-presentation"] = (
     "iclose", "matrix {\n"
@@ -59,8 +58,9 @@ CASES["iclose-presentation"] = (
     "candidates {\n  col = X*Y^4, 0\n}\n"
     "factors {\n  ideal = X, Y^2\n"
     "  ideal = X^5, X^4*Y^2, X^3*Y^4, X^2*Y^5, X*Y^7, Y^8\n}\n", ())
-# a module whose colon chain intersects two pieces that are not nested,
-# so the general intersection runs, over QQ and over GF(32003)
+# a module whose chain, on the syzygy route, would intersect two pieces
+# that are not nested; it runs the linear-algebra piece colon, over QQ
+# and over GF(32003)
 CASES["rr-crossing"] = ("rr", "matrix {\n"
                         "  row = Y^2+3*X^2, X^3+3*X*Y^2, X*Y^2-2*X*Y, "
                         "X*Y-3*X^2*Y\n"
@@ -68,6 +68,18 @@ CASES["rr-crossing"] = ("rr", "matrix {\n"
                         "Y^3+2*X*Y^2\n}\n", ())
 CASES["rr-crossing-gfp"] = ("rr", CASES["rr-crossing"][1],
                             ("--char", "32003"))
+# the theorem check on the presentation and its candidate under X -> X+Y:
+# the chains at n = 1 and 2 of a module with no monomial basis
+CASES["thm12-presentation-shifted"] = (
+    "thm12", "matrix {\n"
+    "  row = (X+Y)^3, (X+Y)^2*Y^2, (X+Y)*Y^3, Y^5, 0, 0, 0\n"
+    "  row = 0, 0, (X+Y)^3, 0, (X+Y)^2*Y^2, (X+Y)*Y^4, Y^5\n}\n"
+    "candidates {\n  col = (X+Y)*Y^4, 0\n}\n", ("--nmax", "2"))
+# a module of infinite colength: its chain takes the preimage and
+# intersection route
+CASES["rr-infinite"] = ("rr", "matrix {\n"
+                        "  row = X^2+X*Y, X*Y^2, 0\n"
+                        "  row = Y^2, X*Y, X^2-Y^2\n}\n", ())
 NAMES = sorted(CASES) + ["fixtures"]
 
 

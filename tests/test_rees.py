@@ -1,6 +1,7 @@
 """Graded data: lengths, minimal generators, pieces, Fitting ideals."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -277,3 +278,77 @@ def test_binomial_powers_reduce_no_more_s_pairs_than_before(monkeypatch):
     for n in range(1, 7):
         E.power_piece(n)
     assert 0 < len(calls) <= 205
+
+
+def _random_finite_colength(rng, ctx, rank, coeffs):
+    """Two random forms in A^rank, each of two terms of one degree 2 or 3
+    spread over the components, and the pure powers X^a*e_i and Y^b*e_i,
+    a and b 3 or 4, that give the module finite colength."""
+    z = Polynomial.zero(ctx)
+    columns = []
+    for _ in range(2):
+        d = rng.randint(2, 3)
+        vec = [{} for _ in range(rank)]
+        for _ in range(2):
+            a = rng.randint(0, d)
+            vec[rng.randrange(rank)][(a, d - a)] = \
+                ctx.field.coerce(rng.choice(coeffs))
+        columns.append(tuple(Polynomial(ctx, t) for t in vec))
+    for i in range(rank):
+        for e in ((rng.randint(3, 4), 0), (0, rng.randint(3, 4))):
+            columns.append(tuple(Polynomial.monomial(ctx, e) if c == i
+                                 else z for c in range(rank)))
+    return ModuleEmbedding(ctx, columns, rank=rank)
+
+
+def _shifted_gapped(rng, ctx, rank, coeffs):
+    """The direct sum of rank ideals (x^d, x^(d-1)*Y, x*Y^(d-1), Y^d),
+    x = X + c*Y with c drawn from coeffs and d 6 or 7.  Their powers are
+    not Ratliff-Rush closed, so the chain's colons are larger than the
+    step before them."""
+    x = (Polynomial.variable(ctx, "X")
+         + Polynomial.constant(ctx, rng.choice(coeffs))
+         * Polynomial.variable(ctx, "Y"))
+    y = Polynomial.variable(ctx, "Y")
+    z = Polynomial.zero(ctx)
+    columns = []
+    for i in range(rank):
+        d = rng.randint(6, 7)
+        for j in (0, 1, d - 1, d):
+            p = x ** (d - j) * y ** j
+            columns.append(tuple(p if c == i else z for c in range(rank)))
+    return ModuleEmbedding(ctx, columns, rank=rank)
+
+
+def test_linear_algebra_colon_matches_syzygy_colon(monkeypatch):
+    # Each step of the chain B_k = M^(n+k) : M^k, n = 1 and 2, with the
+    # step before it as `inside` (the linear-algebra route) and without
+    # (the syzygy route).  The counters make sure the new route ran and
+    # found colons larger than `inside`, so the test can pass neither on
+    # the fallback alone nor on a route that returns `inside`.
+    from test_groebner import HARD_COEFFS  # test_groebner imports this
+    ran = []
+    real = rees._colon_kernel
+    monkeypatch.setattr(rees, "_colon_kernel",
+                        lambda *args: ran.append(1) or real(*args))
+    rng = random.Random(1414)
+    gfp = RingContext(characteristic=32003, base_vars=("X", "Y"))
+    proper = 0
+    for ctx in (CTX, gfp):
+        for coeffs in ((-3, -2, -1, 1, 2, 5), HARD_COEFFS):
+            for make, rank in ((_random_finite_colength, 1),
+                               (_random_finite_colength, 2),
+                               (_random_finite_colength, 2),
+                               (_shifted_gapped, 1), (_shifted_gapped, 2)):
+                E = make(rng, ctx, rank, coeffs)
+                for n in (1, 2):
+                    value = E.power_piece(n)
+                    for k in (1, 2):
+                        args = (E, E.power_piece(n + k),
+                                E.power_piece(k).gens, k, n)
+                        got = rees.piece_colon(*args, inside=value)
+                        assert got.gens == rees.piece_colon(*args).gens, \
+                            (E.columns, n, k)
+                        proper += got.gens != value.gens
+                        value = got
+    assert len(ran) >= 20 and proper >= 16
