@@ -14,8 +14,7 @@ _EXPORTS = {
                  "direct_sum_buchsbaum", "indecomposability_check",
                  "scaled_buchsbaum_check", "theorem12_check"),
     "closures": ("ClosureOptions", "ClosureResult", "check_integral_equation",
-                 "integral_closure_module", "integral_closure_monomial",
-                 "is_integral_element", "is_reduction", "ratliff_rush_ideal",
+                 "integral_closure_module", "is_reduction",
                  "ratliff_rush_module"),
     "context": ("PrimeField", "RationalField", "RingContext"),
     "errors": ("ContextMismatchError", "DeadlineExceeded", "InputError",

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from .closures import (ClosureOptions, integral_closure_module,
-                       integral_closure_monomial, ratliff_rush_module)
+                       ratliff_rush_module)
 from .errors import InputError, SoundnessAlert
 from .groebner import SubmoduleData, contains, groebner_basis, member
 from .rees import (INFINITE, ModuleEmbedding, colength, direct_sum,
@@ -74,12 +74,13 @@ def _solve_exact(rows, rhs):
     return [aug[i][n] for i in range(n)]
 
 
-def br_coefficients(E, n_max=None):
+def br_coefficients(E, n_max=None, deadline=None):
     """Buchsbaum-Rim coefficients br_0 .. br_(d+r-1) by exact interpolation.
 
     Lengths are measured for n = 0..n_max, the top d+r points are solved
     exactly, and the polynomial is validated backward until the first
-    mismatch.
+    mismatch.  deadline (ClosureOptions.deadline()), when given, is
+    checked before each power.
     """
     r = E.rank
     ncoef = BRPolynomial.d + r
@@ -89,6 +90,8 @@ def br_coefficients(E, n_max=None):
         raise InputError(f"n_max must be at least {ncoef + 2}")
     lengths = []
     for n in range(n_max + 1):
+        if deadline is not None:
+            deadline.check()
         ln = colength(E.power_piece(n + 1))
         if ln is INFINITE:
             raise InputError("infinite colength; no length polynomial exists")
@@ -350,6 +353,14 @@ def direct_sum_buchsbaum(E1, E2, opts=None):
     }
 
 
+def _integrally_closed(I, opts):
+    """Whether the reduced basis I of a monomial ideal is its own integral
+    closure."""
+    closure = integral_closure_module(ModuleEmbedding.from_submodule(I),
+                                      opts=opts)
+    return closure.submodule.gens == I.gens
+
+
 def scaled_buchsbaum_check(E, I, opts=None):
     """Rescaling by an integrally closed m-primary monomial ideal must
     preserve a passing criterion; a failure is a soundness alarm."""
@@ -362,8 +373,7 @@ def scaled_buchsbaum_check(E, I, opts=None):
     if not unit:
         if not I.is_monomial():
             raise InputError("scaling ideal must be monomial")
-        closed = integral_closure_monomial(I)
-        if closed.submodule.gens != I.gens:
+        if not _integrally_closed(I, opts):
             raise InputError("scaling ideal is not integrally closed")
         if colength(I) is INFINITE:
             raise InputError("scaling ideal must have finite colength")
@@ -398,8 +408,7 @@ def indecomposability_check(E, factors, opts=None):
         I = groebner_basis(I)
         if not I.is_monomial():
             raise InputError("factors must be monomial ideals")
-        closed = integral_closure_monomial(I)
-        if closed.submodule.gens != I.gens:
+        if not _integrally_closed(I, opts):
             raise InputError("factor is not integrally closed")
         product = I if product is None else piece_product(I, product, 0, I, 0)
     fitt0 = fitting_ideal(E, 0)
@@ -407,7 +416,7 @@ def indecomposability_check(E, factors, opts=None):
         raise InputError("factor product differs from the 0th Fitting ideal")
     warnings = []
     if fitt0.is_monomial():
-        if integral_closure_monomial(fitt0).submodule.gens != fitt0.gens:
+        if not _integrally_closed(fitt0, opts):
             raise InputError("the 0th Fitting ideal is not integrally closed")
     else:
         warnings.append("0th Fitting ideal not monomial; "

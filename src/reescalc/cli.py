@@ -78,7 +78,7 @@ def _run_iclose(problem, opts, n_max):
 def _run_br(problem, opts, n_max):
     from .analysis import br_coefficients
     E = problem.embedding()
-    B = br_coefficients(E, n_max=n_max)
+    B = br_coefficients(E, n_max=n_max, deadline=opts.deadline())
     return B.as_dict(), {"certified": True}, [], EXIT_OK
 
 

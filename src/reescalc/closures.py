@@ -4,9 +4,10 @@ The colon-chain closures are heuristically stabilized: one consecutive
 equality does not certify the ascending union, so a confirmation window
 of further equal steps is required and every colon-chain result is
 reported with certified = False.  What IS certified is the lower bound:
-the result contains the input, multiplying it back lands in the right
-power, and when some power of the result equals the same power of the
-input the containment in the true closure follows.
+the result W of the chain for M^n contains M^n and, when the chain
+changed at step k*, satisfies W*M^(k*) in M^(n+k*), which by definition
+puts W inside the Ratliff-Rush closure of M^n.  An ideal is a module of
+rank 1, so one function computes each closure for both.
 """
 
 import time
@@ -28,7 +29,7 @@ class ClosureOptions:
     chain M^(n+k) : M^k (_power_chain).  Reduction tests try exponents
     up to `s_max`.  `deadline_seconds` (None for no deadline) limits each
     closure call; it is checked before each chain step and inside a
-    step's colon.
+    step's colon, and by analysis.br_coefficients before each power.
     """
 
     __slots__ = ("l_max", "window", "s_max", "deadline_seconds")
@@ -58,7 +59,7 @@ class _Deadline:
 
     def check(self):
         if self.expiry is not None and time.monotonic() > self.expiry:
-            raise DeadlineExceeded("closure computation hit its deadline")
+            raise DeadlineExceeded("computation hit its deadline")
 
 
 class ClosureResult:
@@ -76,107 +77,55 @@ class ClosureResult:
         self.extra = {} if extra is None else extra
 
 
-# -- the stabilizing chain -----------------------------------------------
+# -- the Ratliff-Rush closure ------------------------------------------
 
-def _stabilize(step, first, opts, deadline, what):
-    """Run value_l = step(l, value_(l-1)) from value_0 = first.
-
-    The chain stops `window` steps after its last change and returns
-    (value, l*) with l* the step of that change, 0 if there was none.
-    Values are reduced bases, so equal generators mean equal modules.
-    A change after step l_max raises UnstableChainError carrying the new
-    value and the colengths of value_0 .. value_l, which are computed
-    only then.
-    """
-    value = first
-    values = [first]
-    l = l_star = 0
-    while l - l_star < opts.window:
-        deadline.check()
-        l += 1
-        new = step(l, value)
-        values.append(new)
-        if new.gens != value.gens:
-            value, l_star = new, l
-            if l > opts.l_max:
-                colengths = tuple(map(colength, values))
-                raise UnstableChainError(
-                    f"{what} did not stabilize within l_max={opts.l_max}; "
-                    f"colengths {', '.join(map(str, colengths))}",
-                    last_value=new, colengths=colengths)
-    return value, l_star
-
-
-def _power_chain(E, n, opts, deadline, what):
+def _power_chain(E, n, opts, deadline):
     """Stable value of the degree-n colons B_k = M^(n+k) : M^k, starting
-    from B_0 = M^n.
+    from B_0 = M^n, and the step k* of its last change, 0 if none.
 
     The chain ascends, x*M^k in M^(n+k) giving x*M^(k+1) in M^(n+k+1),
     and its union is the Ratliff-Rush closure of M^n: the colons
     M^(n(l+1)) : M^(nl) are its steps k = nl, and x*M^k in M^(n+k) gives
     x*M^(nk) in M^(n(k+1)).  So each step passes the value before it to
     piece_colon as a submodule of the colon, and at n >= 2 the chain
-    builds no power above M^(n+k).  opts.l_max and opts.window count
-    steps k.
+    builds no power above M^(n+k).
+
+    The chain stops opts.window steps after its last change.  Values are
+    reduced bases, so equal generators mean equal modules.  A change
+    after step opts.l_max raises UnstableChainError carrying the new
+    value and the colengths of B_0 .. B_k, which are computed only then.
     """
-    def step(k, value):
-        return piece_colon(E, E.power_piece(n + k), E.power_piece(k).gens,
-                           k, n, inside=value, deadline=deadline)
-
-    return _stabilize(step, E.power_piece(n), opts, deadline, what)
-
-
-# -- Ratliff-Rush closure of ideals --------------------------------------
-
-def ratliff_rush_ideal(J, opts=None):
-    """Stable value of the colon chain J^(l+1) : J^l with a confirmation
-    window; certified = False because the union itself is only bounded
-    below, never proved maximal."""
-    opts = opts or ClosureOptions()
-    deadline = opts.deadline()
-    J = groebner_basis(J)
-    if J.is_zero():
-        return ClosureResult(J, "colon-chain", 0, opts.window, certified=True,
-                             extra={"note": "zero ideal is closed"})
-    E = ModuleEmbedding.from_submodule(J)
-    result, l_star = _power_chain(E, 1, opts, deadline, "colon chain")
-    # necessary conditions: the closure contains J and multiplies back in
-    if not contains(result, J):
-        raise SoundnessAlert("colon chain result does not contain the input")
-    k = max(l_star, 1)
-    if not contains(E.power_piece(k + 1),
-                    piece_product(E, result, 1, E.power_piece(k), k)):
-        raise SoundnessAlert("colon chain result fails the defining colon")
-    extra = {"confirmed_steps": opts.window}
-    m = _power_equality_index(result, E, opts, deadline)
-    if m is not None:
-        extra["power_equality_degree"] = m
-    return ClosureResult(result, "colon-chain", l_star, opts.window,
-                         certified=False, extra=extra)
-
-
-def _power_equality_index(W, E, opts, deadline):
-    """Smallest m with W^m = J^m for the ideal J of E, if one shows up
-    early.
-
-    Such an m proves W lies inside the Ratliff-Rush closure of J.
-    """
-    W_embed = ModuleEmbedding.from_submodule(W)
-    for m in range(1, opts.l_max + 2):
+    value = E.power_piece(n)
+    values = [value]
+    k = k_star = 0
+    while k - k_star < opts.window:
         deadline.check()
-        if W_embed.power_piece(m).gens == E.power_piece(m).gens:
-            return m
-    return None
+        k += 1
+        new = piece_colon(E, E.power_piece(n + k), E.power_piece(k).gens,
+                          k, n, inside=value, deadline=deadline)
+        values.append(new)
+        if new.gens != value.gens:
+            value, k_star = new, k
+            if k > opts.l_max:
+                colengths = tuple(map(colength, values))
+                raise UnstableChainError(
+                    f"colon chain did not stabilize within "
+                    f"l_max={opts.l_max}; "
+                    f"colengths {', '.join(map(str, colengths))}",
+                    last_value=new, colengths=colengths)
+    return value, k_star
 
-
-# -- Ratliff-Rush closure of modules -------------------------------------
 
 def ratliff_rush_module(E, n=1, opts=None):
-    """Ratliff-Rush closure of M^n inside F^n.
+    """Ratliff-Rush closure of M^n inside the degree-n free piece; an
+    ideal is the case of rank 1 (ModuleEmbedding.from_submodule).
 
     The ideal chain for (MS)^n inside S is run degreewise: its degree-n
     step is the colon of graded pieces computed here over the base ring,
-    so the two formulations agree step by step.
+    so the two formulations agree step by step.  The value W is checked
+    to contain M^n and, when the chain changed at step k* >= 1, to
+    satisfy W*M^(k*) in M^(n+k*), which by definition puts W inside the
+    closure; a failure raises SoundnessAlert.  At k* = 0, W is M^n.
     """
     opts = opts or ClosureOptions()
     if n < 0:
@@ -189,11 +138,14 @@ def ratliff_rush_module(E, n=1, opts=None):
         one = groebner_basis(
             SubmoduleData.ideal(E.ctx, [Polynomial.one(E.ctx)]))
         return ClosureResult(one, "colon-chain", 0, opts.window, certified=True)
-    result, l_star = _power_chain(E, n, opts, opts.deadline(),
-                                  "module colon chain")
+    result, k_star = _power_chain(E, n, opts, opts.deadline())
     if not contains(result, E.power_piece(n)):
-        raise SoundnessAlert("module colon chain result lost the input")
-    return ClosureResult(result, "colon-chain", l_star, opts.window,
+        raise SoundnessAlert("colon chain result lost the input")
+    if k_star and not contains(
+            E.power_piece(n + k_star),
+            piece_product(E, result, n, E.power_piece(k_star), k_star)):
+        raise SoundnessAlert("colon chain result fails the defining colon")
+    return ClosureResult(result, "colon-chain", k_star, opts.window,
                          certified=False, extra={"degreewise": True})
 
 
@@ -230,33 +182,15 @@ def newton_closure_exps(exps_list):
                              for b in range(max_b + 1) if inside(a, b)])
 
 
-def _newton_closure(ctx, comps):
-    """Reduced basis of the integral closure of the direct sum of the
-    monomial ideals comps, one per component."""
-    return _from_mono_components(
-        ctx, len(comps), [newton_closure_exps(e) if e else [] for e in comps])
-
-
-def integral_closure_monomial(I):
-    """Exact integral closure of a nonzero monomial ideal in two variables."""
-    if I.rank != 1:
-        raise InputError("expected an ideal")
-    comps = _mono_components(I)
-    if comps is None:
-        raise InputError("non-monomial generator")
-    if not comps[0]:
-        raise InputError("integral closure of the zero ideal")
-    return ClosureResult(_newton_closure(I.ctx, comps), "newton",
-                         certified=True)
-
-
 def integral_closure_module(E, candidates=None, opts=None):
     """Integral closure of M inside F.
 
-    Certified (Newton) for block direct sums of monomial ideals in two
-    variables; otherwise candidate-driven: each supplied column is
-    verified integral and the result M + candidates is reported with
-    heuristic maximality checks, never silently completed.
+    Certified (Newton, componentwise) for block direct sums of monomial
+    ideals, a monomial ideal among them as rank 1; otherwise
+    candidate-driven: each supplied column c is verified integral, M a
+    reduction of M + A*c (is_reduction, a semi-decision with no false
+    yes), and the result M + candidates is reported with heuristic
+    maximality checks, never silently completed.
     """
     opts = opts or ClosureOptions()
     M = E.submodule()
@@ -265,14 +199,15 @@ def integral_closure_module(E, candidates=None, opts=None):
                              extra={"note": "zero module"})
     comps = _mono_components(M)
     if comps is not None:
-        return ClosureResult(_newton_closure(E.ctx, comps), "newton",
-                             certified=True)
+        closed = [newton_closure_exps(e) if e else [] for e in comps]
+        return ClosureResult(_from_mono_components(E.ctx, E.rank, closed),
+                             "newton", certified=True)
     if not candidates:
         raise InputError(
             "integral closure needs candidate columns for non-monomial input")
     witnesses = []
     for col in candidates:
-        ok, s = is_integral_element(E, col, opts.s_max)
+        ok, s = is_reduction(M, add_columns(E, [col]), opts.s_max)
         if not ok:
             raise InputError("candidate column failed the integrality test")
         witnesses.append(s)
@@ -287,18 +222,6 @@ def integral_closure_module(E, candidates=None, opts=None):
         extra["reduction_exponent"] = red_s
     return ClosureResult(result, "candidate-verified", certified=False,
                          extra=extra)
-
-
-def is_integral_element(E, column, s_max=5):
-    """Semi-decision: YES iff M is verified a reduction of M + A*column.
-
-    Returns (True, s) with the witness exponent, or (False, None) when
-    unproven within the budget; never a false YES.
-    """
-    column = tuple(column)
-    if len(column) != E.rank:
-        raise InputError("candidate column has the wrong length")
-    return is_reduction(E.submodule(), add_columns(E, [column]), s_max)
 
 
 def check_integral_equation(x, coeffs):

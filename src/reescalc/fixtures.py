@@ -9,7 +9,6 @@ from .analysis import (br_coefficients, br_corollary_check, buchsbaum_check,
                        direct_sum_buchsbaum, indecomposability_check,
                        scaled_buchsbaum_check, theorem12_check)
 from .closures import (check_integral_equation, integral_closure_module,
-                       integral_closure_monomial, ratliff_rush_ideal,
                        ratliff_rush_module)
 from .context import RingContext
 from .groebner import SubmoduleData, equal, groebner_basis
@@ -89,8 +88,8 @@ def indecomposable_presentation(ctx=None):
     c2 = {(1, 1): parse_poly("X^4*Y^5", ctx)}
     c2_misprint = {(1, 1): parse_poly("X^3*Y^5", ctx)}
     factor_small = _ideal(ctx, ["X", "Y^2"])
-    factor_big = integral_closure_monomial(
-        _ideal(ctx, ["X^5", "Y^8"])).submodule
+    factor_big = integral_closure_module(ModuleEmbedding.from_submodule(
+        _ideal(ctx, ["X^5", "Y^8"]))).submodule
     return {"E": E, "candidate": candidate,
             "certificate": (x, [c1, c2]),
             "certificate_misprint": (x, [c1, c2_misprint]),
@@ -108,10 +107,10 @@ def run_all():
     ctx = default_context()
 
     fix = rr_ideal_pair(ctx)
-    rr_i = ratliff_rush_ideal(fix["I"])
+    rr_i = ratliff_rush_module(ModuleEmbedding.from_submodule(fix["I"]))
     _check("rr-ideal-pair/I", equal(rr_i.submodule, fix["I_closure"]),
            {"generators": [str(g[0]) for g in rr_i.submodule.gens]}, out)
-    rr_j = ratliff_rush_ideal(fix["J"])
+    rr_j = ratliff_rush_module(ModuleEmbedding.from_submodule(fix["J"]))
     _check("rr-ideal-pair/J", equal(rr_j.submodule, fix["J_closure"]),
            {"generators": [str(g[0]) for g in rr_j.submodule.gens]}, out)
 

@@ -24,7 +24,7 @@ from math import comb, lcm
 from .context import mon_mul
 from .errors import ContextMismatchError, InputError, RankMismatchError
 from .groebner import (DEFAULT_ORDER, SubmoduleData, contains,
-                       groebner_basis, intersect, member, preimage,
+                       groebner_basis, intersect, preimage,
                        vector_basis, _basis_index, _descending,
                        _from_mono_components, _mono_components,
                        _mono_ideal_colon_single, _mono_ideal_intersect,
@@ -479,20 +479,24 @@ def maximal_ideal(ctx):
 
 
 def min_gens(target):
-    """mu = dim_k(M / mM) by greedy selection against mM.
+    """mu = dim_k(M / mM), the rank over k of the normal forms NF_mM(g) of
+    M's generators: NF_mM is k-linear with kernel mM, and mM's basis is
+    computed once.
 
     Accepts a ModuleEmbedding or a SubmoduleData.
     """
     U = target.submodule() if isinstance(target, ModuleEmbedding) else target
     ctx = U.ctx
     mvars = [Polynomial.variable(ctx, v) for v in ctx.base_vars]
-    m_gens = [tuple(x * p for p in g) for g in U.gens for x in mvars]
-    selected = []
+    mM = SubmoduleData(ctx, U.rank, tuple(tuple(x * p for p in g)
+                                          for g in U.gens for x in mvars))
+    index = _basis_index(mM)
+    down = _descending(DEFAULT_ORDER.key_function(ctx))
+    pivots = {}
     for g in U.gens:
-        test = SubmoduleData(ctx, U.rank, tuple(m_gens) + tuple(selected))
-        if not member(g, test):
-            selected.append(g)
-    return len(selected)
+        _eliminate(_vp_normal_form(_to_vp(g), index, down, ctx.field), {},
+                   pivots, ctx.field)
+    return len(pivots)
 
 
 def is_parameter_module(E):

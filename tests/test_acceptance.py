@@ -6,16 +6,15 @@ output of a verbose run) and enforces its runtime budget.
 
 import time
 
-from reescalc import (RingContext, SubmoduleData,
+from reescalc import (ModuleEmbedding, RingContext, SubmoduleData,
                       br_coefficients, br_corollary_check, buchsbaum_check,
                       check_integral_equation, direct_sum_buchsbaum, equal,
                       fitting_ideal, indecomposability_check,
-                      integral_closure_module, integral_closure_monomial,
-                      is_integral_element, is_parameter_module, member,
-                      min_gens, parse_poly, ratliff_rush_ideal,
+                      integral_closure_module, is_parameter_module,
+                      is_reduction, member, min_gens, parse_poly,
                       ratliff_rush_module, scaled_buchsbaum_check,
                       theorem12_check)
-from reescalc.rees import piece_product
+from reescalc.rees import add_columns, piece_product
 from reescalc.cli import main as cli_main
 from reescalc.fixtures import (indecomposable_presentation, mixed_direct_sum,
                                parameter_module, rr_ideal_pair,
@@ -54,11 +53,12 @@ def _p(s):
 def test_criterion_1_rr_ideal_reference_values():
     with _Criterion("1: Ratliff-Rush reference ideals", 10):
         pair = rr_ideal_pair(CTX)
-        assert equal(ratliff_rush_ideal(pair["I"]).submodule,
-                     pair["I_closure"])
+        E = ModuleEmbedding.from_submodule(pair["I"])
+        assert equal(ratliff_rush_module(E).submodule, pair["I_closure"])
     with _Criterion("1b: already-closed reference ideal", 10):
         pair = rr_ideal_pair(CTX)
-        assert equal(ratliff_rush_ideal(pair["J"]).submodule, pair["J"])
+        E = ModuleEmbedding.from_submodule(pair["J"])
+        assert equal(ratliff_rush_module(E).submodule, pair["J"])
 
 
 def test_criterion_2_parameter_module():
@@ -83,7 +83,7 @@ def test_criterion_3_square_direct_sum():
         assert not out["verdict"]
         assert out["witness"] is not None
         # the witness lies in m * closure(I) but not in I
-        Ibar = integral_closure_monomial(fix["I"]).submodule
+        Ibar = integral_closure_module(fix["EI"]).submodule
         w = _p("X^2*Y^5")
         m_Ibar = piece_product(
             Ibar, SubmoduleData.ideal(CTX, [_p("X"), _p("Y")]), 0, Ibar, 1)
@@ -107,7 +107,7 @@ def test_criterion_5_presentation_corpus():
         E = fix["E"]
         x, coeffs = fix["certificate"]
         assert check_integral_equation(x, coeffs)
-        ok, s = is_integral_element(E, fix["candidate"])
+        ok, s = is_reduction(E, add_columns(E, [fix["candidate"]]))
         assert ok and s <= 3
         closure = integral_closure_module(E, candidates=[fix["candidate"]])
         out = buchsbaum_check(E, mbar=closure)
@@ -117,8 +117,8 @@ def test_criterion_5_presentation_corpus():
         assert equal(fitting_ideal(E, 1),
                      SubmoduleData.ideal(CTX, [_p("X^3"), _p("X^2*Y^2"),
                                                _p("X*Y^3"), _p("Y^5")]))
-        closed = integral_closure_monomial(
-            SubmoduleData.ideal(CTX, [_p("X^5"), _p("Y^8")])).submodule
+        closed = integral_closure_module(ModuleEmbedding.from_submodule(
+            SubmoduleData.ideal(CTX, [_p("X^5"), _p("Y^8")]))).submodule
         factor = SubmoduleData.ideal(CTX, [_p("X"), _p("Y^2")])
         want = piece_product(closed, closed, 0, factor, 0)
         assert equal(fitting_ideal(E, 0), want)

@@ -1,19 +1,20 @@
-"""The contract every stabilizing colon chain keeps.
+"""The contract of the stabilizing colon chain of ratliff_rush_module.
 
-The two routes to the Ratliff-Rush closure of I = (X^4, X^3*Y, X*Y^3,
-Y^4) -- the ideal chain and the rank-1 module chain -- share one rule:
-the value is the chain's last change, confirmed by `window` equal steps;
-a change after step `l_max` raises UnstableChainError carrying the new
-value and the colengths of the chain's values; an expired deadline raises
-DeadlineExceeded.
+The Ratliff-Rush closure of I = (X^4, X^3*Y, X*Y^3, Y^4) is reached from
+both of the embeddings a caller can hold -- the ideal wrapped as a rank-1
+module (ModuleEmbedding.from_submodule, as the library and the corpus do)
+and a one-row generator matrix (from_matrix, as a problem file does) --
+and both keep one rule: the value is the chain's last change, confirmed
+by `window` equal steps; a change after step `l_max` raises
+UnstableChainError carrying the new value and the colengths of the
+chain's values; an expired deadline raises DeadlineExceeded.
 """
 
 import pytest
 
 from reescalc import (ClosureOptions, DeadlineExceeded, ModuleEmbedding,
                       RingContext, SubmoduleData, UnstableChainError, closures,
-                      groebner_basis, parse_poly, ratliff_rush_ideal,
-                      ratliff_rush_module)
+                      groebner_basis, parse_poly, ratliff_rush_module)
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
@@ -27,11 +28,13 @@ M4 = groebner_basis(_ideal("X^4", "X^3*Y", "X^2*Y^2", "X*Y^3", "Y^4"))
 
 
 def _ideal_route(opts):
-    return ratliff_rush_ideal(I, opts)
+    return ratliff_rush_module(ModuleEmbedding.from_submodule(I), 1, opts)
 
 
 def _module_route(opts):
-    return ratliff_rush_module(ModuleEmbedding.from_submodule(I), 1, opts)
+    row = [g[0] for g in I.gens]
+    return ratliff_rush_module(ModuleEmbedding.from_matrix(CTX, [row]), 1,
+                               opts)
 
 
 ROUTES = [_ideal_route, _module_route]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from reescalc import InputError, Polynomial, RingContext, parse_poly, poly
+from reescalc import (InputError, Polynomial, RingContext, SubmoduleData,
+                      closures, parse_poly, poly, rees)
 from reescalc.cli import main
 from reescalc.poly import MAX_EXPONENT, MAX_POWER_BITS, MAX_POWER_TERMS
 
@@ -33,6 +34,13 @@ matrix {
 factors {
   ideal = X, Y
   ideal = X^2, X*Y, Y^2
+}
+"""
+
+BINOMIAL = """\
+matrix {
+  row = X^2, X*Y+Y^2, Y^3, 0
+  row = 0, X^2-Y^2, X*Y, Y^2
 }
 """
 
@@ -148,6 +156,41 @@ def test_unstable_rr_chain_exits_2_with_its_colengths(tmp_path, capsys):
     assert out == ""
     assert err.startswith("inconclusive: ")
     assert "colengths 11, 10" in err
+
+
+def test_br_checks_its_deadline_before_each_power(tmp_path, capsys):
+    path = _write(tmp_path, "br.problem",
+                  BINOMIAL + "options {\n  deadline = 1e-9\n}\n")
+    status, out, err = _run(capsys, ["br", path])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("inconclusive: ")
+
+
+def test_rr_chain_value_outside_the_closure_exits_3(tmp_path, capsys,
+                                                    monkeypatch):
+    # a colon that returns the whole free piece: the value contains M, but
+    # fails W*M^(k*) in M^(1+k*)
+    def free_piece(E, W, gens_low, low, ambient, **kwargs):
+        return SubmoduleData.free(E.ctx, rees.piece_rank(E.rank, ambient))
+
+    monkeypatch.setattr(closures, "piece_colon", free_piece)
+    path = _write(tmp_path, "rr.problem", BINOMIAL)
+    status, out, err = _run(capsys, ["rr", path])
+    assert status == 3
+    assert out == ""
+    assert err.startswith("SOUNDNESS ALERT: ")
+    assert "defining colon" in err
+
+
+def test_indec_with_a_zero_factor_exits_4(tmp_path, capsys):
+    path = _write(tmp_path, "indec.problem",
+                  "matrix {\n  row = X, Y\n  row = 0, 0\n}\n"
+                  "factors {\n  ideal = 0\n}\n")
+    status, out, err = _run(capsys, ["indec", path])
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_prime_field_warning(tmp_path, capsys):

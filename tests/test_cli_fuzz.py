@@ -1,5 +1,7 @@
 """The command line's exit-code contract on generated problem files:
-every run exits 0, 2, 3 or 4 and raises nothing."""
+every run exits 0, 2, 3 or 4 and raises nothing.  Exit 3 is a soundness
+alarm; for `rr` that includes the check, made whenever the chain changed,
+that its value times M^(k*) lies in M^(1+k*)."""
 
 import contextlib
 import io
@@ -82,9 +84,10 @@ _LOW_DEGREE_ENTRY = st.tuples(
 def _small_modules(draw):
     """Rank 1 or 2, at most 3 columns, entries in (X, Y) of degree at
     most 2.  The options block bounds the colon chains and each closure
-    call; br has no deadline, and runs on rank-2 modules from this set
-    can take over 30 s, so the examples drawn are a fixed set
-    (derandomize) whose cost is measured, not bounded."""
+    call; br checks the deadline only before each power, and one power
+    of a rank-2 module from this set can run far past it, so the
+    examples drawn are a fixed set (derandomize) whose cost is measured,
+    not bounded."""
     rank = draw(st.integers(1, 2))
     width = draw(st.integers(1, 3))
     rows = [[draw(_LOW_DEGREE_ENTRY) for _ in range(width)]

@@ -5,11 +5,10 @@ import random
 import pytest
 
 from reescalc import (ClosureOptions, InputError, ModuleEmbedding,
-                      Polynomial, RingContext, SubmoduleData,
-                      check_integral_equation, contains, direct_sum, equal,
-                      groebner, groebner_basis, integral_closure_module,
-                      integral_closure_monomial, is_integral_element,
-                      is_reduction, parse_poly, ratliff_rush_ideal,
+                      Polynomial, RingContext, SoundnessAlert, SubmoduleData,
+                      check_integral_equation, closures, contains,
+                      direct_sum, equal, groebner, groebner_basis,
+                      integral_closure_module, is_reduction, parse_poly,
                       ratliff_rush_module, rees)
 from reescalc.closures import newton_closure_exps
 from reescalc.fixtures import (indecomposable_presentation, parameter_module,
@@ -29,36 +28,33 @@ def _ideal(*gens):
     return SubmoduleData.ideal(CTX, [_p(g) for g in gens])
 
 
+def _rr(I):
+    return ratliff_rush_module(ModuleEmbedding.from_submodule(I))
+
+
+def _ic(I):
+    return integral_closure_module(ModuleEmbedding.from_submodule(I))
+
+
 # -- Ratliff-Rush chains --------------------------------------------------
 
 def test_rr_ideal_reference_pair():
     pair = rr_ideal_pair(CTX)
-    res = ratliff_rush_ideal(pair["I"])
+    res = _rr(pair["I"])
     assert equal(res.submodule, pair["I_closure"])
     assert res.method == "colon-chain"
     assert not res.certified
-    # the closure shows up as a power-equality witness, which proves the
-    # lower bound independently of the chain
-    assert res.extra.get("power_equality_degree") is not None
-    res = ratliff_rush_ideal(pair["J"])
+    res = _rr(pair["J"])
     assert equal(res.submodule, pair["J"])
-
-
-def test_rr_power_equality_witness_is_sound():
-    pair = rr_ideal_pair(CTX)
-    res = ratliff_rush_ideal(pair["I"])
-    m = res.extra["power_equality_degree"]
-    assert ModuleEmbedding.from_submodule(res.submodule).power_piece(m).gens \
-        == ModuleEmbedding.from_submodule(pair["I"]).power_piece(m).gens
 
 
 def test_rr_ideal_contains_input_and_idempotent():
     rng = random.Random(314)
     for _ in range(10):
         I = ideal_from_exps(CTX, random_monomial_ideal(rng, max_degree=6))
-        res = ratliff_rush_ideal(I)
+        res = _rr(I)
         assert contains(res.submodule, I)
-        again = ratliff_rush_ideal(res.submodule)
+        again = _rr(res.submodule)
         assert equal(again.submodule, res.submodule)
 
 
@@ -108,6 +104,19 @@ def test_rr_closure_commutes_with_zero_row_padding():
     want = SubmoduleData(CTX, 2, tuple(
         (g[0], z) for g in groebner_basis(pair["I_closure"]).gens))
     assert equal(res.submodule, want)
+
+
+def test_a_chain_value_outside_the_closure_raises_the_defining_colon_alarm(
+        monkeypatch):
+    # A colon that returns the whole free piece gives a value W that
+    # contains M^2, but W*M is not inside M^3 for M inside mF, so the
+    # check W*M^(k*) in M^(n+k*) raises.
+    def free_piece(E, W, gens_low, low, ambient, **kwargs):
+        return SubmoduleData.free(E.ctx, rees.piece_rank(E.rank, ambient))
+
+    monkeypatch.setattr(closures, "piece_colon", free_piece)
+    with pytest.raises(SoundnessAlert, match="defining colon"):
+        ratliff_rush_module(parameter_module(CTX), 2)
 
 
 def _chain_over_powers_of_the_power(E, n, window):
@@ -198,8 +207,8 @@ def test_newton_closure_non_primary():
     assert newton_closure_exps(exps) == newton_closure_oracle(exps)
 
 
-def test_integral_closure_monomial_ideal():
-    res = integral_closure_monomial(_ideal("X^5", "Y^8"))
+def test_integral_closure_of_a_monomial_ideal():
+    res = _ic(_ideal("X^5", "Y^8"))
     assert res.certified and res.method == "newton"
     assert contains(res.submodule, _ideal("X^4*Y^2"))  # 8*4+5*2 = 42 >= 40
     assert not contains(res.submodule, _ideal("X^4*Y"))  # 37 < 40
@@ -210,7 +219,7 @@ def test_integral_closure_module_block_monomial():
     res = integral_closure_module(E)
     assert res.certified and res.method == "newton"
     # each summand closes independently
-    I_closed = integral_closure_monomial(square_direct_sum(CTX)["I"]).submodule
+    I_closed = _ic(square_direct_sum(CTX)["I"]).submodule
     z = Polynomial.zero(CTX)
     want = [(g[0], z) for g in I_closed.gens] + \
            [(z, g[0]) for g in I_closed.gens]
@@ -233,17 +242,22 @@ def test_integral_closure_module_candidate_verified():
     assert res.extra["input_is_reduction"]
 
 
-def test_is_integral_element_cases():
+def test_integrality_of_a_column_is_a_reduction_test():
+    # a column c is integral over M when M is a reduction of M + A*c
     fix = indecomposable_presentation(CTX)
     E = fix["E"]
-    ok, s = is_integral_element(E, fix["candidate"])
+
+    def integral(col, s_max=5):
+        return is_reduction(E, rees.add_columns(E, [col]), s_max)
+
+    ok, s = integral(fix["candidate"])
     assert ok and s == 1
     # an element of M itself is integral with witness 0
-    ok, s = is_integral_element(E, E.columns[0])
+    ok, s = integral(E.columns[0])
     assert ok and s == 0
     # a unit vector is not integral over a module inside mF; the test
     # reports UNPROVEN (False, None), never a wrong YES
-    ok, s = is_integral_element(E, (_p("1"), _p("0")), s_max=3)
+    ok, s = integral((_p("1"), _p("0")), s_max=3)
     assert not ok and s is None
 
 
@@ -282,7 +296,7 @@ def test_rr_inside_integral_closure_examples():
                  ["X^5", "X^2*Y^2", "Y^5"],
                  ["X^6", "X*Y^2", "Y^3"]):
         I = _ideal(*gens)
-        rr = ratliff_rush_ideal(I).submodule
-        ic = integral_closure_monomial(I).submodule
+        rr = _rr(I).submodule
+        ic = _ic(I).submodule
         assert contains(ic, rr)
         assert contains(rr, I)

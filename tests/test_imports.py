@@ -26,8 +26,7 @@ PUBLIC = {
                  "direct_sum_buchsbaum", "indecomposability_check",
                  "scaled_buchsbaum_check", "theorem12_check"),
     "closures": ("ClosureOptions", "ClosureResult", "check_integral_equation",
-                 "integral_closure_module", "integral_closure_monomial",
-                 "is_integral_element", "is_reduction", "ratliff_rush_ideal",
+                 "integral_closure_module", "is_reduction",
                  "ratliff_rush_module"),
     "context": ("PrimeField", "RationalField", "RingContext"),
     "errors": ("ContextMismatchError", "DeadlineExceeded", "InputError",
@@ -84,7 +83,7 @@ def test_param_call_loads_no_deciders(tmp_path):
 
 
 def test_public_names_are_the_defining_modules_objects():
-    assert len(NAMES) == 51
+    assert len(NAMES) == 48
     assert sorted(reescalc.__all__) == sorted(NAMES)
     for name, module in NAMES.items():
         expected = getattr(importlib.import_module(f"reescalc.{module}"),

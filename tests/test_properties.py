@@ -9,13 +9,20 @@ import random
 
 from reescalc import (ModuleEmbedding, Polynomial, RingContext, SubmoduleData,
                       colon, contains, equal, groebner_basis,
-                      integral_closure_monomial, member, ratliff_rush_ideal,
-                      ratliff_rush_module)
+                      integral_closure_module, member, ratliff_rush_module)
 from reescalc.closures import newton_closure_exps
 
 from oracles import ideal_from_exps, random_monomial_ideal
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
+
+
+def _rr(I):
+    return ratliff_rush_module(ModuleEmbedding.from_submodule(I)).submodule
+
+
+def _ic(I):
+    return integral_closure_module(ModuleEmbedding.from_submodule(I)).submodule
 
 
 def _instances(seed, count, max_degree=8):
@@ -29,8 +36,8 @@ def sandwich_suite(count=100, seed=1001):
     failures = []
     for exps in _instances(seed, count):
         I = ideal_from_exps(CTX, exps)
-        rr = ratliff_rush_ideal(I).submodule
-        ic = integral_closure_monomial(I).submodule
+        rr = _rr(I)
+        ic = _ic(I)
         if not (contains(rr, I) and contains(ic, rr)):
             failures.append(f"sandwich violated for {exps}")
     # module version: block-diagonal pairs, fiber degrees up to 3
@@ -42,7 +49,6 @@ def sandwich_suite(count=100, seed=1001):
         cols = [(Polynomial.monomial(CTX, e), z) for e in e1] + \
                [(z, Polynomial.monomial(CTX, e)) for e in e2]
         E = ModuleEmbedding(CTX, cols, rank=2)
-        from reescalc import integral_closure_module
         ic = integral_closure_module(E).submodule
         rr = ratliff_rush_module(E, 1).submodule
         if not (contains(rr, E.submodule()) and contains(ic, rr)):
@@ -55,11 +61,11 @@ def idempotence_suite(count=100, seed=2002):
     failures = []
     for exps in _instances(seed, count):
         I = ideal_from_exps(CTX, exps)
-        rr = ratliff_rush_ideal(I).submodule
-        if not equal(ratliff_rush_ideal(rr).submodule, rr):
+        rr = _rr(I)
+        if not equal(_rr(rr), rr):
             failures.append(f"rr not idempotent for {exps}")
-        ic = integral_closure_monomial(I).submodule
-        if not equal(integral_closure_monomial(ic).submodule, ic):
+        ic = _ic(I)
+        if not equal(_ic(ic), ic):
             failures.append(f"closure not idempotent for {exps}")
     return failures
 
@@ -74,7 +80,7 @@ def eventual_equality_suite(count=100, seed=3003, n_cap=6):
         first = None
         for n in range(1, n_cap + 1):
             In = powers.power_piece(n)
-            if equal(ratliff_rush_ideal(In).submodule, In):
+            if equal(_rr(In), In):
                 first = n
                 break
         if first is None:
@@ -82,7 +88,7 @@ def eventual_equality_suite(count=100, seed=3003, n_cap=6):
             continue
         for n in (first + 1, first + 2):
             In = powers.power_piece(n)
-            if not equal(ratliff_rush_ideal(In).submodule, In):
+            if not equal(_rr(In), In):
                 failures.append(
                     f"closedness at {first} did not persist to {n} for {exps}")
     return failures
@@ -94,7 +100,7 @@ def persistence_suite(count=100, seed=4004, l_cap=8):
     failures = []
     for exps in _instances(seed, count):
         I = ideal_from_exps(CTX, exps)
-        N = ratliff_rush_ideal(I).submodule
+        N = _rr(I)
         powers_i = ModuleEmbedding.from_submodule(I)
         powers_n = ModuleEmbedding.from_submodule(N)
         first = None
@@ -184,13 +190,13 @@ def reduction_monotonicity_suite(count=30, seed=8008):
     for _ in range(count):
         exps = random_monomial_ideal(rng, max_degree=6)
         I = ideal_from_exps(CTX, exps)
-        N = ratliff_rush_ideal(I).submodule
+        N = _rr(I)
         ok, _s = is_reduction(I, N, s_max=8)
         if not ok:
             failures.append(f"input not a reduction of its closure: {exps}")
             continue
-        rrN = ratliff_rush_ideal(N).submodule
-        if not contains(rrN, ratliff_rush_ideal(I).submodule):
+        rrN = _rr(N)
+        if not contains(rrN, _rr(I)):
             failures.append(f"reduction monotonicity failed for {exps}")
     return failures
 

@@ -14,7 +14,7 @@ from reescalc import (INFINITE, InputError, ModuleEmbedding, Polynomial,
 from reescalc.fixtures import (indecomposable_presentation, parameter_module,
                                square_direct_sum)
 
-from oracles import colength_oracle
+from oracles import colength_oracle, span_membership
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
@@ -85,6 +85,48 @@ def test_min_gens_examples():
     assert min_gens(_ideal("X^2", "X^3", "Y", "X*Y")) == 2
     E = square_direct_sum(CTX)["E"]
     assert min_gens(E) == 8
+
+
+def _greedy_min_gens(U, multiplier_degree):
+    """mu by greedy selection: a generator is kept unless it lies in mM
+    plus the module of the kept ones, tested by span_membership with
+    multipliers of degree at most multiplier_degree."""
+    mvars = [Polynomial.variable(U.ctx, v) for v in U.ctx.base_vars]
+    m_gens = [tuple(x * p for p in g) for g in U.gens for x in mvars]
+    kept = []
+    for g in U.gens:
+        if not span_membership(g, m_gens + kept, U.ctx, U.rank,
+                               multiplier_degree):
+            kept.append(g)
+    return len(kept)
+
+
+def test_min_gens_matches_a_greedy_count_on_random_modules():
+    # Random modules of rank 1-3 over QQ and GF(32003), constant terms
+    # included, each with one more generator g0 + g0 - g1 + X*g_last, so
+    # that mu is below the number of generators.  The greedy count is
+    # compared only where two multiplier-degree caps agree on it.
+    from test_groebner import HARD_COEFFS, _random_module
+    rng = random.Random(1515)
+    gfp = RingContext(characteristic=32003, base_vars=("X", "Y"))
+    compared = proper = 0
+    for ctx in (CTX, gfp):
+        x = Polynomial.variable(ctx, "X")
+        for trial in range(12):
+            rank = 1 + trial % 3
+            coeffs = HARD_COEFFS if trial % 4 == 3 else (-3, -2, -1, 1, 2, 5)
+            gens = _random_module(rng, ctx, rank, rng.randint(1, 3),
+                                  rng.randint(2, 4), coeffs)
+            gens.append(tuple(a + a - b + x * c
+                              for a, b, c in zip(gens[0], gens[1], gens[-1])))
+            U = SubmoduleData.from_vectors(ctx, rank, gens)
+            want = _greedy_min_gens(U, 2)
+            if want != _greedy_min_gens(U, 4):
+                continue
+            compared += 1
+            assert min_gens(U) == want, (ctx.characteristic, gens)
+            proper += want < len(gens)
+    assert compared >= 20 and proper >= 20
 
 
 def test_power_piece_rank_one_matches_ideal_powers():
