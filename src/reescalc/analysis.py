@@ -13,7 +13,7 @@ from math import comb
 from .closures import (ClosureOptions, integral_closure_module,
                        ratliff_rush_module)
 from .errors import InputError, SoundnessAlert
-from .groebner import SubmoduleData, contains, groebner_basis, member
+from .groebner import SubmoduleData, contains, equal, groebner_basis, member
 from .rees import (INFINITE, ModuleEmbedding, colength, direct_sum,
                    fitting_ideal, maximal_ideal, ord_ideal, piece_product,
                    scale_by_ideal)
@@ -80,7 +80,7 @@ def br_coefficients(E, n_max=None, deadline=None):
     Lengths are measured for n = 0..n_max, the top d+r points are solved
     exactly, and the polynomial is validated backward until the first
     mismatch.  deadline (ClosureOptions.deadline()), when given, is
-    checked before each power.
+    checked before each power and inside its Buchberger runs.
     """
     r = E.rank
     ncoef = BRPolynomial.d + r
@@ -92,7 +92,7 @@ def br_coefficients(E, n_max=None, deadline=None):
     for n in range(n_max + 1):
         if deadline is not None:
             deadline.check()
-        ln = colength(E.power_piece(n + 1))
+        ln = colength(E.power_piece(n + 1, deadline=deadline))
         if ln is INFINITE:
             raise InputError("infinite colength; no length polynomial exists")
         lengths.append(ln)
@@ -132,7 +132,7 @@ def br_corollary_check(E, B=None, opts=None):
         B = br_coefficients(E)
     rr = ratliff_rush_module(E, 1, opts)
     mbar = integral_closure_module(E, opts=opts)
-    if rr.submodule.gens != mbar.submodule.gens:
+    if not equal(rr.submodule, mbar.submodule):
         raise InputError(
             "corollary precondition (Ratliff-Rush = integral closure) not certified")
     r = E.rank
@@ -221,7 +221,7 @@ def theorem12_check(E, n_max=4, candidates=None, opts=None):
         if rr_gap is not INFINITE and ic_gap is not INFINITE and rr_gap > ic_gap:
             raise SoundnessAlert(
                 f"Ratliff-Rush gap exceeds integral-closure gap at n={n}")
-        rr_equal_ic.append(rr_n.submodule.gens == bar_n.gens)
+        rr_equal_ic.append(equal(rr_n.submodule, bar_n))
         ic_closed.append(ic_gap == 0)
     cond1 = rr_equal_ic[0]
     cond2 = all(rr_equal_ic)
@@ -287,7 +287,7 @@ def buchsbaum_check(E, mbar=None, opts=None):
                 witness = _vector_str(g)
                 break
     prod = piece_product(E, groebner_basis(M), 1, groebner_basis(Mbar), 1)
-    clause_prod = prod.gens == E.power_piece(2).gens
+    clause_prod = equal(prod, E.power_piece(2))
     verdict = clause_m and clause_prod
     result = {
         "verdict": verdict,
@@ -301,7 +301,7 @@ def buchsbaum_check(E, mbar=None, opts=None):
         Ebar = ModuleEmbedding.from_submodule(Mbar)
         tail = {}
         for n in range(2, 5):
-            tail[n] = Ebar.power_piece(n).gens == E.power_piece(n).gens
+            tail[n] = equal(Ebar.power_piece(n), E.power_piece(n))
         if not all(tail.values()):
             raise SoundnessAlert(
                 "criterion passed but a power in degrees 2..4 is not closed")
@@ -336,9 +336,9 @@ def direct_sum_buchsbaum(E1, E2, opts=None):
 
     M1, M2 = summands(whole_sum, len(E1.columns))
     B1, B2 = summands(bar_sum, len(bar1.gens))
-    p_plain = piece_product(whole_sum, M1, 1, M2, 1).gens
-    mixed_ok = (piece_product(whole_sum, B1, 1, M2, 1).gens == p_plain
-                == piece_product(whole_sum, M1, 1, B2, 1).gens)
+    p_plain = piece_product(whole_sum, M1, 1, M2, 1)
+    mixed_ok = (equal(piece_product(whole_sum, B1, 1, M2, 1), p_plain)
+                and equal(p_plain, piece_product(whole_sum, M1, 1, B2, 1)))
     verdict = check1["verdict"] and check2["verdict"] and mixed_ok
     whole = buchsbaum_check(whole_sum, opts=opts)
     if whole["verdict"] != verdict:
@@ -358,7 +358,7 @@ def _integrally_closed(I, opts):
     closure."""
     closure = integral_closure_module(ModuleEmbedding.from_submodule(I),
                                       opts=opts)
-    return closure.submodule.gens == I.gens
+    return equal(closure.submodule, I)
 
 
 def scaled_buchsbaum_check(E, I, opts=None):
@@ -412,7 +412,7 @@ def indecomposability_check(E, factors, opts=None):
             raise InputError("factor is not integrally closed")
         product = I if product is None else piece_product(I, product, 0, I, 0)
     fitt0 = fitting_ideal(E, 0)
-    if groebner_basis(product).gens != fitt0.gens:
+    if not equal(product, fitt0):
         raise InputError("factor product differs from the 0th Fitting ideal")
     warnings = []
     if fitt0.is_monomial():

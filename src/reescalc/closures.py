@@ -13,7 +13,7 @@ rank 1, so one function computes each closure for both.
 import time
 
 from .errors import InputError, SoundnessAlert, UnstableChainError, DeadlineExceeded
-from .groebner import (SubmoduleData, contains, groebner_basis,
+from .groebner import (SubmoduleData, contains, equal, groebner_basis,
                        _from_mono_components, _mono_components,
                        _mono_minimalize)
 from .poly import Polynomial
@@ -29,7 +29,8 @@ class ClosureOptions:
     chain M^(n+k) : M^k (_power_chain).  Reduction tests try exponents
     up to `s_max`.  `deadline_seconds` (None for no deadline) limits each
     closure call; it is checked before each chain step and inside a
-    step's colon, and by analysis.br_coefficients before each power.
+    step's colon, and by analysis.br_coefficients before each power and
+    inside the Buchberger runs that build it.
     """
 
     __slots__ = ("l_max", "window", "s_max", "deadline_seconds")
@@ -90,8 +91,7 @@ def _power_chain(E, n, opts, deadline):
     piece_colon as a submodule of the colon, and at n >= 2 the chain
     builds no power above M^(n+k).
 
-    The chain stops opts.window steps after its last change.  Values are
-    reduced bases, so equal generators mean equal modules.  A change
+    The chain stops opts.window steps after its last change.  A change
     after step opts.l_max raises UnstableChainError carrying the new
     value and the colengths of B_0 .. B_k, which are computed only then.
     """
@@ -101,10 +101,10 @@ def _power_chain(E, n, opts, deadline):
     while k - k_star < opts.window:
         deadline.check()
         k += 1
-        new = piece_colon(E, E.power_piece(n + k), E.power_piece(k).gens,
+        new = piece_colon(E, E.power_piece(n + k), E.power_piece(k),
                           k, n, inside=value, deadline=deadline)
         values.append(new)
-        if new.gens != value.gens:
+        if not equal(new, value):
             value, k_star = new, k
             if k > opts.l_max:
                 colengths = tuple(map(colength, values))
@@ -215,7 +215,7 @@ def integral_closure_module(E, candidates=None, opts=None):
     result = groebner_basis(N_embed.submodule())
     extra = {"candidate_witnesses": witnesses}
     rr = ratliff_rush_module(N_embed, 1, opts)
-    extra["result_rr_closed"] = rr.submodule.gens == result.gens
+    extra["result_rr_closed"] = equal(rr.submodule, result)
     red_ok, red_s = is_reduction(M, result, opts.s_max)
     extra["input_is_reduction"] = red_ok
     if red_ok:
@@ -289,6 +289,6 @@ def is_reduction(L, M, s_max=5):
     for s in range(s_max + 1):
         lhs = E.power_piece(s + 1)
         rhs = piece_product(E, L_piece, 1, E.power_piece(s), s)
-        if lhs.gens == rhs.gens:
+        if equal(lhs, rhs):
             return True, s
     return False, None

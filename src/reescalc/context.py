@@ -9,7 +9,6 @@ its graded pieces are free A-modules (rees.fiber_basis).
 
 from fractions import Fraction
 from math import isqrt
-from operator import add, le, sub
 
 from .errors import InputError
 
@@ -156,29 +155,31 @@ class RingContext:
                 f"base={'%s' % (self.base_vars,)})")
 
 
-# -- exponent-tuple helpers ----------------------------------------------
+# -- exponent-pair helpers -----------------------------------------------
 
 def mon_one(nvars):
     return (0,) * nvars
 
 
 def mon_mul(a, b):
-    return tuple(map(add, a, b))
+    return (a[0] + b[0], a[1] + b[1])
 
 
 def mon_divides(a, b):
     """True iff monomial a divides monomial b."""
-    return all(map(le, a, b))
+    return a[0] <= b[0] and a[1] <= b[1]
 
 
 def mon_div(a, b):
     """Quotient a / b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
+    return (a[0] - b[0], a[1] - b[1])
 
 
 def mon_lcm(a, b):
-    return tuple(map(max, a, b))
+    x, y = a
+    u, v = b
+    return (x if x > u else u, y if y > v else v)
 
 
 def mon_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return (a[0] == 0 or b[0] == 0) and (a[1] == 0 or b[1] == 0)

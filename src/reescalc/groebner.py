@@ -12,7 +12,10 @@ elements free of the first (_eliminate_block).
 Internally a module element is a dict mapping (component, exponent pair)
 to a nonzero coefficient.  Generators that are all single terms take a
 fast combinatorial path: the S-vector of two terms vanishes, so a reduced
-basis is just the staircase of minimal terms per component.
+basis is just the staircase of minimal terms per component.  Such a
+basis is stored as its staircases, and its Polynomial generators are
+built only when gens is first read; equal compares two monomial bases
+by their staircases.
 
 Other generators go through Buchberger's algorithm.  Its pairs are
 installed by the Gebauer-Moeller update, and each reduction takes terms
@@ -86,6 +89,9 @@ DEFAULT_ORDER = ModuleOrder()
 
 # -- submodule container -------------------------------------------------
 
+_UNSCANNED = object()  # SubmoduleData._stairs before the first scan
+
+
 class SubmoduleData:
     """A finitely generated submodule of a free module A^rank.
 
@@ -93,11 +99,16 @@ class SubmoduleData:
     reduced Groebner basis for each order is cached after the first
     computation; it is canonical, so concurrent fillers agree.  A basis
     also caches the lead index that normal_form reduces against.
-    Instances compare and hash on (ctx, rank, gens); the cache takes no
-    part in either.
+
+    A monomial submodule is held as its staircases: per component, the
+    minimal exponent pairs, sorted (_mono_components).  A reduced basis
+    the monomial fast paths build has no Polynomials until gens is first
+    read, which builds them in lead order (_stair_gens).  Instances
+    compare and hash on (ctx, rank, gens); the cache takes no part in
+    either.
     """
 
-    __slots__ = ("ctx", "rank", "gens", "_cache")
+    __slots__ = ("ctx", "rank", "_gens", "_stairs", "_cache")
 
     def __init__(self, ctx, rank, gens):
         for g in gens:
@@ -109,8 +120,16 @@ class SubmoduleData:
                     raise ContextMismatchError("generator entry in foreign context")
         self.ctx = ctx
         self.rank = rank
-        self.gens = gens
+        self._gens = gens
+        self._stairs = _UNSCANNED
         self._cache = {}
+
+    @property
+    def gens(self):
+        gens = self._gens
+        if gens is None:
+            gens = self._gens = _stair_gens(self, DEFAULT_ORDER)
+        return gens
 
     def __eq__(self, other):
         if other.__class__ is not SubmoduleData:
@@ -155,15 +174,12 @@ class SubmoduleData:
         return tuple(g[0] for g in self.gens)
 
     def is_zero(self):
-        return all(p.is_zero() for g in self.gens for p in g)
+        stairs = _mono_components(self)
+        return stairs is not None and not any(stairs)
 
     def is_monomial(self):
         """True when every generator is a single term in one component."""
-        for g in self.gens:
-            nonzero = [p for p in g if not p.is_zero()]
-            if len(nonzero) > 1 or (nonzero and not nonzero[0].is_term()):
-                return False
-        return True
+        return _mono_components(self) is not None
 
 
 # -- raw vector-polynomial helpers ---------------------------------------
@@ -342,7 +358,7 @@ def _spair(f, g, lt_f, lt_g, field):
     return vp
 
 
-def _buchberger(gens, key, field, rank):
+def _buchberger(gens, key, field, rank, deadline=None):
     """Reduced Groebner basis of the module generated by gens (list of vps).
 
     Inputs are taken lazily.  Each nonzero input, normalized, goes into the
@@ -364,7 +380,8 @@ def _buchberger(gens, key, field, rank):
     Pairs are reduced smallest lcm first (normal selection), so nothing
     is scanned when a pair is taken.  Inputs and S-vectors reduce against
     a _LeadIndex kept up to date as elements arrive.  Elements are kept as
-    _vp_normalize makes them; the returned basis is monic.
+    _vp_normalize makes them; the returned basis is monic.  deadline, when
+    given, is checked once per input or pair taken from the heap.
     """
     down = _descending(key)
     index = _LeadIndex()
@@ -409,6 +426,8 @@ def _buchberger(gens, key, field, rank):
             heap.append((key(lead), 0, n, _vp_normalize(vp, lead, field)))
     heapify(heap)
     while heap:
+        if deadline is not None:
+            deadline.check()
         _, is_pair, i, x = heappop(heap)
         if not is_pair:
             vp = x
@@ -475,7 +494,16 @@ def _mono_minimalize(exps_list):
 
 
 def _mono_components(U):
-    """Minimal monomial generators per component; None if not monomial."""
+    """Minimal monomial generators per component, a tuple of staircases
+    of exponent pairs; None if U is not monomial.  Computed once and
+    kept on U."""
+    stairs = U._stairs
+    if stairs is _UNSCANNED:
+        stairs = U._stairs = _scan_stairs(U)
+    return stairs
+
+
+def _scan_stairs(U):
     comps = [[] for _ in range(U.rank)]
     for g in U.gens:
         nonzero = [(c, p) for c, p in enumerate(g) if not p.is_zero()]
@@ -486,7 +514,7 @@ def _mono_components(U):
             if not p.is_term():
                 return None
             comps[c].append(p.leading_monomial())
-    return [_mono_minimalize(lst) for lst in comps]
+    return tuple(tuple(_mono_minimalize(lst)) for lst in comps)
 
 
 def _mono_ideal_colon_single(exps_list, g):
@@ -536,19 +564,38 @@ def _mono_ideal_intersect(a_list, b_list):
 
 
 def _from_mono_components(ctx, rank, comps, order=DEFAULT_ORDER):
-    """The reduced basis with the given minimal generators per component,
-    sorted by lead term under order; it is its own cached basis."""
-    z = Polynomial.zero(ctx)
-    key = order.key_function(ctx)
-    leads = [(c, e) for c, lst in enumerate(comps) for e in lst]
-    leads.sort(key=key)
-    gens = []
-    for c, e in leads:
-        gens.append(tuple(Polynomial.monomial(ctx, e) if i == c else z
-                          for i in range(rank)))
-    gb = SubmoduleData(ctx, rank, tuple(gens))
-    gb._cache[order] = gb
+    """The reduced basis with the given minimal generators per component;
+    it is its own cached basis.  Its generators, monic terms sorted by
+    lead term under order, are built when first read, and at once for
+    an order other than the default."""
+    gb = SubmoduleData.__new__(SubmoduleData)
+    gb.ctx, gb.rank, gb._gens, gb._cache = ctx, rank, None, {order: gb}
+    gb._stairs = tuple(map(tuple, comps))
+    if order != DEFAULT_ORDER:
+        gb._gens = _stair_gens(gb, order)
     return gb
+
+
+def _stair_gens(U, order):
+    """The generator vectors of the reduced basis U._stairs, sorted by
+    lead term under order."""
+    ctx, rank = U.ctx, U.rank
+    z = Polynomial.zero(ctx)
+    leads = [(c, e) for c, lst in enumerate(U._stairs) for e in lst]
+    leads.sort(key=order.key_function(ctx))
+    return tuple(tuple(Polynomial.monomial(ctx, e) if i == c else z
+                       for i in range(rank))
+                 for c, e in leads)
+
+
+def _kernel_vectors(U):
+    """U's generators as kernel vectors (_to_vp); a basis still held as
+    staircases gives them without building Polynomials."""
+    if U._gens is None:
+        one = U.ctx.field.one
+        return [{(c, e): one} for c, lst in enumerate(U._stairs)
+                for e in lst]
+    return [_to_vp(g) for g in U.gens]
 
 
 # -- public operations ---------------------------------------------------
@@ -567,20 +614,20 @@ def groebner_basis(U, order=None):
     if comps is not None:
         gb = _from_mono_components(U.ctx, U.rank, comps, cache_key)
     else:
-        gb = vector_basis(U.ctx, U.rank, [_to_vp(g) for g in U.gens],
-                          cache_key)
+        gb = vector_basis(U.ctx, U.rank, _kernel_vectors(U), cache_key)
     U._cache[cache_key] = gb
     return gb
 
 
-def vector_basis(ctx, rank, vps, order=DEFAULT_ORDER):
+def vector_basis(ctx, rank, vps, order=DEFAULT_ORDER, deadline=None):
     """Reduced Groebner basis, as groebner_basis returns it, of the
     submodule of A^rank generated by the kernel vectors vps: dicts from
     (component, exponent tuple) to a coefficient, the field's own or,
     over QQ, an int.  Callers that build their generators term by term,
     like rees.piece_product, hand them over here without making
-    Polynomials first."""
-    basis = _buchberger(vps, order.key_function(ctx), ctx.field, rank)
+    Polynomials first.  deadline is as in _buchberger."""
+    basis = _buchberger(vps, order.key_function(ctx), ctx.field, rank,
+                        deadline)
     gb = SubmoduleData(ctx, rank,
                        tuple(_from_vp(ctx, rank, vp) for vp in basis))
     gb._cache[order] = gb
@@ -596,7 +643,7 @@ def _basis_index(U, order=None):
     if index is None:
         key = order.key_function(U.ctx)
         index = gb._cache[_LeadIndex, order] = _LeadIndex()
-        for vp in map(_to_vp, gb.gens):
+        for vp in _kernel_vectors(gb):
             if vp:
                 index.add(max(vp, key=key), vp)
     return index
@@ -632,10 +679,16 @@ def member(vec, U):
 
 
 def equal(U, V):
-    """Submodule equality via canonical reduced bases."""
+    """Submodule equality via canonical reduced bases.  The reduced basis
+    of a monomial submodule is its staircases, so two bases of which
+    one is monomial are equal iff their staircases are."""
     if U.rank != V.rank or U.ctx != V.ctx:
         return False
-    return groebner_basis(U).gens == groebner_basis(V).gens
+    U, V = groebner_basis(U), groebner_basis(V)
+    su, sv = _mono_components(U), _mono_components(V)
+    if su is None and sv is None:
+        return U.gens == V.gens
+    return su == sv
 
 
 def _eliminate_block(pairs, W, rank):
@@ -649,7 +702,7 @@ def _eliminate_block(pairs, W, rank):
     """
     ctx, q = W.ctx, W.rank
     vps = [_to_vp(tuple(a) + tuple(b)) for a, b in pairs]
-    vps += map(_to_vp, W.gens)
+    vps += _kernel_vectors(W)
     key = ModuleOrder(elim_components=q).key_function(ctx)
     gens = tuple(_from_vp(ctx, rank, {(c - q, e): x
                                       for (c, e), x in vp.items()})

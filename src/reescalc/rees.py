@@ -20,16 +20,17 @@ has finite colength, and otherwise preimages and intersections.
 import itertools
 from heapq import heapify, heappop, heappush
 from math import comb, lcm
+from operator import add
 
 from .context import mon_mul
 from .errors import ContextMismatchError, InputError, RankMismatchError
 from .groebner import (DEFAULT_ORDER, SubmoduleData, contains,
                        groebner_basis, intersect, preimage,
                        vector_basis, _basis_index, _descending,
-                       _from_mono_components, _mono_components,
-                       _mono_ideal_colon_single, _mono_ideal_intersect,
-                       _mono_minimalize, _to_vp, _vp_normal_form,
-                       _vp_normalize)
+                       _from_mono_components, _kernel_vectors,
+                       _mono_components, _mono_ideal_colon_single,
+                       _mono_ideal_intersect, _mono_minimalize, _to_vp,
+                       _vp_normal_form, _vp_normalize)
 from .poly import Polynomial
 
 INFINITE = float("inf")
@@ -64,7 +65,7 @@ def fiber_products(r, a, b):
         basis_a, _ = fiber_basis(r, a)
         basis_b, _ = fiber_basis(r, b)
         _, index_ab = fiber_basis(r, a + b)
-        got = tuple(tuple(index_ab[mon_mul(x, y)] for y in basis_b)
+        got = tuple(tuple(index_ab[tuple(map(add, x, y))] for y in basis_b)
                     for x in basis_a)
         _FIBER_PRODUCT_CACHE[key] = got
     return got
@@ -78,7 +79,10 @@ class ModuleEmbedding:
     """M inside F = A^r together with its image ideal MS in S.
 
     columns are the generators of M as vectors over the base ring; the MS
-    generators are the corresponding t-linear forms.
+    generators are the corresponding t-linear forms.  They are M's
+    generators as submodule() holds them, so an embedding made from a
+    reduced basis still held as staircases builds no Polynomials until
+    they are read.
     """
 
     def __init__(self, ctx, columns, rank=None):
@@ -92,7 +96,6 @@ class ModuleEmbedding:
         self._submodule = SubmoduleData(ctx, rank, columns)
         self.ctx = ctx
         self.rank = rank
-        self.columns = columns
         self._power_cache = {}
         self._colength = None
 
@@ -113,7 +116,14 @@ class ModuleEmbedding:
 
     @classmethod
     def from_submodule(cls, U):
-        return cls(U.ctx, U.gens, rank=U.rank)
+        """The embedding of U itself, which shares U's cached bases."""
+        E = cls(U.ctx, (), rank=U.rank)
+        E._submodule = U
+        return E
+
+    @property
+    def columns(self):
+        return self._submodule.gens
 
     # -- structure -------------------------------------------------------
 
@@ -132,7 +142,7 @@ class ModuleEmbedding:
 
     # -- graded pieces ---------------------------------------------------
 
-    def power_piece(self, n):
+    def power_piece(self, n, deadline=None):
         """M^n as a submodule of the rank-C(n+r-1, r-1) free A-module.
 
         Stored as its reduced Groebner basis so repeated products stay
@@ -143,7 +153,8 @@ class ModuleEmbedding:
         powers (I = ((X+2Y)^4, (X+2Y)^3*Y, (X+2Y)*Y^3, Y^4) has
         I^2 = m^8).  Without such a split a = n-1, since M^(n-1)*M feeds
         Buchberger the fewest products (85*5 rather than 25*41 for M^7
-        of a rank-2 binomial module).
+        of a rank-2 binomial module).  deadline, when given, is checked
+        inside each Buchberger run a product takes.
         """
         if n < 0:
             raise InputError("power must be non-negative")
@@ -159,11 +170,12 @@ class ModuleEmbedding:
         else:
             for k in range(1, n):
                 if k not in cache:
-                    self.power_piece(k)
+                    self.power_piece(k, deadline=deadline)
             a = next((a for a in range(n - 1, (n - 1) // 2, -1)
                       if cache[a].is_monomial()
                       and cache[n - a].is_monomial()), n - 1)
-            result = piece_product(self, cache[a], a, cache[n - a], n - a)
+            result = piece_product(self, cache[a], a, cache[n - a], n - a,
+                                   deadline=deadline)
         cache[n] = result
         return result
 
@@ -220,7 +232,7 @@ def _integer_product(u, v, index_ab, p):
     return {t: c for t, c in vp.items() if c}
 
 
-def piece_product(E, A, a, B, b):
+def piece_product(E, A, a, B, b, deadline=None):
     """Groebner basis of the product piece A*B in fiber degree a+b.
 
     E supplies the free rank r and the ring: an embedding, or a
@@ -237,7 +249,7 @@ def piece_product(E, A, a, B, b):
     and de-duplicated on that form: u*v = v*u in M*M, and (x*y)*z =
     (x*z)*y across M^(n-1)*M, and each repeat only adds work that reduces
     to zero.  The products go to groebner.vector_basis as kernel vectors,
-    with no Polynomial or Fraction in between.
+    with no Polynomial or Fraction in between, and deadline with them.
     """
     rank = piece_rank(E.rank, a + b)
     comps_a = _mono_components(A)
@@ -247,7 +259,8 @@ def piece_product(E, A, a, B, b):
         comps = [[] for _ in range(rank)]
         for row, us in zip(index_ab, comps_a):
             for k, vs in zip(row, comps_b):
-                comps[k].extend(mon_mul(u, v) for u in us for v in vs)
+                comps[k].extend([(x + u, y + v) for x, y in us
+                                 for u, v in vs])
         return _from_mono_components(
             E.ctx, rank, [_mono_minimalize(c) for c in comps])
     field = E.ctx.field
@@ -261,19 +274,20 @@ def piece_product(E, A, a, B, b):
             if vp:
                 vp = _vp_normalize(vp, max(vp, key=key), field)
                 products.setdefault(frozenset(vp.items()), vp)
-    return vector_basis(E.ctx, rank, list(products.values()))
+    return vector_basis(E.ctx, rank, list(products.values()),
+                        deadline=deadline)
 
 
-def piece_colon(E, W, gens_low, low, ambient, inside=None, deadline=None):
+def piece_colon(E, W, G, low, ambient, inside=None, deadline=None):
     """{v in the fiber-degree-ambient free piece : v*g in W for every g}.
 
-    The g are vectors of fiber degree low; zero ones impose no condition.
-    E is as in piece_product.  inside, when given, is a submodule of the
-    ambient piece that the caller knows lies in the colon, and deadline,
-    when given, is checked once per standard monomial of the second
-    route.  The first of three routes that applies computes the colon:
+    The g are the generators of G, a submodule of the fiber-degree-low
+    piece; zero ones impose no condition.  E is as in piece_product.
+    inside, when given, is a submodule of the ambient piece that the
+    caller knows lies in the colon, and deadline, when given, is checked
+    once per standard monomial of the second route.  The first of three routes that applies computes the colon:
 
-    - monomial: W and the g are monomial.  Each g shifts components by a
+    - monomial: W and G are monomial.  Each g shifts components by a
       fixed t-monomial, so the colon splits into one ideal colon per
       component, intersected over the g.
     - linear algebra: inside has finite colength.  v -> (NF_W(v*g))_g is
@@ -287,13 +301,11 @@ def piece_colon(E, W, gens_low, low, ambient, inside=None, deadline=None):
     """
     r, ctx = E.rank, E.ctx
     rank_amb = piece_rank(r, ambient)
-    gens_low = tuple(g for g in gens_low if not all(p.is_zero() for p in g))
-    if not gens_low:
+    if G.is_zero():
         return SubmoduleData.free(ctx, rank_amb)
     index = fiber_products(r, ambient, low)
     comps_w = _mono_components(W)
-    comps_g = _mono_components(
-        SubmoduleData(ctx, piece_rank(r, low), gens_low))
+    comps_g = _mono_components(G)
     if comps_w is not None and comps_g is not None:
         comps = []
         for row in index:
@@ -305,14 +317,14 @@ def piece_colon(E, W, gens_low, low, ambient, inside=None, deadline=None):
                         acc, part)
             comps.append(acc)
         return _from_mono_components(ctx, rank_amb, comps)
+    gens_low = [g for g in G.gens if not all(p.is_zero() for p in g)]
     if inside is not None:
         B, stairs = _standard_stairs(inside)
         if stairs is not None:
             kernel = _colon_kernel(W, gens_low, index, stairs, deadline)
             if not kernel:
                 return B
-            return vector_basis(ctx, rank_amb,
-                                [_to_vp(b) for b in B.gens] + kernel)
+            return vector_basis(ctx, rank_amb, _kernel_vectors(B) + kernel)
     units = SubmoduleData.free(ctx, rank_amb).gens
     result = None
     for g in gens_low:
@@ -426,7 +438,7 @@ def colon(U, J):
         raise RankMismatchError("colon denominator must be an ideal")
     if U.ctx != J.ctx:
         raise ContextMismatchError("colon across contexts")
-    return piece_colon(U, U, J.gens, 0, 1, inside=U)
+    return piece_colon(U, U, J, 0, 1, inside=U)
 
 
 # -- lengths and generators ----------------------------------------------
@@ -438,18 +450,19 @@ def _standard_stairs(U):
     steps are None when a staircase does not close off, that is when U
     has infinite colength."""
     gb = groebner_basis(U)
-    key = U.ctx.mon_key
-    comps = [[] for _ in range(U.rank)]
-    for g in gb.gens:
-        lead_comp = None
-        lead = None
-        for c, p in enumerate(g):
-            if p.is_zero():
-                continue
-            m = p.leading_monomial()
-            if lead is None or (key(m), -c) > (key(lead), -lead_comp):
-                lead, lead_comp = m, c
-        if lead is not None:
+    comps = _mono_components(gb)
+    if comps is None:
+        key = U.ctx.mon_key
+        comps = [[] for _ in range(U.rank)]
+        for g in gb.gens:
+            lead_comp = None
+            lead = None
+            for c, p in enumerate(g):
+                if p.is_zero():
+                    continue
+                m = p.leading_monomial()
+                if lead is None or (key(m), -c) > (key(lead), -lead_comp):
+                    lead, lead_comp = m, c
             comps[lead_comp].append(lead)
     stairs = []
     for lst in comps:

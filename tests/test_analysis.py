@@ -9,11 +9,13 @@ from reescalc import (InputError, ModuleEmbedding, RingContext, SubmoduleData,
                       direct_sum_buchsbaum, indecomposability_check,
                       parse_poly, ratliff_rush_module,
                       scaled_buchsbaum_check, theorem12_check)
+from reescalc import groebner
 from reescalc.fixtures import (indecomposable_presentation, mixed_direct_sum,
                                parameter_module, rr_ideal_pair,
                                square_direct_sum)
 
 from oracles import newton_closure_oracle
+from test_rees import BINOMIAL_ROWS
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
@@ -66,6 +68,23 @@ def test_br_matches_measured_lengths():
     # one degree past the measured window, polynomial and measurement agree
     n = len(B.lengths)
     assert B.length_at(n) == colength(E.power_piece(n + 1))
+
+
+def test_br_checks_its_deadline_inside_a_power():
+    # br_coefficients checks the deadline before each of its n_max + 1
+    # powers; the powers of a non-monomial module run Buchberger, which
+    # checks it too, so a power that overruns still stops.
+    class CountingDeadline:
+        calls = 0
+
+        def check(self):
+            self.calls += 1
+
+    E = ModuleEmbedding.from_matrix(
+        CTX, [[_p(e) for e in row] for row in BINOMIAL_ROWS])
+    deadline = CountingDeadline()
+    br_coefficients(E, 6, deadline)
+    assert deadline.calls > 6 + 1
 
 
 def test_br_input_validation():
@@ -159,6 +178,21 @@ def test_buchsbaum_passes_on_mixed_direct_sum():
     assert out["certified"]
     assert out["tail_closed"] == {"2": True, "3": True, "4": True}
     assert out["closure_gap"] == 2
+
+
+def test_buchsbaum_on_mixed_sum_builds_no_basis_polynomials(monkeypatch):
+    # The criterion compares monomial pieces by their staircases and, when
+    # it passes, reports no basis; so no reduced basis held as staircases
+    # builds its Polynomials.  E is the matrix of the cli-decide
+    # buchsbaum:mixed-sum job.
+    built = []
+    real = groebner._stair_gens
+    monkeypatch.setattr(groebner, "_stair_gens",
+                        lambda *args: built.append(args) or real(*args))
+    out = buchsbaum_check(mixed_direct_sum(CTX)["E"])
+    assert out["verdict"] and out["tail_closed"] == {
+        "2": True, "3": True, "4": True}
+    assert built == []
 
 
 def test_buchsbaum_on_integrally_closed_module():

@@ -171,7 +171,7 @@ def test_rr_chain_value_outside_the_closure_exits_3(tmp_path, capsys,
                                                     monkeypatch):
     # a colon that returns the whole free piece: the value contains M, but
     # fails W*M^(k*) in M^(1+k*)
-    def free_piece(E, W, gens_low, low, ambient, **kwargs):
+    def free_piece(E, W, G, low, ambient, **kwargs):
         return SubmoduleData.free(E.ctx, rees.piece_rank(E.rank, ambient))
 
     monkeypatch.setattr(closures, "piece_colon", free_piece)

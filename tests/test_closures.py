@@ -111,7 +111,7 @@ def test_a_chain_value_outside_the_closure_raises_the_defining_colon_alarm(
     # A colon that returns the whole free piece gives a value W that
     # contains M^2, but W*M is not inside M^3 for M inside mF, so the
     # check W*M^(k*) in M^(n+k*) raises.
-    def free_piece(E, W, gens_low, low, ambient, **kwargs):
+    def free_piece(E, W, G, low, ambient, **kwargs):
         return SubmoduleData.free(E.ctx, rees.piece_rank(E.rank, ambient))
 
     monkeypatch.setattr(closures, "piece_colon", free_piece)
@@ -126,7 +126,7 @@ def _chain_over_powers_of_the_power(E, n, window):
     while l - l_star < window:
         l += 1
         new = rees.piece_colon(E, E.power_piece(n * (l + 1)),
-                               E.power_piece(n * l).gens, n * l, n)
+                               E.power_piece(n * l), n * l, n)
         if new.gens != value.gens:
             value, l_star = new, l
     return value

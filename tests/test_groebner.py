@@ -459,6 +459,94 @@ def test_monomial_containment_on_larger_sets_in_two_variables():
     assert seen == {True, False}
 
 
+def _monomial_vectors(rank, leads):
+    return [tuple(Polynomial.monomial(CTX, e) if i == c else ZERO
+                  for i in range(rank)) for c, e in leads]
+
+
+def _minimal_leads(rank, leads):
+    """The minimal ones of the (component, exponent pair) leads."""
+    return [(c, m) for c in range(rank)
+            for m in _minimal_brute(e for d, e in leads if d == c)]
+
+
+def _eager_basis(rank, leads):
+    """The reduced basis of the monomial module with generators at leads,
+    as Polynomial vectors: the minimal leads sorted by lead term."""
+    return tuple(_monomial_vectors(rank, sorted(
+        _minimal_leads(rank, leads), key=DEFAULT_ORDER.key_function(CTX))))
+
+
+def _colength_by_counting(rank, leads):
+    """Exponent pairs of the box below each component's pure powers that
+    no lead divides; INFINITE when a component has no pure power of X or
+    of Y."""
+    total = 0
+    for c in range(rank):
+        comp = [e for d, e in leads if d == c]
+        xs = [a for a, b in comp if b == 0]
+        ys = [b for a, b in comp if a == 0]
+        if not xs or not ys:
+            return INFINITE
+        total += sum(1 for m in itertools.product(range(min(xs)),
+                                                  range(min(ys)))
+                     if not _in_ideal(m, comp))
+    return total
+
+
+def test_staircase_backed_bases_match_the_polynomial_construction():
+    # Monomial bases are held as staircases and build their Polynomials on
+    # the first read of gens.  On random monomial modules of rank 1-3, with
+    # redundant generators and some components empty or open, the lazy gens
+    # equal the eager construction, equal() agrees with comparing gens, and
+    # colength counts the standard monomials.
+    rng = random.Random(1717)
+    kinds = set()
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        leads = [(rng.randrange(rank), (rng.randint(0, 5), rng.randint(0, 5)))
+                 for _ in range(rng.randint(1, 8))]
+        leads += [(c, (rng.randint(1, 6), 0)) for c in range(rank)
+                  if rng.random() < 0.8]
+        leads += [(c, (0, rng.randint(1, 6))) for c in range(rank)
+                  if rng.random() < 0.8]
+        vectors = _monomial_vectors(rank, leads)
+        gb = groebner_basis(SubmoduleData(CTX, rank, tuple(vectors)))
+        assert gb._gens is None
+        want = _eager_basis(rank, leads)
+        assert gb.gens == want, leads
+        assert colength(SubmoduleData(CTX, rank, tuple(vectors))) \
+            == _colength_by_counting(rank, leads), leads
+        # the same module from shuffled generators and multiples of them,
+        # and its basis built by Buchberger from Polynomials
+        extra = [(c, mon_mul(e, (rng.randint(0, 2), rng.randint(0, 2))))
+                 for c, e in rng.sample(leads, min(3, len(leads)))]
+        shuffled = _monomial_vectors(rank, rng.sample(leads, len(leads)))
+        same = SubmoduleData(CTX, rank,
+                             tuple(shuffled + _monomial_vectors(rank, extra)))
+        built = groebner.vector_basis(CTX, rank, _vps(want))
+        # one minimal generator dropped, and a random other module
+        dropped = _minimal_leads(rank, leads)
+        del dropped[rng.randrange(len(dropped))]
+        other_leads = [(rng.randrange(rank), (rng.randint(0, 3),
+                                               rng.randint(0, 3)))
+                       for _ in range(rng.randint(1, 4))]
+        for V, same_module in (
+                (same, True), (built, True),
+                (SubmoduleData(CTX, rank,
+                               tuple(_monomial_vectors(rank, dropped))),
+                 False),
+                (SubmoduleData(CTX, rank,
+                               tuple(_monomial_vectors(rank, other_leads))),
+                 None)):
+            by_gens = gb.gens == groebner_basis(V).gens
+            assert equal(gb, V) == equal(V, gb) == by_gens, (leads, V.gens)
+            if same_module is not None:
+                assert by_gens == same_module, (leads, V.gens)
+            kinds.add(by_gens)
+    assert kinds == {True, False}
+
+
 def _vps(vectors):
     return [{(c, e): x for c, p in enumerate(v) for e, x in p.terms.items()}
             for v in vectors]

@@ -387,7 +387,7 @@ def test_linear_algebra_colon_matches_syzygy_colon(monkeypatch):
                     value = E.power_piece(n)
                     for k in (1, 2):
                         args = (E, E.power_piece(n + k),
-                                E.power_piece(k).gens, k, n)
+                                E.power_piece(k), k, n)
                         got = rees.piece_colon(*args, inside=value)
                         assert got.gens == rees.piece_colon(*args).gens, \
                             (E.columns, n, k)
