@@ -94,15 +94,18 @@ def _power_chain(E, n, opts, deadline):
     The chain stops opts.window steps after its last change.  A change
     after step opts.l_max raises UnstableChainError carrying the new
     value and the colengths of B_0 .. B_k, which are computed only then.
+    deadline is checked before each step and inside the powers and the
+    colons the chain computes.
     """
-    value = E.power_piece(n)
+    value = E.power_piece(n, deadline=deadline)
     values = [value]
     k = k_star = 0
     while k - k_star < opts.window:
         deadline.check()
         k += 1
-        new = piece_colon(E, E.power_piece(n + k), E.power_piece(k),
-                          k, n, inside=value, deadline=deadline)
+        new = piece_colon(E, E.power_piece(n + k, deadline=deadline),
+                          E.power_piece(k, deadline=deadline), k, n,
+                          inside=value, deadline=deadline)
         values.append(new)
         if not equal(new, value):
             value, k_star = new, k

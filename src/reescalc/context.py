@@ -109,7 +109,7 @@ class RingContext:
     """
 
     __slots__ = ("characteristic", "base_vars", "field", "nvars",
-                 "var_index", "_hash", "_key_cache")
+                 "var_index", "_hash")
 
     def __init__(self, characteristic=0, base_vars=("X", "Y")):
         base_vars = tuple(base_vars)
@@ -124,19 +124,14 @@ class RingContext:
         self.nvars = 2
         self.var_index = {v: i for i, v in enumerate(base_vars)}
         self._hash = hash((characteristic, base_vars))
-        self._key_cache = {}
 
     # -- order -----------------------------------------------------------
 
     def mon_key(self, exps):
         """Sort key of an exponent pair (a, b), a flat tuple of integers;
         larger key means larger monomial."""
-        got = self._key_cache.get(exps)
-        if got is not None:
-            return got
         a, b = exps
-        key = self._key_cache[exps] = (a + b, -b, -a)
-        return key
+        return (a + b, -b, -a)
 
     # -- equality --------------------------------------------------------
 
@@ -168,11 +163,6 @@ def mon_mul(a, b):
 def mon_divides(a, b):
     """True iff monomial a divides monomial b."""
     return a[0] <= b[0] and a[1] <= b[1]
-
-
-def mon_div(a, b):
-    """Quotient a / b; caller guarantees divisibility."""
-    return (a[0] - b[0], a[1] - b[1])
 
 
 def mon_lcm(a, b):

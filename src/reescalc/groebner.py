@@ -9,38 +9,40 @@ elimination of a block of components: both pair the vectors they start
 from with tags in a second block, and read the result off the basis
 elements free of the first (_eliminate_block).
 
-Internally a module element is a dict mapping (component, exponent pair)
-to a nonzero coefficient.  Generators that are all single terms take a
-fast combinatorial path: the S-vector of two terms vanishes, so a reduced
-basis is just the staircase of minimal terms per component.  Such a
-basis is stored as its staircases, and its Polynomial generators are
-built only when gens is first read; equal compares two monomial bases
-by their staircases.
+Internally a module element is a kernel vector: a dict mapping a term,
+packed into one int so that comparing terms is comparing ints and
+multiplying by a monomial is adding one (_pack), to a nonzero
+coefficient.  Generators that are all single terms take a fast path:
+the S-vector of two terms vanishes, so a reduced basis is just the
+staircase of minimal terms per component.  Such a basis is stored as
+its staircases.  Any other reduced basis is stored as its kernel
+vectors, as the kernel leaves them, and either kind builds its
+Polynomial generators only when gens is first read; equal compares two
+bases by their staircases or their kernel vectors.
 
-Other generators go through Buchberger's algorithm.  Its pairs are
-installed by the Gebauer-Moeller update, and each reduction takes terms
-from a max-heap and finds its reducer in a lead index: per component, a
-staircase searched by bisection.  The index grows with the basis, and a
-cached basis keeps one for normal_form.  Inputs are taken lazily: each
-waits in the pair queue under its lead term and is reduced against the
-basis so far when its turn comes, so the many redundant products that
-build a module's powers are dropped as zero remainders instead of being
-paired.  vector_basis takes inputs that are already kernel vectors, as
-rees.piece_product builds them, and groebner_basis goes through it too.
+Other generators go through Buchberger's algorithm (_buchberger): the
+Gebauer-Moeller update, heap-based reduction against a lead index of
+staircases, and inputs taken lazily, so that the many redundant
+products that build a module's powers drop out as zero remainders.  A
+cached basis keeps its index for normal_form.  vector_basis takes
+inputs that are already kernel vectors, as rees.piece_product builds
+them, and groebner_basis goes through it too.
 
 Over QQ the kernel computes with primitive integer vectors and
-pseudo-reduction in place of Fraction arithmetic, and makes the basis
-monic, with Fraction coefficients, only at the end; over GF(p) its
-elements are monic throughout.  The reduced basis is unique, so both
-fields return the same bases as a monic computation would.
+pseudo-reduction in place of Fraction arithmetic, and a basis keeps
+them so; its generators are made monic, with Fraction coefficients,
+when they are built.  Over GF(p) its elements are monic throughout.
+The reduced basis is unique, so both fields return the same bases as a
+monic computation would.
 """
 
 from bisect import bisect_right
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .context import mon_coprime, mon_div, mon_divides, mon_lcm, mon_mul
-from .errors import ContextMismatchError, RankMismatchError
+from .context import mon_coprime, mon_divides, mon_lcm
+from .errors import ContextMismatchError, InputError, RankMismatchError
 from .poly import Polynomial
 
 
@@ -52,10 +54,9 @@ class ModuleOrder:
     The monomial is compared first, then the component, a lower index
     being larger.  The first elim_components components dominate all
     others, as the one elimination here needs: preimage and intersect
-    both read their result off the elements free of that block.  Keys
-    are flat tuples of integers, so _descending can negate them.  Orders
-    are values: equal orders hash alike and share the basis cached for
-    them.
+    both read their result off the elements free of that block.  The
+    kernel compares packed terms (_pack), which order as these keys do.
+    Orders are values: equal orders hash alike.
     """
 
     __slots__ = ("elim_components",)
@@ -87,6 +88,68 @@ class ModuleOrder:
 DEFAULT_ORDER = ModuleOrder()
 
 
+# -- packed terms --------------------------------------------------------
+#
+# A term X^a*Y^b*e_c is the int
+#     flag << 96 | (a + b) << 64 | (M - b) << 32 | (M - c),  M = 2^32 - 1,
+# flag being 1 when c lies in the dominating block of an elimination
+# order.  Integer order is then the ModuleOrder order: flag, degree, lower
+# b, lower c.  Multiplying by X^i*Y^j adds (i + j) << 64 - j << 32 (_X,
+# _Y), and t - s is that constant when s divides t in one component.
+# InputError guards the places degrees grow: packed inputs, the products
+# of rees.piece_product, S-vector lcms and, under an elimination order,
+# whole elements stay within _MAX_DEGREE, and no term formed from those
+# reaches four times that, far inside the 32-bit fields.
+
+_MASK = (1 << 32) - 1
+_B_SHIFT, _DEG_SHIFT, _FLAG_SHIFT = 32, 64, 96
+_COMPONENT = 1 << _FLAG_SHIFT | _MASK  # the flag and component fields
+_X = 1 << _DEG_SHIFT
+_Y = _X - (1 << _B_SHIFT)
+_MAX_DEGREE = (1 << 24) - 1
+
+
+def _check_range(degree, rank=1):
+    """InputError unless such terms fit the fields of _pack."""
+    if degree > _MAX_DEGREE or rank > _MASK:
+        raise InputError(f"degree {degree} or rank {rank} exceeds the "
+                         f"Groebner kernel's {_MAX_DEGREE} or {_MASK}")
+
+
+def _pack(c, e, elim=0):
+    """The term x^e in component c, for an order in which the first elim
+    components dominate."""
+    return _term((c < elim) << _FLAG_SHIFT | (_MASK - c), e)
+
+
+def _term(slot, e):
+    """The term x^e with the flag and component fields of slot."""
+    a, b = e
+    _check_range(a + b)
+    return slot | (a + b) << _DEG_SHIFT | (_MASK - b) << _B_SHIFT
+
+
+def _unpack(t):
+    """(component, exponent pair) of a packed term."""
+    b = _MASK - (t >> _B_SHIFT & _MASK)
+    return _MASK - (t & _MASK), ((t >> _DEG_SHIFT & _MASK) - b, b)
+
+
+def _degree(t):
+    return t >> _DEG_SHIFT & _MASK
+
+
+def _by_component(vp):
+    """The terms of a kernel vector by component, as (component, [(s,
+    coeff), ...]): a term is _pack(component, (0, 0)) + s, so a product
+    term is the packed 1 of its component plus two such s."""
+    comps = {}
+    for t, x in vp.items():
+        comps.setdefault(_MASK - (t & _MASK), []).append(
+            (t - (t & _MASK) - (_MASK << _B_SHIFT), x))
+    return list(comps.items())
+
+
 # -- submodule container -------------------------------------------------
 
 _UNSCANNED = object()  # SubmoduleData._stairs before the first scan
@@ -96,19 +159,18 @@ class SubmoduleData:
     """A finitely generated submodule of a free module A^rank.
 
     rank == 1 means an ideal.  Generators are tuples of Polynomials.  The
-    reduced Groebner basis for each order is cached after the first
-    computation; it is canonical, so concurrent fillers agree.  A basis
-    also caches the lead index that normal_form reduces against.
+    reduced Groebner basis is cached after the first computation; it is
+    canonical, so concurrent fillers agree.  A basis also caches the lead
+    index that normal_form reduces against.
 
     A monomial submodule is held as its staircases: per component, the
     minimal exponent pairs, sorted (_mono_components).  A reduced basis
-    the monomial fast paths build has no Polynomials until gens is first
-    read, which builds them in lead order (_stair_gens).  Instances
-    compare and hash on (ctx, rank, gens); the cache takes no part in
-    either.
+    is held as those or as its kernel vectors in ascending lead order
+    (_vps), and builds its Polynomials, in lead order, when gens is first
+    read.  Instances compare and hash on (ctx, rank, gens).
     """
 
-    __slots__ = ("ctx", "rank", "_gens", "_stairs", "_cache")
+    __slots__ = ("ctx", "rank", "_gens", "_stairs", "_vps", "_cache")
 
     def __init__(self, ctx, rank, gens):
         for g in gens:
@@ -122,13 +184,14 @@ class SubmoduleData:
         self.rank = rank
         self._gens = gens
         self._stairs = _UNSCANNED
+        self._vps = None
         self._cache = {}
 
     @property
     def gens(self):
         gens = self._gens
         if gens is None:
-            gens = self._gens = _stair_gens(self, DEFAULT_ORDER)
+            gens = self._gens = _stair_gens(self)
         return gens
 
     def __eq__(self, other):
@@ -182,131 +245,103 @@ class SubmoduleData:
         return _mono_components(self) is not None
 
 
-# -- raw vector-polynomial helpers ---------------------------------------
+# -- kernel vectors ------------------------------------------------------
 
-def _to_vp(vec):
-    vp = {}
-    for c, p in enumerate(vec):
-        for exps, coeff in p.terms.items():
-            vp[(c, exps)] = coeff
-    return vp
+def _to_vp(vec, elim=0):
+    """The Polynomial vector vec as a kernel vector, packed for an order
+    in which the first elim components dominate."""
+    _check_range(0, len(vec))
+    return {_pack(c, e, elim): x for c, p in enumerate(vec)
+            for e, x in p.terms.items()}
 
 
 def _from_vp(ctx, rank, vp):
     cols = [{} for _ in range(rank)]
-    for (c, exps), coeff in vp.items():
-        cols[c][exps] = coeff
+    for t, x in vp.items():
+        c, e = _unpack(t)
+        cols[c][e] = x
     return tuple(Polynomial(ctx, terms) for terms in cols)
 
 
-def _vp_monic(vp, lc, field):
-    """vp divided by its lead coefficient lc.  Over QQ the result holds
+def _vp_monic(vp, lt, p):
+    """vp divided by its coefficient at lt.  Over QQ the result holds
     Fractions even where vp holds integers."""
-    inv = field.invert(lc)
-    return {t: field.mul(c, inv) for t, c in vp.items()}
+    a = vp[lt]
+    if p:
+        inv = pow(a, p - 2, p)
+        return vp if a == 1 else {t: c * inv % p for t, c in vp.items()}
+    return {t: Fraction(c) / a for t, c in vp.items()}
 
 
-def _vp_normalize(vp, lt, field):
+def _vp_normalize(vp, lt, p):
     """vp as the kernel keeps it, lt being its lead term: over GF(p)
     monic; over QQ a primitive integer vector (denominators cleared,
     content divided out) with a positive lead coefficient."""
-    if field.characteristic:
-        return vp if vp[lt] == 1 else _vp_monic(vp, vp[lt], field)
+    if p:
+        return _vp_monic(vp, lt, p)
     den = lcm(*[c.denominator for c in vp.values()])
     ints = {t: c.numerator * (den // c.denominator) for t, c in vp.items()}
     g = gcd(*ints.values())
     if ints[lt] < 0:
         g = -g
-    return {t: c // g for t, c in ints.items()}
+    return ints if g == 1 else {t: c // g for t, c in ints.items()}
 
 
-class _LeadIndex:
-    """Kernel elements by lead term, for finding a reducer.
-
-    Each component keeps only minimal leads.  They form a staircase, and
-    the one lead that can divide (x, y) is the last corner with a <= x,
-    found by bisection.
-    """
-
-    def __init__(self):
-        self._comps = {}  # component -> (corner a's, corner b's, entries)
-
-    def add(self, lead, vp):
-        """Index vp under lead, unless an indexed lead divides it; drop
-        the indexed leads that lead divides."""
-        c, e = lead
-        xs, ys, entries = self._comps.setdefault(c, ([], [], []))
-        x, y = e
-        i = bisect_right(xs, x)
-        if i and ys[i - 1] <= y:
-            return
-        lo = i - 1 if i and xs[i - 1] == x else i
-        hi = i
-        while hi < len(ys) and ys[hi] >= y:
-            hi += 1
-        xs[lo:hi], ys[lo:hi], entries[lo:hi] = [x], [y], [(lead, vp)]
-
-    def find(self, term):
-        """An indexed (lead, vp) whose lead divides term, or None."""
-        c, e = term
-        comp = self._comps.get(c)
-        if comp is None:
-            return None
-        xs, ys, entries = comp
-        i = bisect_right(xs, e[0]) - 1
-        if i >= 0 and ys[i] <= e[1]:
-            return entries[i]
-        return None
+_NO_CORNERS = ((), (), ())
 
 
-def _descending(key):
-    """Memoized negated key: ascending order of these keys is descending
-    term order, which turns heapq's min-heap into a max-heap.  Needs the
-    flat integer tuples ModuleOrder.key_function builds.  The memo lives
-    as long as the returned function, so make one per Groebner run or
-    per normal_form call, not per basis."""
-    memo = {}
+def _index_add(index, lead, vp):
+    """Add the kernel element vp to a lead index: per component, the
+    staircase of minimal leads (corner a's, corner b's, entries), in which
+    the one lead that can divide X^x*Y^y is the last corner with a <= x.
+    An entry is (lead, its coefficient, the other (term, coefficient)
+    pairs).  No indexed lead divides lead, as every caller ensures."""
+    _, (x, y) = _unpack(lead)
+    xs, ys, entries = index.setdefault(lead & _COMPONENT, ([], [], []))
+    i = bisect_right(xs, x)
+    lo = i - 1 if i and xs[i - 1] == x else i
+    hi = i
+    while hi < len(ys) and ys[hi] >= y:
+        hi += 1
+    tail = [(t, c) for t, c in vp.items() if t != lead]
+    xs[lo:hi], ys[lo:hi], entries[lo:hi] = [x], [y], [(lead, vp[lead],
+                                                       tail)]
 
-    def down(term):
-        k = memo.get(term)
-        if k is None:
-            k = memo[term] = tuple([-x for x in key(term)])
-        return k
-    return down
 
-
-def _vp_normal_form(vp, index, down, field):
+def _vp_normal_form(vp, index, p):
     """Normal form of vp, up to a nonzero factor, against the entries of
-    a _LeadIndex.
+    a lead index (_index_add); p is the field's characteristic.
 
-    The terms left to reduce sit in a dict and, keyed by down, in a lazy
-    max-heap (Monagan & Pearce, J. Symb. Comput. 46, 2011): a term is
-    pushed when it enters the dict, and a popped term no longer in the
-    dict (cancelled, or a repeat) is skipped.  Every term a reduction
-    step adds lies below the term it removes, so none is taken twice.
+    The terms left to reduce sit in a dict and, negated, in a lazy heap
+    (Monagan & Pearce, J. Symb. Comput. 46, 2011): a term is pushed when
+    it enters the dict, and a popped term no longer in it is skipped.
+    Every term a step adds lies below the term it removes, so none is
+    taken twice.
 
     A reducer's lead coefficient a is 1 unless the entries are the
     kernel's integer vectors over QQ.  When a does not divide the
     coefficient c to cancel, the terms left to reduce and the remainder
     kept so far are first multiplied by a/gcd(a, c) (pseudo-reduction),
-    so the arithmetic stays in the integers.
+    so the arithmetic stays in the integers.  Against monic entries the
+    result is the exact normal form.
     """
     work = dict(vp)
-    heap = [(down(t), t) for t in work]
+    heap = [-t for t in work]
     heapify(heap)
     rem = {}
-    add, mul, neg = field.add, field.mul, field.neg
     while heap:
-        t = heappop(heap)[1]
+        t = -heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        hit = index.find(t)
-        if hit is None:
+        # the reducer: the last corner with a <= the term's a
+        xs, ys, entries = index.get(t & _COMPONENT, _NO_CORNERS)
+        y = _MASK - (t >> _B_SHIFT & _MASK)
+        i = bisect_right(xs, (t >> _DEG_SHIFT & _MASK) - y) - 1
+        if i < 0 or ys[i] > y:
             rem[t] = c
             continue
-        lt, terms = hit
-        a = terms[lt]
+        lt, a, tail = entries[i]
         if a != 1:
             d = gcd(a, c)
             c //= d
@@ -316,50 +351,51 @@ def _vp_normal_form(vp, index, down, field):
                     work[u] *= s
                 for u in rem:
                     rem[u] *= s
-        c = neg(c)
-        q = mon_div(t[1], lt[1])
-        for g, gcoeff in terms.items():
-            if g == lt:
-                continue
-            tt = (g[0], mon_mul(g[1], q))
-            old = work.get(tt)
+        q = t - lt
+        c = p - c if p else -c
+        for u, x in tail:
+            u += q
+            old = work.get(u)
             if old is None:
-                work[tt] = mul(c, gcoeff)
-                heappush(heap, (down(tt), tt))
+                work[u] = c * x % p if p else c * x
+                heappush(heap, -u)
                 continue
-            nc = add(old, mul(c, gcoeff))
-            if nc == 0:
-                del work[tt]
+            old += c * x
+            if p:
+                old %= p
+            if old:
+                work[u] = old
             else:
-                work[tt] = nc
+                del work[u]
     return rem
 
 
-def _spair(f, g, lt_f, lt_g, field):
-    """The S-vector (b/d)*x^qf*f - (a/d)*x^qg*g of two kernel elements,
-    a and b their lead coefficients and d = gcd(a, b), so that it stays
-    integral over QQ; over GF(p) a = b = 1."""
+def _spair(f, g, lt_f, lt_g, lcm_fg, p):
+    """The S-vector (b/d)*x^qf*f - (a/d)*x^qg*g of two kernel elements
+    whose leads lt_f and lt_g have the lcm lcm_fg, a and b their lead
+    coefficients and d = gcd(a, b), so that it stays integral over QQ;
+    over GF(p) a = b = 1."""
     a, b = f[lt_f], g[lt_g]
     d = gcd(a, b)
     cf, cg = b // d, a // d
-    L = mon_lcm(lt_f[1], lt_g[1])
-    qf = mon_div(L, lt_f[1])
-    qg = mon_div(L, lt_g[1])
-    vp = {}
-    for (c, e), coeff in f.items():
-        vp[(c, mon_mul(e, qf))] = cf * coeff
-    for (c, e), coeff in g.items():
-        t = (c, mon_mul(e, qg))
-        nc = field.sub(vp.get(t, 0), cg * coeff)
-        if nc == 0:
-            vp.pop(t, None)
-        else:
+    qf, qg = lcm_fg - lt_f, lcm_fg - lt_g
+    vp = {t + qf: cf * x for t, x in f.items()}
+    for t, x in g.items():
+        t += qg
+        nc = vp.get(t, 0) - cg * x
+        if p:
+            nc %= p
+        if nc:
             vp[t] = nc
+        else:
+            del vp[t]
     return vp
 
 
-def _buchberger(gens, key, field, rank, deadline=None):
-    """Reduced Groebner basis of the module generated by gens (list of vps).
+def _buchberger(gens, p, rank, deadline=None, elim=False):
+    """Reduced Groebner basis of the module generated by gens, a list of
+    kernel vectors over a field of characteristic p; elim is true when
+    they are packed for an elimination order.
 
     Inputs are taken lazily.  Each nonzero input, normalized, goes into the
     pair heap keyed by its lead term, and an input comes before a pair
@@ -379,35 +415,40 @@ def _buchberger(gens, key, field, rank, deadline=None):
     - elements whose lead lead(h) divides form no further pairs.
     Pairs are reduced smallest lcm first (normal selection), so nothing
     is scanned when a pair is taken.  Inputs and S-vectors reduce against
-    a _LeadIndex kept up to date as elements arrive.  Elements are kept as
-    _vp_normalize makes them; the returned basis is monic.  deadline, when
-    given, is checked once per input or pair taken from the heap.
+    a lead index kept up to date as elements arrive.  Elements are kept,
+    and the basis returned in ascending lead order, as _vp_normalize
+    makes them.  deadline, when given, is checked once per input or pair
+    taken from the heap.
     """
-    down = _descending(key)
-    index = _LeadIndex()
-    basis, leads, active = [], [], []
-    pairs = {}  # component -> {(i, j): lcm of the leads}, not yet reduced
-    # (key of the lead, 0, n, n-th input) and (key of the lcm, 1, i, j),
-    # smallest first; at equal keys an input comes before a pair
+    index = {}
+    basis, leads, exps, active = [], [], [], []
+    pairs = {}  # component field -> {(i, j): lcm of the leads}, unreduced
+    # (lead, 0, n, n-th input) and (lcm, 1, i, j), packed terms, smallest
+    # first; at equal terms an input comes before a pair
     heap = []
 
     def install(vp):
-        c, t = lead = max(vp, key=key)
-        vp = _vp_normalize(vp, lead, field)
+        lead = max(vp)
+        vp = _vp_normalize(vp, lead, p)
+        if elim:
+            _check_range(max(map(_degree, vp)))
+        c = lead & _COMPONENT
+        _, t = _unpack(lead)
         h = len(basis)
         basis.append(vp)
         leads.append(lead)
-        index.add(lead, vp)
+        exps.append(t)
+        _index_add(index, lead, vp)
         old = pairs.setdefault(c, {})
         for (i, j), L in list(old.items()):
-            if (mon_divides(t, L) and mon_lcm(leads[i][1], t) != L
-                    and mon_lcm(leads[j][1], t) != L):
+            if (mon_divides(t, L) and mon_lcm(exps[i], t) != L
+                    and mon_lcm(exps[j], t) != L):
                 del old[i, j]
-        new = [(mon_lcm(leads[g][1], t), g)
-               for g in active if leads[g][0] == c]
+        new = [(mon_lcm(exps[g], t), g)
+               for g in active if leads[g] & _COMPONENT == c]
         kept = []
         for n, (L, g) in enumerate(new):
-            coprime = rank == 1 and mon_coprime(leads[g][1], t)
+            coprime = rank == 1 and mon_coprime(exps[g], t)
             if coprime or not (
                     any(mon_divides(M, L) for M, _ in new[n + 1:])
                     or any(mon_divides(M, L) for M, _, _ in kept)):
@@ -415,53 +456,48 @@ def _buchberger(gens, key, field, rank, deadline=None):
         for L, g, coprime in kept:
             if not coprime:
                 old[g, h] = L
-                heappush(heap, (key((c, L)), 1, g, h))
-        active[:] = [g for g in active
-                     if leads[g][0] != c or not mon_divides(t, leads[g][1])]
+                heappush(heap, (_term(c, L), 1, g, h))
+        active[:] = [g for g in active if leads[g] & _COMPONENT != c
+                     or not mon_divides(t, exps[g])]
         active.append(h)
 
     for n, vp in enumerate(gens):
         if vp:
-            lead = max(vp, key=key)
-            heap.append((key(lead), 0, n, _vp_normalize(vp, lead, field)))
+            lead = max(vp)
+            heap.append((lead, 0, n, _vp_normalize(vp, lead, p)))
     heapify(heap)
     while heap:
         if deadline is not None:
             deadline.check()
-        _, is_pair, i, x = heappop(heap)
+        key, is_pair, i, x = heappop(heap)
         if not is_pair:
             vp = x
-        elif pairs[leads[i][0]].pop((i, x), None) is None:
+        elif pairs[leads[i] & _COMPONENT].pop((i, x), None) is None:
             continue
         else:
-            vp = _spair(basis[i], basis[x], leads[i], leads[x], field)
-        r = _vp_normal_form(vp, index, down, field)
+            vp = _spair(basis[i], basis[x], leads[i], leads[x], key, p)
+        r = _vp_normal_form(vp, index, p)
         if r:
             install(r)
-    return _autoreduce([(leads[g], basis[g]) for g in active],
-                       key, down, field)
+    return _autoreduce({leads[g]: basis[g] for g in active}, p)
 
 
-def _autoreduce(entries, key, down, field):
-    """The reduced basis, monic, from the (lead, vp) entries of a
-    Groebner basis.
+def _autoreduce(entries, p):
+    """The reduced basis, in ascending lead order and normalized, from the
+    elements of a Groebner basis by lead term, no lead dividing another.
 
-    In ascending lead order an entry is dropped when an earlier lead
-    divides its own; otherwise its tail is reduced against the entries
-    kept before it (no entry's lead divides its lead, which stays).
-    Every tail term lies below the entry's lead, so no later lead
-    divides it, and one pass leaves no term divisible by another entry's
-    lead.  The index keeps the entries as the kernel does; the result is
-    made monic only at the end.
+    In ascending lead order each element's tail is reduced against the
+    elements before it, and its lead stays.  Every tail term lies below
+    the element's lead, so no later lead divides it, and one pass leaves
+    no term divisible by another element's lead.
     """
-    index = _LeadIndex()
+    index = {}
     out = []
-    for lt, vp in sorted(entries, key=lambda e: key(e[0])):
-        if index.find(lt) is not None:
-            continue
-        reduced = _vp_normal_form(vp, index, down, field)
-        index.add(lt, _vp_normalize(reduced, lt, field))
-        out.append(_vp_monic(reduced, reduced[lt], field))
+    for lt in sorted(entries):
+        reduced = _vp_normalize(_vp_normal_form(entries[lt], index, p),
+                                lt, p)
+        _index_add(index, lt, reduced)
+        out.append(reduced)
     return out
 
 
@@ -505,15 +541,13 @@ def _mono_components(U):
 
 def _scan_stairs(U):
     comps = [[] for _ in range(U.rank)]
-    for g in U.gens:
-        nonzero = [(c, p) for c, p in enumerate(g) if not p.is_zero()]
-        if len(nonzero) > 1:
+    vps = U._vps if U._vps is not None else map(_to_vp, U.gens)
+    for vp in vps:
+        if len(vp) > 1:
             return None
-        if nonzero:
-            c, p = nonzero[0]
-            if not p.is_term():
-                return None
-            comps[c].append(p.leading_monomial())
+        for t in vp:
+            c, e = _unpack(t)
+            comps[c].append(e)
     return tuple(tuple(_mono_minimalize(lst)) for lst in comps)
 
 
@@ -563,39 +597,42 @@ def _mono_ideal_intersect(a_list, b_list):
     return _sweep([(x, y) for x, y in zip(xs, ys) if y != _INF])
 
 
-def _from_mono_components(ctx, rank, comps, order=DEFAULT_ORDER):
-    """The reduced basis with the given minimal generators per component;
-    it is its own cached basis.  Its generators, monic terms sorted by
-    lead term under order, are built when first read, and at once for
-    an order other than the default."""
+
+
+def _basis(ctx, rank, stairs=_UNSCANNED, vps=None):
+    """A reduced basis held as its staircases or its kernel vectors; it is
+    its own cached basis, and builds its generators when first read."""
     gb = SubmoduleData.__new__(SubmoduleData)
-    gb.ctx, gb.rank, gb._gens, gb._cache = ctx, rank, None, {order: gb}
-    gb._stairs = tuple(map(tuple, comps))
-    if order != DEFAULT_ORDER:
-        gb._gens = _stair_gens(gb, order)
+    gb.ctx, gb.rank, gb._gens, gb._cache = ctx, rank, None, {}
+    gb._stairs, gb._vps = stairs, vps
+    gb._cache[DEFAULT_ORDER] = gb
     return gb
 
 
-def _stair_gens(U, order):
-    """The generator vectors of the reduced basis U._stairs, sorted by
-    lead term under order."""
-    ctx, rank = U.ctx, U.rank
-    z = Polynomial.zero(ctx)
-    leads = [(c, e) for c, lst in enumerate(U._stairs) for e in lst]
-    leads.sort(key=order.key_function(ctx))
-    return tuple(tuple(Polynomial.monomial(ctx, e) if i == c else z
-                       for i in range(rank))
-                 for c, e in leads)
+def _from_mono_components(ctx, rank, comps):
+    """The reduced basis with the given minimal generators per component."""
+    return _basis(ctx, rank, stairs=tuple(map(tuple, comps)))
+
+
+def _stair_gens(U):
+    """The generator vectors of a reduced basis held as staircases or
+    kernel vectors, monic and sorted by lead term."""
+    p = U.ctx.characteristic
+    return tuple(_from_vp(U.ctx, U.rank, _vp_monic(vp, max(vp), p))
+                 for vp in sorted(_kernel_vectors(U), key=max))
 
 
 def _kernel_vectors(U):
-    """U's generators as kernel vectors (_to_vp); a basis still held as
-    staircases gives them without building Polynomials."""
+    """U's nonzero generators as the kernel keeps them (_vp_normalize); a
+    reduced basis gives its own without building Polynomials."""
+    if U._vps is not None:
+        return U._vps
     if U._gens is None:
-        one = U.ctx.field.one
-        return [{(c, e): one} for c, lst in enumerate(U._stairs)
+        return [{_pack(c, e): 1} for c, lst in enumerate(U._stairs)
                 for e in lst]
-    return [_to_vp(g) for g in U.gens]
+    p = U.ctx.characteristic
+    return [_vp_normalize(vp, max(vp), p) for vp in map(_to_vp, U.gens)
+            if vp]
 
 
 # -- public operations ---------------------------------------------------
@@ -603,59 +640,57 @@ def _kernel_vectors(U):
 def groebner_basis(U, order=None):
     """Reduced Groebner basis of U as a new SubmoduleData (gens = basis).
 
-    Deterministic: monic elements sorted by leading term.  The result for
-    the default order is cached on U.
+    Deterministic: monic elements sorted by leading term under order, the
+    default order when None.  The result is cached on U.  A basis for an
+    elimination order builds its generators at once and keeps no kernel
+    vectors, which are packed for that order.
     """
-    cache_key = order or DEFAULT_ORDER
-    cached = U._cache.get(cache_key)
+    order = order or DEFAULT_ORDER
+    cached = U._cache.get(order)
     if cached is not None:
         return cached
-    comps = _mono_components(U)
-    if comps is not None:
-        gb = _from_mono_components(U.ctx, U.rank, comps, cache_key)
+    if order != DEFAULT_ORDER:
+        vps = [_to_vp(g, order.elim_components) for g in U.gens]
+        gb = _basis(U.ctx, U.rank, vps=_buchberger(
+            vps, U.ctx.characteristic, U.rank, None, True))
+        gb._gens, gb._vps, gb._cache = _stair_gens(gb), None, {order: gb}
+    elif U.is_monomial():
+        gb = _from_mono_components(U.ctx, U.rank, _mono_components(U))
     else:
-        gb = vector_basis(U.ctx, U.rank, _kernel_vectors(U), cache_key)
-    U._cache[cache_key] = gb
+        gb = vector_basis(U.ctx, U.rank, _kernel_vectors(U))
+    U._cache[order] = gb
     return gb
 
 
-def vector_basis(ctx, rank, vps, order=DEFAULT_ORDER, deadline=None):
+def vector_basis(ctx, rank, vps, deadline=None):
     """Reduced Groebner basis, as groebner_basis returns it, of the
-    submodule of A^rank generated by the kernel vectors vps: dicts from
-    (component, exponent tuple) to a coefficient, the field's own or,
-    over QQ, an int.  Callers that build their generators term by term,
-    like rees.piece_product, hand them over here without making
-    Polynomials first.  deadline is as in _buchberger."""
-    basis = _buchberger(vps, order.key_function(ctx), ctx.field, rank,
-                        deadline)
-    gb = SubmoduleData(ctx, rank,
-                       tuple(_from_vp(ctx, rank, vp) for vp in basis))
-    gb._cache[order] = gb
-    return gb
+    submodule of A^rank generated by the kernel vectors vps, whose
+    coefficients are the field's own or, over QQ, ints; rees.piece_product
+    builds them without Polynomials.  deadline is as in _buchberger."""
+    return _basis(ctx, rank,
+                  vps=_buchberger(vps, ctx.characteristic, rank, deadline))
 
 
-def _basis_index(U, order=None):
-    """The _LeadIndex of U's reduced basis for order, cached on the basis.
-    Its entries are monic, so _vp_normal_form never scales against it."""
-    gb = groebner_basis(U, order)
-    order = order or DEFAULT_ORDER
-    index = gb._cache.get((_LeadIndex, order))
+def _basis_index(U):
+    """The lead index of U's reduced basis, cached on the basis.  Its
+    entries are monic, so _vp_normal_form never scales against it and
+    gives exact normal forms."""
+    gb = groebner_basis(U)
+    index = gb._cache.get(_index_add)
     if index is None:
-        key = order.key_function(U.ctx)
-        index = gb._cache[_LeadIndex, order] = _LeadIndex()
+        p = U.ctx.characteristic
+        index = gb._cache[_index_add] = {}
         for vp in _kernel_vectors(gb):
-            if vp:
-                index.add(max(vp, key=key), vp)
+            lead = max(vp)
+            _index_add(index, lead, _vp_monic(vp, lead, p))
     return index
 
 
-def normal_form(vec, U, order=None):
+def normal_form(vec, U):
     """Remainder of vec on division by the (Groebner basis of) U."""
     if len(vec) != U.rank:
         raise RankMismatchError(f"vector length {len(vec)} vs rank {U.rank}")
-    index = _basis_index(U, order)
-    key = (order or DEFAULT_ORDER).key_function(U.ctx)
-    r = _vp_normal_form(_to_vp(vec), index, _descending(key), U.ctx.field)
+    r = _vp_normal_form(_to_vp(vec), _basis_index(U), U.ctx.characteristic)
     return _from_vp(U.ctx, U.rank, r)
 
 
@@ -671,7 +706,9 @@ def contains(U, V):
         if cv is not None:
             return all(all(any(mon_divides(u, v) for u in cu[c]) for v in lst)
                        for c, lst in enumerate(cv))
-    return all(all(p.is_zero() for p in normal_form(g, U)) for g in V.gens)
+    index, p = _basis_index(U), U.ctx.characteristic
+    return not any(_vp_normal_form(vp, index, p)
+                   for vp in _kernel_vectors(V))
 
 
 def member(vec, U):
@@ -679,15 +716,14 @@ def member(vec, U):
 
 
 def equal(U, V):
-    """Submodule equality via canonical reduced bases.  The reduced basis
-    of a monomial submodule is its staircases, so two bases of which
-    one is monomial are equal iff their staircases are."""
+    """Submodule equality via canonical reduced bases: their staircases
+    when either is monomial, else their kernel vectors."""
     if U.rank != V.rank or U.ctx != V.ctx:
         return False
     U, V = groebner_basis(U), groebner_basis(V)
     su, sv = _mono_components(U), _mono_components(V)
     if su is None and sv is None:
-        return U.gens == V.gens
+        return _kernel_vectors(U) == _kernel_vectors(V)
     return su == sv
 
 
@@ -696,21 +732,17 @@ def _eliminate_block(pairs, W, rank):
     generated by the pairs (a, b) and by (w, 0) for w in W.gens.
 
     Under the order in which the first q components dominate, the
-    elements of its reduced basis with no term there are a basis of the
-    b; term over position orders them, monic and reduced, exactly as the
-    default order does, so they are the result's own cached basis.
+    elements of its reduced basis with no term there, shifted down by q
+    components, are the reduced basis of the b under the default order.
     """
     ctx, q = W.ctx, W.rank
-    vps = [_to_vp(tuple(a) + tuple(b)) for a, b in pairs]
-    vps += _kernel_vectors(W)
-    key = ModuleOrder(elim_components=q).key_function(ctx)
-    gens = tuple(_from_vp(ctx, rank, {(c - q, e): x
-                                      for (c, e), x in vp.items()})
-                 for vp in _buchberger(vps, key, ctx.field, q + rank)
-                 if all(c >= q for c, _ in vp))
-    gb = SubmoduleData(ctx, rank, gens)
-    gb._cache[DEFAULT_ORDER] = gb
-    return gb
+    flag = 1 << _FLAG_SHIFT
+    vps = [_to_vp(tuple(a) + tuple(b), q) for a, b in pairs]
+    vps += [{t | flag: x for t, x in vp.items()}
+            for vp in _kernel_vectors(W)]
+    basis = _buchberger(vps, ctx.characteristic, q + rank, None, True)
+    return _basis(ctx, rank, vps=[{t + q: x for t, x in vp.items()}
+                                  for vp in basis if max(vp) < flag])
 
 
 def preimage(columns, W):

@@ -71,9 +71,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_term(self):
-        return len(self.terms) == 1
-
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1
                                   and not any(next(iter(self.terms))))

@@ -19,18 +19,17 @@ has finite colength, and otherwise preimages and intersections.
 
 import itertools
 from heapq import heapify, heappop, heappush
-from math import comb, lcm
+from math import comb
 from operator import add
 
-from .context import mon_mul
 from .errors import ContextMismatchError, InputError, RankMismatchError
-from .groebner import (DEFAULT_ORDER, SubmoduleData, contains,
-                       groebner_basis, intersect, preimage,
-                       vector_basis, _basis_index, _descending,
-                       _from_mono_components, _kernel_vectors,
-                       _mono_components, _mono_ideal_colon_single,
-                       _mono_ideal_intersect, _mono_minimalize, _to_vp,
-                       _vp_normal_form, _vp_normalize)
+from .groebner import (SubmoduleData, contains, groebner_basis, intersect,
+                       preimage, vector_basis, _basis_index, _by_component,
+                       _check_range, _degree, _from_mono_components,
+                       _kernel_vectors, _mono_components,
+                       _mono_ideal_colon_single, _mono_ideal_intersect,
+                       _mono_minimalize, _pack, _unpack, _vp_normal_form,
+                       _vp_normalize, _X, _Y)
 from .poly import Polynomial
 
 INFINITE = float("inf")
@@ -200,32 +199,21 @@ def multiply_piece_vectors(r, u, a, v, b, ctx):
     return tuple(out)
 
 
-def _integer_entries(vec, field):
-    """The nonzero entries of vec as (position, [(exps, coeff), ...]) with
-    int coefficients: over QQ vec scaled by the lcm of its denominators,
-    over GF(p) as it is."""
-    if field.characteristic:
-        return [(i, list(p.terms.items())) for i, p in enumerate(vec)
-                if p.terms]
-    den = lcm(*[c.denominator for p in vec for c in p.terms.values()])
-    return [(i, [(e, c.numerator * (den // c.denominator))
-                 for e, c in p.terms.items()])
-            for i, p in enumerate(vec) if p.terms]
-
-
-def _integer_product(u, v, index_ab, p):
-    """The product of two vectors in _integer_entries form as a kernel
-    vector, its coefficients reduced mod p when p is nonzero; zero terms
-    are left out."""
+def _integer_product(u, v, bases, p):
+    """The product of two vectors in groebner._by_component form as a kernel
+    vector, bases[i][j] being the packed 1 in the component of the
+    product of their i-th and j-th; its coefficients are reduced mod p
+    when p is nonzero, and zero terms are left out."""
     vp = {}
     get = vp.get
     for i, pu in u:
-        row = index_ab[i]
+        row = bases[i]
         for j, qv in v:
-            k = row[j]
-            for e1, c1 in pu:
-                for e2, c2 in qv:
-                    t = (k, mon_mul(e1, e2))
+            base = row[j]
+            for s1, c1 in pu:
+                s1 += base
+                for s2, c2 in qv:
+                    t = s1 + s2
                     vp[t] = get(t, 0) + c1 * c2
     if p:
         return {t: c % p for t, c in vp.items() if c % p}
@@ -243,13 +231,14 @@ def piece_product(E, A, a, B, b, deadline=None):
     component (a staircase in two variables) gives the reduced basis with
     no polynomial arithmetic.
 
-    Otherwise the generators of A and B become integer vectors once (over
-    GF(p), residues), and their products are taken with int arithmetic,
-    made primitive (monic over GF(p)) with groebner's own normalization,
-    and de-duplicated on that form: u*v = v*u in M*M, and (x*y)*z =
-    (x*z)*y across M^(n-1)*M, and each repeat only adds work that reduces
-    to zero.  The products go to groebner.vector_basis as kernel vectors,
-    with no Polynomial or Fraction in between, and deadline with them.
+    Otherwise the kernel vectors of A and B (a basis keeps its own) are
+    multiplied with int arithmetic on packed terms, made primitive (monic
+    over GF(p)) with groebner's own normalization, and de-duplicated on
+    that form: u*v = v*u in M*M, and (x*y)*z = (x*z)*y across M^(n-1)*M,
+    and each repeat only adds work that reduces to zero.  The products go
+    to groebner.vector_basis, with no Polynomial or Fraction in between,
+    and deadline with them.  Products of too high a degree raise
+    InputError.
     """
     rank = piece_rank(E.rank, a + b)
     comps_a = _mono_components(A)
@@ -263,16 +252,20 @@ def piece_product(E, A, a, B, b, deadline=None):
                                  for u, v in vs])
         return _from_mono_components(
             E.ctx, rank, [_mono_minimalize(c) for c in comps])
-    field = E.ctx.field
-    key = DEFAULT_ORDER.key_function(E.ctx)
-    vs = [_integer_entries(v, field) for v in B.gens]
+    p = E.ctx.characteristic
+    us, vs = _kernel_vectors(A), _kernel_vectors(B)
+    if us and vs:
+        _check_range(max(_degree(max(vp)) for vp in us)
+                     + max(_degree(max(vp)) for vp in vs), rank)
+    bases = [[_pack(k, (0, 0)) for k in row] for row in index_ab]
+    vs = [_by_component(v) for v in vs]
     products = {}
-    for u in A.gens:
-        u = _integer_entries(u, field)
+    for u in us:
+        u = _by_component(u)
         for v in vs:
-            vp = _integer_product(u, v, index_ab, field.characteristic)
+            vp = _integer_product(u, v, bases, p)
             if vp:
-                vp = _vp_normalize(vp, max(vp, key=key), field)
+                vp = _vp_normalize(vp, max(vp), p)
                 products.setdefault(frozenset(vp.items()), vp)
     return vector_basis(E.ctx, rank, list(products.values()),
                         deadline=deadline)
@@ -317,17 +310,20 @@ def piece_colon(E, W, G, low, ambient, inside=None, deadline=None):
                         acc, part)
             comps.append(acc)
         return _from_mono_components(ctx, rank_amb, comps)
-    gens_low = [g for g in G.gens if not all(p.is_zero() for p in g)]
     if inside is not None:
         B, stairs = _standard_stairs(inside)
         if stairs is not None:
-            kernel = _colon_kernel(W, gens_low, index, stairs, deadline)
+            kernel = _colon_kernel(W, _kernel_vectors(G), index, stairs,
+                                   deadline)
             if not kernel:
                 return B
-            return vector_basis(ctx, rank_amb, _kernel_vectors(B) + kernel)
+            return vector_basis(ctx, rank_amb,
+                                [*_kernel_vectors(B), *kernel])
     units = SubmoduleData.free(ctx, rank_amb).gens
     result = None
-    for g in gens_low:
+    for g in G.gens:
+        if all(p.is_zero() for p in g):
+            continue
         part = preimage([multiply_piece_vectors(r, e, ambient, g, low, ctx)
                          for e in units], W)
         result = part if result is None else intersect(result, part)
@@ -336,34 +332,30 @@ def piece_colon(E, W, G, low, ambient, inside=None, deadline=None):
 
 
 def _colon_kernel(W, gens_low, products, stairs, deadline):
-    """Vectors that, with inside, generate the colon of piece_colon: the
-    kernel of s -> (NF_W(s*g))_g on the span of the standard monomials s
-    of inside, whose lead staircases are stairs, as dicts from (component,
-    exponent pair) to a coefficient.  products is the fiber_products
-    table of the ambient and the low degree.
+    """Kernel vectors that, with inside, generate the colon of
+    piece_colon: the kernel of s -> (NF_W(s*g))_g on the span of the
+    standard monomials s of inside, whose lead staircases are stairs.
+    gens_low are the g as kernel vectors, and products is the
+    fiber_products table of the ambient and the low degree.
 
     The s are walked column by column, X^a*Y^b after X^a*Y^(b-1) and the
     foot X^a after X^(a-1), all standard as the staircase is an order
     ideal.  So each image is the normal form of the one before it times
     a variable, NF_W(x*v) = NF_W(x*NF_W(v)), as in FGLM (Faugere,
-    Gianni, Lazard & Mora, J. Symb. Comput. 16, 1993).  W's basis is
-    monic, so the reduction never scales.  The images are eliminated one
-    by one over the field, each row tagged with the combination of
+    Gianni, Lazard & Mora, J. Symb. Comput. 16, 1993).  W's basis index
+    is monic, so the reduction never scales.  The images are eliminated
+    one by one over the field, each row tagged with the combination of
     standard monomials it came from (Marinari, Moeller & Mora, AAECC 4,
     1993); a row that reduces to zero leaves its tag, an element of the
     colon.
     """
-    ctx = W.ctx
-    field = ctx.field
+    field = W.ctx.field
+    p = field.characteristic
     basis_index = _basis_index(W)
-    down = _descending(DEFAULT_ORDER.key_function(ctx))
-
-    def normal_form(vp):
-        return _vp_normal_form(vp, basis_index, down, field)
 
     def times(vps, x):
-        return [normal_form({(k, mon_mul(e, x)): y
-                             for (k, e), y in vp.items()}) for vp in vps]
+        return [_vp_normal_form({t + x: y for t, y in vp.items()},
+                                basis_index, p) for vp in vps]
 
     pivots = {}
     kernel = []
@@ -371,22 +363,22 @@ def _colon_kernel(W, gens_low, products, stairs, deadline):
         for a1, a2, height in steps:
             for a in range(a1, a2):
                 if a:
-                    foot = times(foot, (1, 0))
+                    foot = times(foot, _X)
                 else:
-                    foot = [normal_form({(products[c][j], e): y
-                                         for j, p in enumerate(g)
-                                         for e, y in p.terms.items()})
-                            for g in gens_low]
+                    foot = [_vp_normal_form(
+                        {_pack(products[c][j], e): y for t, y in g.items()
+                         for j, e in [_unpack(t)]}, basis_index, p)
+                        for g in gens_low]
                 column = foot
                 for b in range(height):
                     if deadline is not None:
                         deadline.check()
                     if b:
-                        column = times(column, (0, 1))
+                        column = times(column, _Y)
                     tag = _eliminate(
                         {(i, t): y for i, vp in enumerate(column)
                          for t, y in vp.items()},
-                        {(c, (a, b)): field.one}, pivots, field)
+                        {_pack(c, (a, b)): field.one}, pivots, field)
                     if tag is not None:
                         kernel.append(tag)
     return kernel
@@ -452,18 +444,10 @@ def _standard_stairs(U):
     gb = groebner_basis(U)
     comps = _mono_components(gb)
     if comps is None:
-        key = U.ctx.mon_key
         comps = [[] for _ in range(U.rank)]
-        for g in gb.gens:
-            lead_comp = None
-            lead = None
-            for c, p in enumerate(g):
-                if p.is_zero():
-                    continue
-                m = p.leading_monomial()
-                if lead is None or (key(m), -c) > (key(lead), -lead_comp):
-                    lead, lead_comp = m, c
-            comps[lead_comp].append(lead)
+        for vp in _kernel_vectors(gb):
+            c, e = _unpack(max(vp))
+            comps[c].append(e)
     stairs = []
     for lst in comps:
         pts = sorted(lst)
@@ -499,16 +483,15 @@ def min_gens(target):
     Accepts a ModuleEmbedding or a SubmoduleData.
     """
     U = target.submodule() if isinstance(target, ModuleEmbedding) else target
-    ctx = U.ctx
-    mvars = [Polynomial.variable(ctx, v) for v in ctx.base_vars]
-    mM = SubmoduleData(ctx, U.rank, tuple(tuple(x * p for p in g)
-                                          for g in U.gens for x in mvars))
+    field = U.ctx.field
+    vps = _kernel_vectors(U)
+    mM = vector_basis(U.ctx, U.rank, [{t + x: y for t, y in vp.items()}
+                                      for vp in vps for x in (_X, _Y)])
     index = _basis_index(mM)
-    down = _descending(DEFAULT_ORDER.key_function(ctx))
     pivots = {}
-    for g in U.gens:
-        _eliminate(_vp_normal_form(_to_vp(g), index, down, ctx.field), {},
-                   pivots, ctx.field)
+    for vp in vps:
+        _eliminate(_vp_normal_form(vp, index, field.characteristic), {},
+                   pivots, field)
     return len(pivots)
 
 
@@ -570,16 +553,10 @@ def ord_ideal(I):
     """Largest n with I contained in m^n (minimum term degree on a basis)."""
     if I.rank != 1:
         raise RankMismatchError("ord is defined for ideals")
-    gb = groebner_basis(I)
-    degs = []
-    for g in gb.gens:
-        p = g[0]
-        if p.is_zero():
-            continue
-        degs.append(min(a + b for a, b in p.terms))
-    if not degs:
+    vps = _kernel_vectors(groebner_basis(I))
+    if not vps:
         raise InputError("ord of the zero ideal is undefined")
-    return min(degs)
+    return min(_degree(t) for vp in vps for t in vp)
 
 
 # -- embedding constructions ---------------------------------------------

@@ -71,17 +71,26 @@ def test_expired_deadline_raises(route):
         route(ClosureOptions(deadline_seconds=1e-9))
 
 
+def _binomial_embedding():
+    return ModuleEmbedding.from_matrix(CTX, [
+        [parse_poly(e, CTX) for e in row]
+        for row in (("X^2", "X*Y+Y^2", "Y^3", "0"),
+                    ("0", "X^2-Y^2", "X*Y", "Y^2"))])
+
+
 def test_deadline_is_checked_inside_a_chain_step(monkeypatch):
-    # The chain checks its deadline before each step, and the linear-
-    # algebra colon once per standard monomial.  A deadline that expires
-    # on its second check stops the first step of a non-monomial chain
-    # before that step's piece_colon returns.
+    # The chain checks its deadline before each step, the Buchberger runs
+    # of the powers it builds once per input or pair, and the linear-
+    # algebra colon once per standard monomial.  Before the first step's
+    # piece_colon the chain makes one check and the run that builds M^2
+    # 31, so a deadline that expires on its 33rd check stops that
+    # piece_colon before it returns.
     checks, events = [], []
 
     def check(self):
         checks.append(1)
-        if len(checks) == 2:
-            raise DeadlineExceeded("expired on the second check")
+        if len(checks) == 33:
+            raise DeadlineExceeded("expired on the 33rd check")
 
     real = closures.piece_colon
 
@@ -93,10 +102,28 @@ def test_deadline_is_checked_inside_a_chain_step(monkeypatch):
 
     monkeypatch.setattr(closures._Deadline, "check", check)
     monkeypatch.setattr(closures, "piece_colon", piece_colon)
-    E = ModuleEmbedding.from_matrix(CTX, [
-        [parse_poly(e, CTX) for e in row]
-        for row in (("X^2", "X*Y+Y^2", "Y^3", "0"),
-                    ("0", "X^2-Y^2", "X*Y", "Y^2"))])
     with pytest.raises(DeadlineExceeded):
-        ratliff_rush_module(E, 1, ClosureOptions(deadline_seconds=60))
+        ratliff_rush_module(_binomial_embedding(), 1,
+                            ClosureOptions(deadline_seconds=60))
     assert events == ["enter"]
+
+
+def test_chain_checks_its_deadline_inside_its_powers(monkeypatch):
+    # The chain passes its deadline to the powers it builds, so a step
+    # whose power overruns stops too: some checks run inside power_piece.
+    inside, checks = [], []
+    monkeypatch.setattr(closures._Deadline, "check",
+                        lambda self: checks.append(bool(inside)))
+    real = ModuleEmbedding.power_piece
+
+    def power_piece(self, n, deadline=None):
+        inside.append(n)
+        try:
+            return real(self, n, deadline)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ModuleEmbedding, "power_piece", power_piece)
+    ratliff_rush_module(_binomial_embedding(), 1,
+                        ClosureOptions(deadline_seconds=60))
+    assert True in checks and False in checks

@@ -524,7 +524,8 @@ def test_staircase_backed_bases_match_the_polynomial_construction():
         shuffled = _monomial_vectors(rank, rng.sample(leads, len(leads)))
         same = SubmoduleData(CTX, rank,
                              tuple(shuffled + _monomial_vectors(rank, extra)))
-        built = groebner.vector_basis(CTX, rank, _vps(want))
+        built = groebner.vector_basis(CTX, rank,
+                                      [groebner._to_vp(v) for v in want])
         # one minimal generator dropped, and a random other module
         dropped = _minimal_leads(rank, leads)
         del dropped[rng.randrange(len(dropped))]
@@ -562,10 +563,12 @@ def test_kernel_matches_criterion_free_buchberger(monkeypatch):
     # coefficients keeps it to ranks 1 and 2.
     real_spair = groebner._spair
 
-    def spair(f, g, lt_f, lt_g, field):
+    def spair(f, g, lt_f, lt_g, lcm_fg, p):
         # every S-vector cancels the lcm of the two leads
-        s = real_spair(f, g, lt_f, lt_g, field)
-        assert (lt_f[0], mon_lcm(lt_f[1], lt_g[1])) not in s
+        s = real_spair(f, g, lt_f, lt_g, lcm_fg, p)
+        (c, e), (_, e_g) = groebner._unpack(lt_f), groebner._unpack(lt_g)
+        assert groebner._unpack(lcm_fg) == (c, mon_lcm(e, e_g))
+        assert lcm_fg not in s
         return s
 
     monkeypatch.setattr(groebner, "_spair", spair)
