@@ -369,7 +369,7 @@ def scaled_buchsbaum_check(E, I, opts=None):
     if not base["verdict"]:
         raise InputError("base module does not pass the criterion")
     I = groebner_basis(I)
-    unit = any(p.is_constant() and not p.is_zero() for p in I.ideal_gens())
+    unit = I.rank == 1 and colength(I) == 0
     if not unit:
         if not I.is_monomial():
             raise InputError("scaling ideal must be monomial")

@@ -12,13 +12,14 @@ rank 1, so one function computes each closure for both.
 
 import time
 
-from .errors import InputError, SoundnessAlert, UnstableChainError, DeadlineExceeded
-from .groebner import (SubmoduleData, contains, equal, groebner_basis,
-                       _from_mono_components, _mono_components,
-                       _mono_minimalize)
-from .poly import Polynomial
+from .errors import (ContextMismatchError, DeadlineExceeded, InputError,
+                     SoundnessAlert, UnstableChainError)
+from .groebner import (contains, equal, groebner_basis, _by_component,
+                       _check_range, _degree, _from_mono_components,
+                       _mono_components, _mono_minimalize, _pack)
 from .rees import (ModuleEmbedding, add_columns, colength, fiber_basis,
-                   multiply_piece_vectors, piece_colon, piece_product)
+                   fiber_products, piece_colon, piece_product,
+                   _integer_product)
 
 
 class ClosureOptions:
@@ -138,9 +139,8 @@ def ratliff_rush_module(E, n=1, opts=None):
         return ClosureResult(groebner_basis(M), "colon-chain", 0, opts.window,
                              certified=True, extra={"note": "zero module"})
     if n == 0:
-        one = groebner_basis(
-            SubmoduleData.ideal(E.ctx, [Polynomial.one(E.ctx)]))
-        return ClosureResult(one, "colon-chain", 0, opts.window, certified=True)
+        return ClosureResult(E.power_piece(0), "colon-chain", 0, opts.window,
+                             certified=True)
     result, k_star = _power_chain(E, n, opts, opts.deadline())
     if not contains(result, E.power_piece(n)):
         raise SoundnessAlert("colon chain result lost the input")
@@ -233,37 +233,48 @@ def check_integral_equation(x, coeffs):
     An element of S is a dict from t-exponent tuples to Polynomials over
     A: X^4*Y^5*t1*t2 is {(1, 1): X^4*Y^5}.  x must be nonzero and
     fiber-homogeneous, and each nonzero ci fiber-homogeneous of degree
-    i * deg(x).  Each power of x is a vector over the graded piece of its
-    degree (fiber_basis), built by multiply_piece_vectors."""
+    i * deg(x).  Each element becomes a kernel vector over the graded
+    piece of its degree (fiber_basis), and products are taken as
+    rees.piece_product takes them (_integer_product)."""
     x = _piece_vector(x)
     if x is None:
         raise InputError("integral equation for the zero element")
     if not coeffs:
         raise InputError("empty coefficient list")
-    r, d, x = x
-    n, ctx = len(coeffs), x[0].ctx
-    powers = [(Polynomial.one(ctx),)]
+    ctx, r, d, x = x
+    n, p = len(coeffs), ctx.characteristic
+
+    def times(u, a, v, b):
+        """The product of kernel vectors of fiber degrees a and b."""
+        _check_range(max(map(_degree, u)) + max(map(_degree, v)))
+        bases = [[_pack(k, (0, 0)) for k in row]
+                 for row in fiber_products(r, a, b)]
+        return _integer_product(_by_component(u), _by_component(v), bases, p)
+
+    powers = [{_pack(0, (0, 0)): 1}]
     for k in range(n):
-        powers.append(multiply_piece_vectors(r, powers[k], k * d, x, d, ctx))
-    total = powers[n]
+        powers.append(times(powers[k], k * d, x, d))
+    total = dict(powers[n])
     for i, c in enumerate(coeffs, start=1):
         c = _piece_vector(c)
         if c is None:
             continue
-        if c[:2] != (r, i * d):
+        if c[0] != ctx:
+            raise ContextMismatchError("coefficient in a foreign context")
+        if c[1:3] != (r, i * d):
             raise InputError(
-                f"coefficient {i} has fiber degree {c[1]} in {c[0]} "
+                f"coefficient {i} has fiber degree {c[2]} in {c[1]} "
                 f"t-variables, expected {i * d} in {r}")
-        term = multiply_piece_vectors(r, c[2], i * d, powers[n - i],
-                                      (n - i) * d, ctx)
-        total = [p + q for p, q in zip(total, term)]
-    return all(p.is_zero() for p in total)
+        for t, y in times(c[3], i * d, powers[n - i], (n - i) * d).items():
+            total[t] = total.get(t, 0) + y
+    return not any(y % p if p else y for y in total.values())
 
 
 def _piece_vector(element):
-    """(r, degree, vector over the degree's fiber basis) of a nonzero
-    fiber-homogeneous element of S given as a dict; None if it is zero."""
-    element = {t: p for t, p in element.items() if not p.is_zero()}
+    """(context, r, degree, kernel vector over the degree's fiber basis)
+    of a nonzero fiber-homogeneous element of S given as a dict; None if
+    it is zero."""
+    element = {t: f for t, f in element.items() if not f.is_zero()}
     if not element:
         return None
     shapes = {(len(t), sum(t)) for t in element}
@@ -271,10 +282,9 @@ def _piece_vector(element):
         raise InputError("element of S is not fiber-homogeneous")
     ((r, d),) = shapes
     _, index = fiber_basis(r, d)
-    vec = [Polynomial.zero(next(iter(element.values())).ctx)] * len(index)
-    for t, p in element.items():
-        vec[index[t]] = p
-    return r, d, tuple(vec)
+    vp = {_pack(index[t], e): y for t, f in element.items()
+          for e, y in f.terms.items()}
+    return next(iter(element.values())).ctx, r, d, vp
 
 
 def is_reduction(L, M, s_max=5):

@@ -34,6 +34,12 @@ them so; its generators are made monic, with Fraction coefficients,
 when they are built.  Over GF(p) its elements are monic throughout.
 The reduced basis is unique, so both fields return the same bases as a
 monic computation would.
+
+Polynomials occur only at the public edge: the generators a caller
+passes in and reads back (gens), and the vectors of normal_form, member
+and preimage, packed on the way in (_to_vp).  Everything between, the
+free module (SubmoduleData.free) and intersections included, is
+staircases or kernel vectors.
 """
 
 from bisect import bisect_right
@@ -223,11 +229,8 @@ class SubmoduleData:
 
     @classmethod
     def free(cls, ctx, rank):
-        one = Polynomial.one(ctx)
-        z = Polynomial.zero(ctx)
-        gens = tuple(tuple(one if i == c else z for i in range(rank))
-                     for c in range(rank))
-        return cls(ctx, rank, gens)
+        """A^rank, as the reduced basis of its unit vectors."""
+        return _from_mono_components(ctx, rank, [[(0, 0)]] * rank)
 
     # -- inspection ------------------------------------------------------
 
@@ -597,8 +600,6 @@ def _mono_ideal_intersect(a_list, b_list):
     return _sweep([(x, y) for x, y in zip(xs, ys) if y != _INF])
 
 
-
-
 def _basis(ctx, rank, stairs=_UNSCANNED, vps=None):
     """A reduced basis held as its staircases or its kernel vectors; it is
     its own cached basis, and builds its generators when first read."""
@@ -727,20 +728,24 @@ def equal(U, V):
     return su == sv
 
 
-def _eliminate_block(pairs, W, rank):
+def _eliminate_block(pairs, W, rank, deadline=None):
     """The b with (0, b) in the submodule of A^(q + rank), q = W.rank,
-    generated by the pairs (a, b) and by (w, 0) for w in W.gens.
+    generated by the pairs (a, b) of kernel vectors, a in A^q and b in
+    A^rank, and by (w, 0) for w in W.
 
     Under the order in which the first q components dominate, the
     elements of its reduced basis with no term there, shifted down by q
     components, are the reduced basis of the b under the default order.
+    deadline is as in _buchberger.
     """
     ctx, q = W.ctx, W.rank
+    _check_range(0, q + rank)
     flag = 1 << _FLAG_SHIFT
-    vps = [_to_vp(tuple(a) + tuple(b), q) for a, b in pairs]
+    vps = [{t | flag: x for t, x in a.items()}
+           | {t - q: x for t, x in b.items()} for a, b in pairs]
     vps += [{t | flag: x for t, x in vp.items()}
             for vp in _kernel_vectors(W)]
-    basis = _buchberger(vps, ctx.characteristic, q + rank, None, True)
+    basis = _buchberger(vps, ctx.characteristic, q + rank, deadline, True)
     return _basis(ctx, rank, vps=[{t + q: x for t, x in vp.items()}
                                   for vp in basis if max(vp) < flag])
 
@@ -752,18 +757,19 @@ def preimage(columns, W):
     method: each column, tagged with a unit vector of A^p, goes into one
     block elimination with W.
     """
-    ctx, p = W.ctx, len(columns)
-    units = SubmoduleData.free(ctx, p).gens
-    return _eliminate_block(zip(columns, units), W, p)
+    return _eliminate_block([(_to_vp(col), {_pack(j, (0, 0)): 1})
+                             for j, col in enumerate(columns)],
+                            W, len(columns))
 
 
-def intersect(U, V):
+def intersect(U, V, deadline=None):
     """U intersect V: the b with (0, b) in the module generated by the
     (u, u) for u in U and the (v, 0) for v in V (Greuel & Pfister, A
     Singular Introduction to Commutative Algebra, ch. 2).
 
     When one module contains the other, the usual case in the colon
     chains, the smaller one is returned and no elimination runs.
+    deadline is as in _buchberger.
     """
     if U.rank != V.rank:
         raise RankMismatchError("intersection of modules of different rank")
@@ -779,4 +785,5 @@ def intersect(U, V):
         return V
     if contains(V, U):
         return U
-    return _eliminate_block(((u, u) for u in U.gens), V, U.rank)
+    return _eliminate_block([(u, u) for u in _kernel_vectors(U)], V, U.rank,
+                            deadline)

@@ -14,13 +14,12 @@ from .errors import ContextMismatchError, InputError, ParseError
 
 
 class Polynomial:
-    __slots__ = ("ctx", "terms", "_lead")
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms):
         """Take ownership of a clean term dict (no zero coefficients)."""
         self.ctx = ctx
         self.terms = terms
-        self._lead = None
 
     # -- constructors ----------------------------------------------------
 
@@ -52,28 +51,10 @@ class Polynomial:
             return cls.zero(ctx)
         return cls(ctx, {tuple(exps): c})
 
-    @classmethod
-    def from_terms(cls, ctx, pairs):
-        field = ctx.field
-        terms = {}
-        for exps, coeff in pairs:
-            exps = tuple(exps)
-            c = terms.get(exps, field.zero)
-            c = field.add(c, field.coerce(coeff))
-            if c == field.zero:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = c
-        return cls(ctx, terms)
-
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1
-                                  and not any(next(iter(self.terms))))
 
     # -- structure -------------------------------------------------------
 
@@ -81,16 +62,6 @@ class Polynomial:
         """Terms in strictly decreasing monomial order."""
         key = self.ctx.mon_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        if self._lead is None or self._lead not in self.terms:
-            self._lead = max(self.terms, key=self.ctx.mon_key)
-        return self._lead
-
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
 
     def total_degree(self):
         if not self.terms:
@@ -146,13 +117,6 @@ class Polynomial:
                     terms[e] = c
         return Polynomial(self.ctx, terms)
 
-    def scale(self, coeff):
-        field = self.ctx.field
-        c0 = field.coerce(coeff)
-        if c0 == field.zero:
-            return Polynomial.zero(self.ctx)
-        return Polynomial(self.ctx, {e: field.mul(c, c0) for e, c in self.terms.items()})
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
@@ -165,11 +129,6 @@ class Polynomial:
             if n:
                 square = square * square
         return result
-
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.ctx.field.invert(self.leading_coefficient()))
 
     # -- comparison ------------------------------------------------------
 

@@ -15,6 +15,12 @@ colon of a module by an ideal (`colon`) is a piece colon.  A colon takes
 one of three routes: staircases for monomial pieces, linear algebra over
 k on the standard monomials of a known submodule of the colon when that
 has finite colength, and otherwise preimages and intersections.
+
+Pieces, their products and colons, and the constant modules (the unit
+ideal as M^0, the maximal ideal, mF) are staircases or kernel vectors.
+Polynomials occur only in an embedding's columns as a caller gives or
+reads them, in the determinants of fitting_ideal and in direct_sum's
+zero entries.
 """
 
 import itertools
@@ -24,12 +30,12 @@ from operator import add
 
 from .errors import ContextMismatchError, InputError, RankMismatchError
 from .groebner import (SubmoduleData, contains, groebner_basis, intersect,
-                       preimage, vector_basis, _basis_index, _by_component,
-                       _check_range, _degree, _from_mono_components,
-                       _kernel_vectors, _mono_components,
-                       _mono_ideal_colon_single, _mono_ideal_intersect,
-                       _mono_minimalize, _pack, _unpack, _vp_normal_form,
-                       _vp_normalize, _X, _Y)
+                       vector_basis, _basis_index, _by_component,
+                       _check_range, _degree, _eliminate_block,
+                       _from_mono_components, _kernel_vectors,
+                       _mono_components, _mono_ideal_colon_single,
+                       _mono_ideal_intersect, _mono_minimalize, _pack,
+                       _unpack, _vp_normal_form, _vp_normalize, _X, _Y)
 from .poly import Polynomial
 
 INFINITE = float("inf")
@@ -162,8 +168,7 @@ class ModuleEmbedding:
         if got is not None:
             return got
         if n == 0:
-            result = groebner_basis(
-                SubmoduleData.ideal(self.ctx, [Polynomial.one(self.ctx)]))
+            result = SubmoduleData.free(self.ctx, 1)
         elif n == 1:
             result = groebner_basis(self.submodule())
         else:
@@ -183,21 +188,6 @@ class ModuleEmbedding:
 
 
 # -- piece arithmetic ----------------------------------------------------
-
-def multiply_piece_vectors(r, u, a, v, b, ctx):
-    """Product of a fiber-degree-a vector and a fiber-degree-b vector."""
-    index_ab = fiber_products(r, a, b)
-    out = [Polynomial.zero(ctx)] * piece_rank(r, a + b)
-    for i, p in enumerate(u):
-        if p.is_zero():
-            continue
-        for j, q in enumerate(v):
-            if q.is_zero():
-                continue
-            k = index_ab[i][j]
-            out[k] = out[k] + p * q
-    return tuple(out)
-
 
 def _integer_product(u, v, bases, p):
     """The product of two vectors in groebner._by_component form as a kernel
@@ -278,7 +268,9 @@ def piece_colon(E, W, G, low, ambient, inside=None, deadline=None):
     piece; zero ones impose no condition.  E is as in piece_product.
     inside, when given, is a submodule of the ambient piece that the
     caller knows lies in the colon, and deadline, when given, is checked
-    once per standard monomial of the second route.  The first of three routes that applies computes the colon:
+    once per standard monomial of the second route and inside the
+    eliminations of the third.  The first of three routes that applies
+    computes the colon:
 
     - monomial: W and G are monomial.  Each g shifts components by a
       fixed t-monomial, so the colon splits into one ideal colon per
@@ -289,8 +281,8 @@ def piece_colon(E, W, G, low, ambient, inside=None, deadline=None):
       standard monomials, a finite-dimensional space (_colon_kernel).
     - syzygy: otherwise each g maps the basis vectors of the ambient
       piece into the piece of W, the preimage of W is a syzygy
-      computation over the base ring, and the colon is the intersection
-      of the preimages.
+      computation over the base ring (groebner._eliminate_block), and
+      the colon is the intersection of the preimages.
     """
     r, ctx = E.rank, E.ctx
     rank_amb = piece_rank(r, ambient)
@@ -319,16 +311,22 @@ def piece_colon(E, W, G, low, ambient, inside=None, deadline=None):
                 return B
             return vector_basis(ctx, rank_amb,
                                 [*_kernel_vectors(B), *kernel])
-    units = SubmoduleData.free(ctx, rank_amb).gens
     result = None
-    for g in G.gens:
-        if all(p.is_zero() for p in g):
-            continue
-        part = preimage([multiply_piece_vectors(r, e, ambient, g, low, ctx)
-                         for e in units], W)
-        result = part if result is None else intersect(result, part)
-        result = groebner_basis(result)
+    for g in _kernel_vectors(G):
+        part = _eliminate_block(
+            [(_unit_times(row, g), {_pack(c, (0, 0)): 1})
+             for c, row in enumerate(index)], W, rank_amb, deadline)
+        if result is not None:
+            part = intersect(result, part, deadline)
+        result = groebner_basis(part)
     return result
+
+
+def _unit_times(row, g):
+    """The kernel vector g of a low fiber degree times the ambient unit
+    vector whose products row is, a row of the fiber_products table."""
+    return {_pack(row[j], e): y for t, y in g.items()
+            for j, e in [_unpack(t)]}
 
 
 def _colon_kernel(W, gens_low, products, stairs, deadline):
@@ -365,10 +363,9 @@ def _colon_kernel(W, gens_low, products, stairs, deadline):
                 if a:
                     foot = times(foot, _X)
                 else:
-                    foot = [_vp_normal_form(
-                        {_pack(products[c][j], e): y for t, y in g.items()
-                         for j, e in [_unpack(t)]}, basis_index, p)
-                        for g in gens_low]
+                    foot = [_vp_normal_form(_unit_times(products[c], g),
+                                            basis_index, p)
+                            for g in gens_low]
                 column = foot
                 for b in range(height):
                     if deadline is not None:
@@ -471,8 +468,7 @@ def colength(U):
 
 
 def maximal_ideal(ctx):
-    return SubmoduleData.ideal(ctx, [Polynomial.variable(ctx, v)
-                                     for v in ctx.base_vars])
+    return _from_mono_components(ctx, 1, [[(0, 1), (1, 0)]])
 
 
 def min_gens(target):
@@ -500,10 +496,7 @@ def is_parameter_module(E):
     d = len(E.ctx.base_vars)
     length = E.colength_F_mod_M()
     finite = length is not INFINITE
-    mF = SubmoduleData(E.ctx, E.rank, tuple(
-        tuple(Polynomial.variable(E.ctx, v) if i == c else Polynomial.zero(E.ctx)
-              for i in range(E.rank))
-        for c in range(E.rank) for v in E.ctx.base_vars))
+    mF = _from_mono_components(E.ctx, E.rank, [[(0, 1), (1, 0)]] * E.rank)
     inside = contains(mF, E.submodule())
     mu = min_gens(E)
     expected = d + E.rank - 1
@@ -571,12 +564,14 @@ def direct_sum(E1, E2):
 
 
 def scale_by_ideal(E, I):
-    """The embedding of I*M for an ideal I of the base ring."""
-    cols = []
-    for g in I.ideal_gens():
-        for col in E.columns:
-            cols.append(tuple(g * p for p in col))
-    return ModuleEmbedding(E.ctx, cols, rank=E.rank)
+    """The embedding of I*M for an ideal I of the base ring, the product
+    of I in fiber degree 0 and M in fiber degree 1."""
+    if I.rank != 1:
+        raise RankMismatchError("not an ideal")
+    if I.ctx != E.ctx:
+        raise ContextMismatchError("scaling across contexts")
+    return ModuleEmbedding.from_submodule(
+        piece_product(E, I, 0, E.submodule(), 1))
 
 
 def add_columns(E, extra_columns):

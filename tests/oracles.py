@@ -10,6 +10,7 @@ from fractions import Fraction
 import itertools
 
 from reescalc import Polynomial, SubmoduleData
+from reescalc.rees import fiber_products, piece_rank
 
 
 def monomials_up_to(nvars, degree):
@@ -172,6 +173,18 @@ def random_monomial_ideal(rng, max_degree=8, max_steps=4, primary=True):
 def ideal_from_exps(ctx, exps):
     return SubmoduleData.ideal(ctx, [Polynomial.monomial(ctx, e)
                                      for e in exps])
+
+
+def multiply_piece_vectors(r, u, a, v, b, ctx):
+    """The reference product of a fiber-degree-a and a fiber-degree-b
+    vector of Polynomials, over r fiber variables."""
+    index_ab = fiber_products(r, a, b)
+    out = [Polynomial.zero(ctx)] * piece_rank(r, a + b)
+    for i, p in enumerate(u):
+        for j, q in enumerate(v):
+            k = index_ab[i][j]
+            out[k] = out[k] + p * q
+    return tuple(out)
 
 
 def buchberger_oracle(vectors, ctx, order):

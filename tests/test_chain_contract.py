@@ -10,11 +10,14 @@ UnstableChainError carrying the new value and the colengths of the
 chain's values; an expired deadline raises DeadlineExceeded.
 """
 
+import sys
+
 import pytest
 
 from reescalc import (ClosureOptions, DeadlineExceeded, ModuleEmbedding,
                       RingContext, SubmoduleData, UnstableChainError, closures,
-                      groebner_basis, parse_poly, ratliff_rush_module)
+                      groebner, groebner_basis, parse_poly,
+                      ratliff_rush_module)
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
@@ -71,11 +74,20 @@ def test_expired_deadline_raises(route):
         route(ClosureOptions(deadline_seconds=1e-9))
 
 
+def _embedding(*rows):
+    return ModuleEmbedding.from_matrix(
+        CTX, [[parse_poly(e, CTX) for e in row] for row in rows])
+
+
 def _binomial_embedding():
-    return ModuleEmbedding.from_matrix(CTX, [
-        [parse_poly(e, CTX) for e in row]
-        for row in (("X^2", "X*Y+Y^2", "Y^3", "0"),
-                    ("0", "X^2-Y^2", "X*Y", "Y^2"))])
+    return _embedding(("X^2", "X*Y+Y^2", "Y^3", "0"),
+                      ("0", "X^2-Y^2", "X*Y", "Y^2"))
+
+
+def infinite_embedding():
+    """The module of the rr-infinite golden: of infinite colength, so its
+    chain takes the syzygy colon."""
+    return _embedding(("X^2+X*Y", "X*Y^2", "0"), ("Y^2", "X*Y", "X^2-Y^2"))
 
 
 def test_deadline_is_checked_inside_a_chain_step(monkeypatch):
@@ -127,3 +139,23 @@ def test_chain_checks_its_deadline_inside_its_powers(monkeypatch):
     ratliff_rush_module(_binomial_embedding(), 1,
                         ClosureOptions(deadline_seconds=60))
     assert True in checks and False in checks
+
+
+def test_syzygy_colon_checks_its_deadline_inside_its_eliminations(
+        monkeypatch):
+    # The chain's deadline reaches the block eliminations of the syzygy
+    # colon (preimages and intersections): some checks run inside
+    # groebner._eliminate_block.
+    code = groebner._eliminate_block.__code__
+    checks = []
+
+    def check(self):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        checks.append(frame is not None)
+
+    monkeypatch.setattr(closures._Deadline, "check", check)
+    ratliff_rush_module(infinite_embedding(), 1,
+                        ClosureOptions(deadline_seconds=60))
+    assert True in checks

@@ -165,18 +165,39 @@ def test_chain_of_steps_k_agrees_with_chain_over_powers_of_the_power():
 def test_finite_colength_chains_reach_no_preimage(monkeypatch, tmp_path):
     # rr on the binomial module and iclose on the presentation take the
     # linear-algebra colon at every step; a module of infinite colength
-    # still takes the preimage (syzygy) route.
+    # still takes the syzygy route, whose preimages and intersections are
+    # block eliminations.
     from test_golden import _report
     calls = []
-    real = groebner.preimage
+    real = groebner._eliminate_block
     for module in (groebner, rees):
-        monkeypatch.setattr(module, "preimage",
+        monkeypatch.setattr(module, "_eliminate_block",
                             lambda *args: calls.append(1) or real(*args))
     for name in ("rr-binomial", "iclose-presentation"):
         _report(name, tmp_path)
     assert calls == []
     _report("rr-infinite", tmp_path)
     assert calls
+
+
+def test_syzygy_chain_builds_no_polynomial(monkeypatch):
+    # The syzygy colon, the powers and the chain's checks all run on
+    # kernel vectors: once the input is parsed, the closure of a module
+    # of infinite colength constructs no Polynomial until its generators
+    # are read.
+    from test_chain_contract import infinite_embedding
+    E = infinite_embedding()
+    made = []
+    real = Polynomial.__init__
+
+    def init(self, ctx, terms):
+        made.append(1)
+        real(self, ctx, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", init)
+    result = ratliff_rush_module(E).submodule
+    assert made == []
+    assert len(result.gens) == 4 and made
 
 
 # -- Newton polyhedron closures -------------------------------------------

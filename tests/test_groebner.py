@@ -14,11 +14,11 @@ from reescalc import groebner
 from reescalc.closures import newton_closure_exps
 from reescalc.context import mon_divides, mon_lcm, mon_mul
 from reescalc.groebner import DEFAULT_ORDER, ModuleOrder, _mono_minimalize
-from reescalc.rees import multiply_piece_vectors, piece_rank
+from reescalc.rees import piece_rank
 
 from oracles import (buchberger_oracle, ideal_from_exps,
-                     newton_closure_oracle, random_monomial_ideal,
-                     span_membership)
+                     multiply_piece_vectors, newton_closure_oracle,
+                     random_monomial_ideal, span_membership)
 from test_rees import BINOMIAL_ROWS
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
@@ -248,7 +248,8 @@ def _random_poly(rng, ctx, terms, top, coeffs=(-2, -1, 1, 3)):
     out = {}
     for _ in range(terms):
         a = rng.randint(0, top)
-        out[(a, rng.randint(0, top - a))] = rng.choice(coeffs)
+        out[(a, rng.randint(0, top - a))] = ctx.field.coerce(
+            rng.choice(coeffs))
     return Polynomial(ctx, out)
 
 
@@ -393,7 +394,7 @@ def _in_ideal(m, gens):
 
 
 def _exps(U):
-    return sorted(p.leading_monomial() for (p,) in groebner_basis(U).gens)
+    return sorted(next(iter(p.terms)) for (p,) in groebner_basis(U).gens)
 
 
 @pytest.mark.parametrize("width", [2])
@@ -622,7 +623,8 @@ def _redundant_products(rng, ctx, rank, terms, coeffs, scalars):
                             for _ in range(len(products) // 2)]
     for _ in range(len(products) // 2):
         c = rng.choice(scalars)
-        redundant.append(tuple(p.scale(c) for p in rng.choice(products)))
+        redundant.append(tuple(p * Polynomial.constant(ctx, c)
+                               for p in rng.choice(products)))
     rng.shuffle(redundant)
     return few, redundant
 
@@ -683,9 +685,8 @@ def test_ideal_bases_match_sympy_grevlex():
         field = ctx.field
         for terms in (2, 3):
             for _ in range(12):
-                polys = [Polynomial.from_terms(
-                    ctx, _random_poly(rng, ctx, terms, 4, coeffs).terms.items())
-                    for _ in range(rng.randint(2, 3))]
+                polys = [_random_poly(rng, ctx, terms, 4, coeffs)
+                         for _ in range(rng.randint(2, 3))]
                 exprs = [_sympy_expr(p, sx, sy) for p in polys]
                 got = groebner_basis(SubmoduleData.ideal(ctx, polys))
                 assert _terms(got) == _sympy_grevlex(sympy, exprs, (sx, sy),
@@ -752,8 +753,8 @@ def test_intersections_match_sympy():
 
         for terms in (2, 3):
             for _ in range(8):
-                U, V = (SubmoduleData.ideal(ctx, [Polynomial.from_terms(
-                    ctx, _random_poly(rng, ctx, terms, 3).terms.items())
+                U, V = (SubmoduleData.ideal(ctx, [
+                    _random_poly(rng, ctx, terms, 3)
                     for _ in range(rng.randint(1, 2))]) for _ in range(2))
                 fu = [_sympy_expr(g[0], sx, sy) for g in U.gens]
                 fv = [_sympy_expr(g[0], sx, sy) for g in V.gens]

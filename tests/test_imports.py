@@ -1,9 +1,11 @@
-"""What a command-line call imports, and the lazy public namespace.
+"""What a command-line call imports, the lazy public namespace, and the
+package's own imports.
 
 The start-up checks run fresh interpreters and compare the sets of
 modules they loaded; they measure no time.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -114,3 +116,21 @@ def test_unknown_name_raises_and_submodules_still_import():
     exec("from reescalc import groebner, fixtures", namespace)
     assert namespace["groebner"] is sys.modules["reescalc.groebner"]
     assert namespace["fixtures"] is sys.modules["reescalc.fixtures"]
+
+
+def test_package_modules_use_every_name_they_import():
+    # A name a module imports and never uses is a dependency it does not
+    # have; deleting code tends to leave such names behind.
+    unused = []
+    for path in sorted(Path(reescalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []

@@ -12,9 +12,10 @@ from reescalc import (InputError, ModuleEmbedding, Polynomial, RingContext,
                       parse_poly)
 from reescalc.context import mon_mul
 from reescalc.groebner import (DEFAULT_ORDER, ModuleOrder, _MAX_DEGREE,
-                               _X, _Y, _pack, _unpack)
+                               _X, _Y, _by_component, _pack, _to_vp, _unpack)
+from reescalc.rees import _integer_product, fiber_products, piece_rank
 
-from oracles import buchberger_oracle
+from oracles import buchberger_oracle, multiply_piece_vectors
 from test_groebner import HARD_COEFFS, _random_module
 from test_rees import BINOMIAL_ROWS
 
@@ -170,7 +171,8 @@ def test_kernel_vector_bases_match_an_eager_construction():
             assert gb._gens is None
             assert gb.gens == _eager(ctx, rank, buchberger_oracle(
                 gens, ctx, DEFAULT_ORDER)), (ctx, gens)
-            scaled = [tuple(p.scale(rng.choice((2, -3))) for p in g)
+            scaled = [tuple(p * Polynomial.constant(ctx, rng.choice((2, -3)))
+                            for p in g)
                       for g in rng.sample(gens, len(gens))]
             for V in (SubmoduleData.from_vectors(ctx, rank, scaled),
                       SubmoduleData.from_vectors(ctx, rank, gens[:2])):
@@ -178,3 +180,25 @@ def test_kernel_vector_bases_match_an_eager_construction():
                 assert equal(gb, V) == equal(V, gb) == same, (ctx, gens)
                 kinds.add(same)
     assert kinds == {True, False}
+
+
+def test_kernel_product_matches_the_reference_product():
+    # The product of piece vectors that piece_product and
+    # check_integral_equation take on kernel vectors (_integer_product)
+    # equals the Polynomial product of tests/oracles, for 1 to 3 fiber
+    # variables and fiber degrees 0 to 2, over QQ, with HARD_COEFFS among
+    # the coefficients, and over GF(p).
+    rng = random.Random(2020)
+    for ctx, coeffs in ((QQ, HARD_COEFFS), (QQ, (-3, -1, 1, 2)),
+                        (GF, (-3, -1, 1, 2))):
+        p = ctx.characteristic
+        for r, a, b in itertools.product((1, 2, 3), range(3), range(3)):
+            bases = [[_pack(k, (0, 0)) for k in row]
+                     for row in fiber_products(r, a, b)]
+            for _ in range(2):
+                (u,), (v,) = (_random_module(rng, ctx, piece_rank(r, d), 3,
+                                             1, coeffs) for d in (a, b))
+                got = _integer_product(_by_component(_to_vp(u)),
+                                       _by_component(_to_vp(v)), bases, p)
+                want = multiply_piece_vectors(r, u, a, v, b, ctx)
+                assert got == _to_vp(want), (ctx, r, u, v)
