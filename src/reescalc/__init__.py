@@ -20,13 +20,12 @@ _EXPORTS = {
     "errors": ("ContextMismatchError", "DeadlineExceeded", "InputError",
                "ParseError", "RankMismatchError", "ReescalcError",
                "SoundnessAlert", "UnstableChainError"),
-    "groebner": ("ModuleOrder", "SubmoduleData", "contains", "equal",
-                 "groebner_basis", "intersect", "member", "normal_form",
-                 "preimage"),
+    "groebner": ("SubmoduleData", "contains", "equal", "groebner_basis",
+                 "intersect", "member"),
     "poly": ("Polynomial", "parse_poly"),
-    "rees": ("INFINITE", "ModuleEmbedding", "colength", "colon",
-             "direct_sum", "fitting_ideal", "is_parameter_module",
-             "maximal_ideal", "min_gens", "ord_ideal", "scale_by_ideal"),
+    "rees": ("INFINITE", "ModuleEmbedding", "colength", "direct_sum",
+             "fitting_ideal", "is_parameter_module", "maximal_ideal",
+             "min_gens", "ord_ideal", "scale_by_ideal"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -18,7 +18,8 @@ from .closures import integral_closure_module, ratliff_rush_module
 from .errors import (DeadlineExceeded, InputError, ReescalcError,
                      SoundnessAlert, UnstableChainError)
 from .problem import parse_problem
-from .rees import INFINITE, fitting_ideal, is_parameter_module
+from .groebner import contains
+from .rees import INFINITE, fitting_ideal, is_parameter_module, maximal_ideal
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -115,8 +116,19 @@ def _run_fitting(problem, opts, n_max):
 def _run_param(problem, opts, n_max):
     E = problem.embedding()
     verdict, reasons = is_parameter_module(E)
-    return ({"verdict": verdict, "reasons": _jsonable(reasons)},
-            {"certified": True}, [], EXIT_OK)
+    result = {"verdict": verdict, "reasons": _jsonable(reasons)}
+    length = E.colength_F_mod_M()
+    # F/M of finite length l is supported at the origin alone iff
+    # m^l * F lies in M; otherwise mu and inside_mF, read at the origin,
+    # and the colength, summed over every point, do not meet.
+    if length is INFINITE or contains(
+            E.submodule(), maximal_ideal(E.ctx, E.rank, length)):
+        return result, {"certified": True}, [], EXIT_OK
+    return result, {"certified": False}, [
+        "the module is supported away from the origin: mu and inside_mF "
+        "are read at the origin, the colength over every point of the "
+        "support, so the verdict mixes a local and a global reading"
+    ], EXIT_INCONCLUSIVE
 
 
 def _run_indec(problem, opts, n_max):

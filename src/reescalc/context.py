@@ -104,8 +104,8 @@ class RingContext:
 
     base_vars names exactly two distinct variables; anything else raises
     InputError, so every ring the engine meets has two.  The context
-    describes the ring only: an order in which a block of components
-    dominates, as elimination needs, is a groebner.ModuleOrder over it.
+    describes the ring only: the module orders of the Groebner kernel,
+    elimination included, are packed into its terms (groebner._pack).
     """
 
     __slots__ = ("characteristic", "base_vars", "field", "nvars",

@@ -2,12 +2,13 @@
 A = k[X, Y].
 
 Everything downstream (closures, graded pieces, theorem deciders) reduces
-to the operations here: reduced Groebner bases, normal forms, membership,
-preimages and intersection.  Each of them is a Groebner basis under a
-ModuleOrder over one ring.  Preimage and intersection are one
-elimination of a block of components: both pair the vectors they start
-from with tags in a second block, and read the result off the basis
-elements free of the first (_eliminate_block).
+to the operations here: reduced Groebner bases, membership, containment
+and intersection.  Bases are taken under one order, term over position
+on degree reverse lexicographic monomials, and one block elimination
+(_eliminate_block) serves both intersect and the syzygy colon of
+rees.piece_colon: it pairs the vectors it starts from with tags in a
+second block of components, lets the first block dominate, and reads
+the result off the basis elements free of it.
 
 Internally a module element is a kernel vector: a dict mapping a term,
 packed into one int so that comparing terms is comparing ints and
@@ -24,9 +25,9 @@ Other generators go through Buchberger's algorithm (_buchberger): the
 Gebauer-Moeller update, heap-based reduction against a lead index of
 staircases, and inputs taken lazily, so that the many redundant
 products that build a module's powers drop out as zero remainders.  A
-cached basis keeps its index for normal_form.  vector_basis takes
-inputs that are already kernel vectors, as rees.piece_product builds
-them, and groebner_basis goes through it too.
+cached basis keeps its index for contains.  vector_basis takes inputs
+that are already kernel vectors, as rees.piece_product builds them, and
+groebner_basis goes through it too.
 
 Over QQ the kernel computes with primitive integer vectors and
 pseudo-reduction in place of Fraction arithmetic, and a basis keeps
@@ -36,10 +37,9 @@ The reduced basis is unique, so both fields return the same bases as a
 monic computation would.
 
 Polynomials occur only at the public edge: the generators a caller
-passes in and reads back (gens), and the vectors of normal_form, member
-and preimage, packed on the way in (_to_vp).  Everything between, the
-free module (SubmoduleData.free) and intersections included, is
-staircases or kernel vectors.
+passes in and reads back (gens), packed on the way in (_to_vp).
+Everything between, the free module (SubmoduleData.free) and
+intersections included, is staircases or kernel vectors.
 """
 
 from bisect import bisect_right
@@ -52,46 +52,8 @@ from .errors import ContextMismatchError, InputError, RankMismatchError
 from .poly import Polynomial
 
 
-# -- orders on module monomials ------------------------------------------
-
-class ModuleOrder:
-    """Term-over-position order on a free module over the context's order.
-
-    The monomial is compared first, then the component, a lower index
-    being larger.  The first elim_components components dominate all
-    others, as the one elimination here needs: preimage and intersect
-    both read their result off the elements free of that block.  The
-    kernel compares packed terms (_pack), which order as these keys do.
-    Orders are values: equal orders hash alike.
-    """
-
-    __slots__ = ("elim_components",)
-
-    def __init__(self, elim_components=0):
-        self.elim_components = elim_components
-
-    def __eq__(self, other):
-        if other.__class__ is not ModuleOrder:
-            return NotImplemented
-        return self.elim_components == other.elim_components
-
-    def __hash__(self):
-        return hash(self.elim_components)
-
-    def __repr__(self):
-        return f"ModuleOrder(elim_components={self.elim_components!r})"
-
-    def key_function(self, ctx):
-        monkey = ctx.mon_key
-        elim = self.elim_components
-
-        def key(term):
-            c, e = term
-            return (1 if c < elim else 0, *monkey(e), -c)
-        return key
-
-
-DEFAULT_ORDER = ModuleOrder()
+# The key under which SubmoduleData._cache holds the reduced basis.
+DEFAULT_ORDER = "reduced basis"
 
 
 # -- packed terms --------------------------------------------------------
@@ -99,8 +61,10 @@ DEFAULT_ORDER = ModuleOrder()
 # A term X^a*Y^b*e_c is the int
 #     flag << 96 | (a + b) << 64 | (M - b) << 32 | (M - c),  M = 2^32 - 1,
 # flag being 1 when c lies in the dominating block of an elimination
-# order.  Integer order is then the ModuleOrder order: flag, degree, lower
-# b, lower c.  Multiplying by X^i*Y^j adds (i + j) << 64 - j << 32 (_X,
+# (_eliminate_block) and 0 otherwise.  Integer order is then the module
+# order: the flag, then the monomial in degree reverse lexicographic
+# order (degree, lower b), then the component, a lower index being
+# larger.  Multiplying by X^i*Y^j adds (i + j) << 64 - j << 32 (_X,
 # _Y), and t - s is that constant when s divides t in one component.
 # InputError guards the places degrees grow: packed inputs, the products
 # of rees.piece_product, S-vector lcms and, under an elimination order,
@@ -122,10 +86,9 @@ def _check_range(degree, rank=1):
                          f"Groebner kernel's {_MAX_DEGREE} or {_MASK}")
 
 
-def _pack(c, e, elim=0):
-    """The term x^e in component c, for an order in which the first elim
-    components dominate."""
-    return _term((c < elim) << _FLAG_SHIFT | (_MASK - c), e)
+def _pack(c, e):
+    """The term x^e in component c."""
+    return _term(_MASK - c, e)
 
 
 def _term(slot, e):
@@ -167,7 +130,7 @@ class SubmoduleData:
     rank == 1 means an ideal.  Generators are tuples of Polynomials.  The
     reduced Groebner basis is cached after the first computation; it is
     canonical, so concurrent fillers agree.  A basis also caches the lead
-    index that normal_form reduces against.
+    index that contains reduces against.
 
     A monomial submodule is held as its staircases: per component, the
     minimal exponent pairs, sorted (_mono_components).  A reduced basis
@@ -250,11 +213,10 @@ class SubmoduleData:
 
 # -- kernel vectors ------------------------------------------------------
 
-def _to_vp(vec, elim=0):
-    """The Polynomial vector vec as a kernel vector, packed for an order
-    in which the first elim components dominate."""
+def _to_vp(vec):
+    """The Polynomial vector vec as a kernel vector."""
     _check_range(0, len(vec))
-    return {_pack(c, e, elim): x for c, p in enumerate(vec)
+    return {_pack(c, e): x for c, p in enumerate(vec)
             for e, x in p.terms.items()}
 
 
@@ -638,28 +600,20 @@ def _kernel_vectors(U):
 
 # -- public operations ---------------------------------------------------
 
-def groebner_basis(U, order=None):
+def groebner_basis(U):
     """Reduced Groebner basis of U as a new SubmoduleData (gens = basis).
 
-    Deterministic: monic elements sorted by leading term under order, the
-    default order when None.  The result is cached on U.  A basis for an
-    elimination order builds its generators at once and keeps no kernel
-    vectors, which are packed for that order.
+    Deterministic: monic elements sorted by leading term.  The result is
+    cached on U.
     """
-    order = order or DEFAULT_ORDER
-    cached = U._cache.get(order)
+    cached = U._cache.get(DEFAULT_ORDER)
     if cached is not None:
         return cached
-    if order != DEFAULT_ORDER:
-        vps = [_to_vp(g, order.elim_components) for g in U.gens]
-        gb = _basis(U.ctx, U.rank, vps=_buchberger(
-            vps, U.ctx.characteristic, U.rank, None, True))
-        gb._gens, gb._vps, gb._cache = _stair_gens(gb), None, {order: gb}
-    elif U.is_monomial():
+    if U.is_monomial():
         gb = _from_mono_components(U.ctx, U.rank, _mono_components(U))
     else:
         gb = vector_basis(U.ctx, U.rank, _kernel_vectors(U))
-    U._cache[order] = gb
+    U._cache[DEFAULT_ORDER] = gb
     return gb
 
 
@@ -687,14 +641,6 @@ def _basis_index(U):
     return index
 
 
-def normal_form(vec, U):
-    """Remainder of vec on division by the (Groebner basis of) U."""
-    if len(vec) != U.rank:
-        raise RankMismatchError(f"vector length {len(vec)} vs rank {U.rank}")
-    r = _vp_normal_form(_to_vp(vec), _basis_index(U), U.ctx.characteristic)
-    return _from_vp(U.ctx, U.rank, r)
-
-
 def contains(U, V):
     """True iff V is a submodule of U."""
     if U.rank != V.rank:
@@ -713,7 +659,9 @@ def contains(U, V):
 
 
 def member(vec, U):
-    return all(p.is_zero() for p in normal_form(vec, U))
+    """True iff the vector vec, a sequence of Polynomials in U's ring,
+    lies in U."""
+    return contains(U, SubmoduleData(U.ctx, U.rank, (tuple(vec),)))
 
 
 def equal(U, V):
@@ -736,7 +684,10 @@ def _eliminate_block(pairs, W, rank, deadline=None):
     Under the order in which the first q components dominate, the
     elements of its reduced basis with no term there, shifted down by q
     components, are the reduced basis of the b under the default order.
-    deadline is as in _buchberger.
+    With the unit vectors of A^rank as the b this is the preimage of W
+    under the a, as rees.piece_colon's syzygy route takes it; with b = a
+    it is the intersection with W (intersect).  deadline is as in
+    _buchberger.
     """
     ctx, q = W.ctx, W.rank
     _check_range(0, q + rank)
@@ -748,18 +699,6 @@ def _eliminate_block(pairs, W, rank, deadline=None):
     basis = _buchberger(vps, ctx.characteristic, q + rank, deadline, True)
     return _basis(ctx, rank, vps=[{t + q: x for t, x in vp.items()}
                                   for vp in basis if max(vp) < flag])
-
-
-def preimage(columns, W):
-    """{v in A^p : sum v_j * columns[j] in W}, as its reduced basis.
-
-    columns: list of vectors in A^q (q = W.rank).  Computed by the syzygy
-    method: each column, tagged with a unit vector of A^p, goes into one
-    block elimination with W.
-    """
-    return _eliminate_block([(_to_vp(col), {_pack(j, (0, 0)): 1})
-                             for j, col in enumerate(columns)],
-                            W, len(columns))
 
 
 def intersect(U, V, deadline=None):

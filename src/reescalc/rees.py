@@ -11,7 +11,7 @@ Pieces meet in exactly two operations: `piece_product`, the product of
 two pieces, and `piece_colon`, the vectors of one fiber degree that a set
 of vectors of another multiplies into a piece.  Ideals of A are the
 pieces of fiber degree 0, so scaling by an ideal is a product and the
-colon of a module by an ideal (`colon`) is a piece colon.  A colon takes
+colon of a module by an ideal is a piece colon.  A colon takes
 one of three routes: staircases for monomial pieces, linear algebra over
 k on the standard monomials of a known submodule of the colon when that
 has finite colength, and otherwise preimages and intersections.
@@ -419,17 +419,6 @@ def _eliminate(row, tag, pivots, field):
     return None
 
 
-def colon(U, J):
-    """U :_{A^q} J = {v : vJ contained in U} for an ideal J, the piece
-    colon with J in fiber degree 0 and U inside it.
-    """
-    if J.rank != 1:
-        raise RankMismatchError("colon denominator must be an ideal")
-    if U.ctx != J.ctx:
-        raise ContextMismatchError("colon across contexts")
-    return piece_colon(U, U, J, 0, 1, inside=U)
-
-
 # -- lengths and generators ----------------------------------------------
 
 def _standard_stairs(U):
@@ -467,8 +456,11 @@ def colength(U):
     return sum((a2 - a1) * b for steps in stairs for a1, a2, b in steps)
 
 
-def maximal_ideal(ctx):
-    return _from_mono_components(ctx, 1, [[(0, 1), (1, 0)]])
+def maximal_ideal(ctx, rank=1, power=1):
+    """m^power * A^rank, m = (X, Y): in each component the staircase of
+    the monomials of degree power."""
+    return _from_mono_components(
+        ctx, rank, [[(a, power - a) for a in range(power + 1)]] * rank)
 
 
 def min_gens(target):
@@ -496,8 +488,7 @@ def is_parameter_module(E):
     d = len(E.ctx.base_vars)
     length = E.colength_F_mod_M()
     finite = length is not INFINITE
-    mF = _from_mono_components(E.ctx, E.rank, [[(0, 1), (1, 0)]] * E.rank)
-    inside = contains(mF, E.submodule())
+    inside = contains(maximal_ideal(E.ctx, E.rank), E.submodule())
     mu = min_gens(E)
     expected = d + E.rank - 1
     verdict = finite and inside and mu == expected

@@ -187,14 +187,28 @@ def multiply_piece_vectors(r, u, a, v, b, ctx):
     return tuple(out)
 
 
-def buchberger_oracle(vectors, ctx, order):
+def order_key(ctx, elim=0):
+    """Sort key of the term (component, exponents) under the kernel's
+    module order, term over position: with the first elim components
+    dominating all others, then the monomial in ctx's order, then the
+    component, a lower index being larger."""
+    monkey = ctx.mon_key
+
+    def key(term):
+        c, e = term
+        return (1 if c < elim else 0, *monkey(e), -c)
+    return key
+
+
+def buchberger_oracle(vectors, ctx, elim=0):
     """Reduced Groebner basis of the module spanned by vectors (tuples of
     Polynomials) by the textbook algorithm: the S-vector of every pair of
     elements with leads in one component is reduced, with no criterion to
-    skip any, and the result is interreduced until nothing changes.
+    skip any, and the result is interreduced until nothing changes.  The
+    order is order_key's, with the first elim components dominating.
     Returns the basis as dicts {(component, exponents): coefficient},
     sorted by lead term."""
-    key = order.key_function(ctx)
+    key = order_key(ctx, elim)
     field = ctx.field
 
     def lead(f):

@@ -103,6 +103,36 @@ def test_param_command(tmp_path, capsys):
     assert report["result"]["reasons"]["mu"] == 3
 
 
+# I = (X, Y)*(X-1, Y-1)^2: colength 1 at the origin and 3 at (1, 1), two
+# generators at the origin and three at (1, 1)
+TWO_POINT = ("matrix {\n"
+             "  row = X*(X-1)^2, X*(X-1)*(Y-1), X*(Y-1)^2, Y*(X-1)^2, "
+             "Y*(X-1)*(Y-1), Y*(Y-1)^2\n"
+             "}\n")
+
+
+def test_param_flags_a_module_supported_away_from_the_origin(tmp_path,
+                                                              capsys):
+    # mu counts generators at the origin, the colength every point of the
+    # support, so the verdict on I mixes the two readings: it is reported
+    # uncertified, with a warning, and exits 2
+    path = _write(tmp_path, "two-point.problem", TWO_POINT)
+    status, out, _ = _run(capsys, ["param", path])
+    report = json.loads(out)
+    assert report["result"]["reasons"]["mu"] == 2
+    assert report["result"]["reasons"]["colength"] == 4
+    assert report["certification"] == {"certified": False}
+    assert len(report["warnings"]) == 1
+    assert "away from the origin" in report["warnings"][0]
+    assert status == 2
+    # the parameter module is supported at the origin alone
+    path = _write(tmp_path, "param.problem", PARAM_PROBLEM)
+    status, out, _ = _run(capsys, ["param", path])
+    report = json.loads(out)
+    assert (status, report["certification"], report["warnings"]) == \
+        (0, {"certified": True}, [])
+
+
 def test_fitting_command(tmp_path, capsys):
     path = _write(tmp_path, "param.problem", PARAM_PROBLEM)
     status, out, _ = _run(capsys, ["fitting", path])

@@ -1,4 +1,5 @@
-"""Groebner engine: bases, membership, colon, preimage, intersection."""
+"""Groebner engine: bases, membership, colon, block elimination,
+intersection."""
 
 import itertools
 import random
@@ -7,18 +8,19 @@ from fractions import Fraction
 import pytest
 
 from reescalc import (INFINITE, ModuleEmbedding, Polynomial, RingContext,
-                      SubmoduleData, colength, colon, contains, equal,
-                      groebner_basis, intersect, member, normal_form,
-                      parse_poly, preimage)
+                      SubmoduleData, colength, contains, equal,
+                      groebner_basis, intersect, member, parse_poly)
 from reescalc import groebner
 from reescalc.closures import newton_closure_exps
 from reescalc.context import mon_divides, mon_lcm, mon_mul
-from reescalc.groebner import DEFAULT_ORDER, ModuleOrder, _mono_minimalize
-from reescalc.rees import piece_rank
+from reescalc.groebner import (_basis_index, _eliminate_block, _from_vp,
+                               _mono_minimalize, _pack, _to_vp,
+                               _vp_normal_form)
+from reescalc.rees import piece_colon, piece_rank
 
 from oracles import (buchberger_oracle, ideal_from_exps,
                      multiply_piece_vectors, newton_closure_oracle,
-                     random_monomial_ideal, span_membership)
+                     order_key, random_monomial_ideal, span_membership)
 from test_rees import BINOMIAL_ROWS
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
@@ -33,6 +35,27 @@ def _ideal(*polys):
 
 def _module(*vecs):
     return SubmoduleData.from_vectors(CTX, len(vecs[0]), list(vecs))
+
+
+def _colon(U, J):
+    """U : J = {v : v*J inside U} for an ideal J: the piece colon with J
+    in fiber degree 0 and U inside it."""
+    return piece_colon(U, U, J, 0, 1, inside=U)
+
+
+def _preimage(columns, W):
+    """{v : sum v_j * columns[j] in W}, as its reduced basis: each column,
+    tagged with a unit vector, goes into one block elimination with W."""
+    return _eliminate_block([(_to_vp(col), {_pack(j, (0, 0)): 1})
+                             for j, col in enumerate(columns)],
+                            W, len(columns))
+
+
+def _normal_form(vec, U):
+    """The remainder of the vector vec on division by U's reduced
+    basis."""
+    r = _vp_normal_form(_to_vp(vec), _basis_index(U), U.ctx.characteristic)
+    return _from_vp(U.ctx, U.rank, r)
 
 
 def gens_as_str(U):
@@ -53,7 +76,7 @@ def test_ideal_basis_example():
 
 def test_colon_example():
     # (X^2, X*Y) : (X) = (X, Y)
-    got = colon(_ideal(X * X, X * Y), _ideal(X))
+    got = _colon(_ideal(X * X, X * Y), _ideal(X))
     assert equal(got, _ideal(X, Y))
 
 
@@ -94,7 +117,7 @@ def test_colon_adjunction_random_monomial_triples():
         U = ideal_from_exps(CTX, random_monomial_ideal(rng, max_degree=6))
         J = ideal_from_exps(CTX, random_monomial_ideal(rng, max_degree=4))
         v = Polynomial.monomial(CTX, (rng.randint(0, 6), rng.randint(0, 6)))
-        lhs = member((v,), colon(U, J))
+        lhs = member((v,), _colon(U, J))
         rhs = all(member((v * g,), U) for g in J.ideal_gens())
         assert lhs == rhs
 
@@ -123,10 +146,10 @@ def test_normal_form_idempotent_and_linear():
     U = _ideal(X ** 2 - Y, Y ** 2)
     for p in (X ** 3, X * Y + Y ** 3, X ** 5 - Polynomial.one(CTX),
               Polynomial.one(CTX)):
-        r = normal_form((p,), U)
-        assert normal_form(r, U) == r
+        r = _normal_form((p,), U)
+        assert _normal_form(r, U) == r
     f, g = X ** 4, Y * X
-    nf = normal_form
+    nf = _normal_form
     assert nf((f + g,), U)[0] == nf((f,), U)[0] + nf((g,), U)[0]
 
 
@@ -163,14 +186,14 @@ def test_intersection_matches_lcm_for_monomials():
 def test_saturation_example():
     # the first step of the saturation chain of (X^2*Y, X*Y^2) by (X*Y)
     U = _ideal(X ** 2 * Y, X * Y ** 2)
-    assert equal(colon(U, _ideal(X * Y)), _ideal(X, Y))
+    assert equal(_colon(U, _ideal(X * Y)), _ideal(X, Y))
 
 
 def test_preimage_syzygy():
     # preimage of (X*Y) under [X, Y]: pairs (a, b) with a*X + b*Y in (X*Y)
     W = _ideal(X * Y)
     cols = [(X,), (Y,)]
-    pre = preimage(cols, W)
+    pre = _preimage(cols, W)
     assert pre.rank == 2
     assert member((Y, ZERO), pre)
     assert member((ZERO, X), pre)
@@ -179,7 +202,7 @@ def test_preimage_syzygy():
 
 def test_colon_by_zero_ideal_flagged():
     U = _ideal(X)
-    got = colon(U, SubmoduleData.zero(CTX, 1))
+    got = _colon(U, SubmoduleData.zero(CTX, 1))
     assert member((Polynomial.one(CTX),), got)
 
 
@@ -225,7 +248,7 @@ def _random_sparse_module(rng, ctx, terms):
 def test_bases_of_random_binomial_and_trinomial_modules_are_reduced():
     rng = random.Random(3003)
     for ctx in (CTX, RingContext(characteristic=32003, base_vars=("X", "Y"))):
-        key = DEFAULT_ORDER.key_function(ctx)
+        key = order_key(ctx)
         for terms in (2, 3):
             for _ in range(40):
                 U = _random_sparse_module(rng, ctx, terms)
@@ -263,11 +286,13 @@ def _degree(vec):
 
 
 def test_colon_of_non_monomial_modules_matches_linear_algebra():
-    # Binomial and trinomial U and J take the preimage branch of the
-    # colon.  Each generator v of U : J is checked by linear algebra (g*v
-    # in the span of U for every g in J), and membership in U : J against
-    # its definition on multiples of its generators and on random vectors;
-    # some of the colons are strictly larger than U.
+    # Binomial and trinomial U and J take the syzygy route of the colon
+    # when U has infinite colength and the linear-algebra route when it
+    # has finite colength, as the binomial module has.  Each generator v
+    # of U : J is checked by linear algebra (g*v in the span of U for
+    # every g in J), and membership in U : J against its definition on
+    # multiples of its generators and on random vectors; some of the
+    # colons are strictly larger than U.
     rng = random.Random(5005)
     seen, strict = set(), 0
     for ctx in (CTX, RingContext(characteristic=32003, base_vars=("X", "Y"))):
@@ -279,7 +304,7 @@ def test_colon_of_non_monomial_modules_matches_linear_algebra():
         cases += [(binomial, _random_ideal(rng, ctx, terms))
                   for terms in (2, 3)]
         for U, J in cases:
-            C = colon(U, J)
+            C = _colon(U, J)
             assert contains(C, U)
             strict += not equal(C, U)
             for v in C.gens:
@@ -303,7 +328,7 @@ def test_colon_of_non_monomial_modules_matches_linear_algebra():
 
 
 def test_intersection_of_nested_modules_skips_the_elimination(monkeypatch):
-    def no_elimination(pairs, W, rank):
+    def no_elimination(pairs, W, rank, deadline=None):
         raise AssertionError("nested modules reached the elimination")
 
     rng = random.Random(3131)
@@ -341,9 +366,9 @@ def _finite_colength_module(rng, ctx, rank, coeffs):
 def test_intersections_match_the_colength_formula():
     # For U and V of finite colength in F, l(F/(U cap V)) = l(F/U) +
     # l(F/V) - l(F/(U+V)), so a module inside U and V with that colength
-    # is U cap V.  That checks intersect(U, V), and the image of
-    # preimage(V.gens, U) under the generators of V, which is U cap V too,
-    # with no intersection in the oracle.  Each result's own basis must
+    # is U cap V.  That checks intersect(U, V), and the image of the
+    # preimage of U under the generators of V, which is U cap V too, with
+    # no intersection in the oracle.  Each result's own basis must
     # also equal the basis recomputed from its generators.
     def recomputed(R):
         return groebner_basis(SubmoduleData(R.ctx, R.rank, R.gens)).gens
@@ -363,7 +388,7 @@ def test_intersections_match_the_colength_formula():
                 want = (colength(U) + colength(V) - colength(
                     SubmoduleData(ctx, rank, U.gens + V.gens)))
                 R = intersect(U, V)
-                P = preimage(V.gens, U)
+                P = _preimage(V.gens, U)
                 image = SubmoduleData(ctx, rank, tuple(
                     tuple(sum((c * v[i] for c, v in zip(g, V.gens)),
                               Polynomial.zero(ctx)) for i in range(rank))
@@ -416,8 +441,8 @@ def test_monomial_kernel_matches_brute_force(width):
         assert _exps(IA) == _minimal_brute(A)
         assert _exps(intersect(IA, IB)) == _minimal_brute(
             m for m in in_a if _in_ideal(m, B))
-        assert _exps(colon(IA, ideal_from_exps(ctx, [g]))) == _minimal_brute(
-            m for m in grid if _in_ideal(mon_mul(m, g), A))
+        assert _exps(_colon(IA, ideal_from_exps(ctx, [g]))) == \
+            _minimal_brute(m for m in grid if _in_ideal(mon_mul(m, g), A))
         assert contains(IA, IB) == all(
             _in_ideal(m, A) for m in grid if _in_ideal(m, B))
         pure = all(any(e[i] == sum(e) for e in A) for i in range(width))
@@ -475,7 +500,7 @@ def _eager_basis(rank, leads):
     """The reduced basis of the monomial module with generators at leads,
     as Polynomial vectors: the minimal leads sorted by lead term."""
     return tuple(_monomial_vectors(rank, sorted(
-        _minimal_leads(rank, leads), key=DEFAULT_ORDER.key_function(CTX))))
+        _minimal_leads(rank, leads), key=order_key(CTX))))
 
 
 def _colength_by_counting(rank, leads):
@@ -555,8 +580,8 @@ def _vps(vectors):
 
 
 def test_kernel_matches_criterion_free_buchberger(monkeypatch):
-    # groebner_basis under the default order, and preimage under its
-    # block elimination order, against a Buchberger that reduces every pair.
+    # groebner_basis, and the preimage by _eliminate_block under its block
+    # elimination order, against a Buchberger that reduces every pair.
     # The first case runs the QQ kernel's scaling branches:
     # with HARD_COEFFS most of its reductions scale.  It comes first, on
     # its own seed, since a kernel that scales wrongly can blow up on the
@@ -587,7 +612,7 @@ def test_kernel_matches_criterion_free_buchberger(monkeypatch):
                                           rng.randint(2, 4), coeffs)
                     U = SubmoduleData.from_vectors(ctx, rank, gens)
                     assert _vps(groebner_basis(U).gens) == buchberger_oracle(
-                        gens, ctx, DEFAULT_ORDER), (rank, gens)
+                        gens, ctx), (rank, gens)
                 columns = _random_module(rng, ctx, rank, terms, 2, coeffs)
                 W = SubmoduleData.from_vectors(
                     ctx, rank, _random_module(rng, ctx, rank, terms, 2, coeffs))
@@ -597,11 +622,10 @@ def test_kernel_matches_criterion_free_buchberger(monkeypatch):
                                              for k in range(len(columns)))
                           for j, col in enumerate(columns)]
                 tagged += [tuple(w) + (zero,) * len(columns) for w in W.gens]
-                order = ModuleOrder(elim_components=rank)
                 want = [{(c - rank, e): x for (c, e), x in f.items()}
-                        for f in buchberger_oracle(tagged, ctx, order)
+                        for f in buchberger_oracle(tagged, ctx, rank)
                         if all(c >= rank for c, _ in f)]
-                assert _vps(preimage(columns, W).gens) == want, (columns, W)
+                assert _vps(_preimage(columns, W).gens) == want, (columns, W)
 
 
 def _redundant_products(rng, ctx, rank, terms, coeffs, scalars):
@@ -652,7 +676,7 @@ def test_redundant_inputs_match_criterion_free_buchberger():
                 r2 = piece_rank(rank, 2)
                 W = SubmoduleData.from_vectors(ctx, r2, redundant)
                 assert _vps(groebner_basis(W).gens) == buchberger_oracle(
-                    few, ctx, DEFAULT_ORDER), (ctx, few)
+                    few, ctx), (ctx, few)
                 if rank != 1 or terms != 2:
                     continue
                 columns = _random_module(rng, ctx, r2, terms, 2, coeffs)
@@ -660,11 +684,10 @@ def test_redundant_inputs_match_criterion_free_buchberger():
                                         (zero, one))
                           for j, col in enumerate(columns)]
                 tagged += [tuple(w) + (zero, zero) for w in few]
-                order = ModuleOrder(elim_components=r2)
                 want = [{(c - r2, e): x for (c, e), x in f.items()}
-                        for f in buchberger_oracle(tagged, ctx, order)
+                        for f in buchberger_oracle(tagged, ctx, r2)
                         if all(c >= r2 for c, _ in f)]
-                assert _vps(preimage(columns, W).gens) == want, \
+                assert _vps(_preimage(columns, W).gens) == want, \
                     (ctx, columns, few)
 
 
@@ -765,7 +788,7 @@ def test_intersections_match_sympy():
                 for g in fv:
                     part = quotients(meet(fu, [g]), g)
                     quot = part if quot is None else meet(quot, part)
-                got = colon(U, V)
+                got = _colon(U, V)
                 proper_colons += not (got.gens == groebner_basis(U).gens
                                       or contains(got, SubmoduleData.free(
                                           ctx, 1)))
@@ -792,9 +815,9 @@ def test_results_over_qq_hold_fractions():
                 rng, CTX, rank, 2, 2, HARD_COEFFS))
             columns = _random_module(rng, CTX, rank, 2, 2, HARD_COEFFS)
             assert fractions_only(groebner_basis(U).gens)
-            assert fractions_only(preimage(columns, U).gens)
+            assert fractions_only(_preimage(columns, U).gens)
             assert fractions_only(intersect(U, V).gens)
-            assert fractions_only([normal_form(v, U) for v in V.gens])
+            assert fractions_only([_normal_form(v, U) for v in V.gens])
     E = ModuleEmbedding.from_matrix(CTX, [
         [parse_poly(e, CTX) for e in row]
         for row in (("3*X^2+2*Y^2", "7*X*Y+Y^2", "5*Y^3", "0"),

@@ -11,11 +11,12 @@ from reescalc import (InputError, ModuleEmbedding, Polynomial, RingContext,
                       SubmoduleData, colength, equal, groebner_basis,
                       parse_poly)
 from reescalc.context import mon_mul
-from reescalc.groebner import (DEFAULT_ORDER, ModuleOrder, _MAX_DEGREE,
-                               _X, _Y, _by_component, _pack, _to_vp, _unpack)
+from reescalc.groebner import (_FLAG_SHIFT, _MAX_DEGREE, _X, _Y,
+                               _by_component, _eliminate_block, _pack, _to_vp,
+                               _unpack)
 from reescalc.rees import _integer_product, fiber_products, piece_rank
 
-from oracles import buchberger_oracle, multiply_piece_vectors
+from oracles import buchberger_oracle, multiply_piece_vectors, order_key
 from test_groebner import HARD_COEFFS, _random_module
 from test_rees import BINOMIAL_ROWS
 
@@ -28,19 +29,26 @@ def _random_term(rng):
     return rng.randrange(6), (rng.randint(0, top), rng.randint(0, top))
 
 
+def _flagged(term, elim):
+    """The packed term, flagged as _eliminate_block flags the first elim
+    components."""
+    c, e = term
+    return _pack(c, e) | (c < elim) << _FLAG_SHIFT
+
+
 def test_packed_order_and_product_match_the_module_order():
-    # Integer order on packed terms is ModuleOrder's key order, for the
+    # Integer order on packed terms is the oracle's key order, for the
     # default order and for elimination orders, and adding the packed
     # shift of a monomial multiplies by it.
     rng = random.Random(1818)
     terms = [_random_term(rng) for _ in range(400)]
     for elim in (0, 1, 3):
-        key = ModuleOrder(elim).key_function(QQ)
-        assert sorted(terms, key=lambda t: _pack(*t, elim)) == sorted(
+        key = order_key(QQ, elim)
+        assert sorted(terms, key=lambda t: _flagged(t, elim)) == sorted(
             terms, key=key)
         for s, t in zip(terms, terms[1:]):
-            assert (_pack(*s, elim) < _pack(*t, elim)) == (key(s) < key(t))
-            assert _unpack(_pack(*s, elim)) == s
+            assert (_flagged(s, elim) < _flagged(t, elim)) == (key(s) < key(t))
+            assert _unpack(_flagged(s, elim)) == s
     one = _pack(0, (0, 0))
     for (c, e), (_, f) in zip(terms, terms[1:]):
         assert _pack(c, e) + _pack(0, f) - one == _pack(c, mon_mul(e, f))
@@ -58,7 +66,7 @@ def _vectors(ctx, *rows):
 def test_degrees_beyond_the_kernel_range_raise_input_error():
     # _MAX_DEGREE itself is accepted; one more raises where degrees grow:
     # a packed input, a product of pieces, an S-vector's lcm, and an
-    # element's tail under an elimination order.
+    # element's tail in a block elimination.
     d = _MAX_DEGREE
     x, y = (Polynomial.variable(QQ, v) for v in "XY")
     one = Polynomial.one(QQ)
@@ -80,14 +88,17 @@ def test_degrees_beyond_the_kernel_range_raise_input_error():
                        (x ** (d - 1), y))
     with pytest.raises(InputError):
         groebner_basis(_vectors(QQ, (x ** d, y), (y, one)))
-    # under the order in which component 0 dominates, the S-vector of
-    # (X, Y^k) and (Y, 0) is (0, Y^(k+1))
-    elim = ModuleOrder(elim_components=1)
-    groebner_basis(_vectors(QQ, (x, y ** (d - 1)), (y, Polynomial.zero(QQ))),
-                   elim)
-    with pytest.raises(InputError):
-        groebner_basis(_vectors(QQ, (x, y ** d), (y, Polynomial.zero(QQ))),
-                       elim)
+    # in the block elimination of the pair (X, Y^k) with W = (Y), in
+    # which component 0 dominates, the S-vector of (X, Y^k) and (Y, 0) is
+    # (0, Y^(k+1))
+    W = ideal(y)
+    for k in (d - 1, d):
+        pair = ({_pack(0, (1, 0)): 1}, {_pack(0, (0, k)): 1})
+        if k < d:
+            assert _eliminate_block([pair], W, 1).gens == ((y ** d,),)
+        else:
+            with pytest.raises(InputError):
+                _eliminate_block([pair], W, 1)
 
 
 def _shifted(ctx, c):
@@ -135,7 +146,7 @@ def test_shifted_binomial_powers_match_the_oracle(ctx, c):
         assert n == 1 or piece._gens is None
         assert colength(piece) == length
         assert _as_dicts(piece) == buchberger_oracle(
-            _column_products(E, n), ctx, DEFAULT_ORDER), (ctx, c, n)
+            _column_products(E, n), ctx), (ctx, c, n)
 
 
 def test_shifted_binomial_fourth_power_matches_the_oracle():
@@ -143,7 +154,7 @@ def test_shifted_binomial_fourth_power_matches_the_oracle():
         assert colength(_shifted(ctx, c).power_piece(4)) == 195
     E = _shifted(QQ, -1)
     assert _as_dicts(E.power_piece(4)) == buchberger_oracle(
-        _column_products(E, 4), QQ, DEFAULT_ORDER)
+        _column_products(E, 4), QQ)
 
 
 def _eager(ctx, rank, oracle):
@@ -170,7 +181,7 @@ def test_kernel_vector_bases_match_an_eager_construction():
                 continue
             assert gb._gens is None
             assert gb.gens == _eager(ctx, rank, buchberger_oracle(
-                gens, ctx, DEFAULT_ORDER)), (ctx, gens)
+                gens, ctx)), (ctx, gens)
             scaled = [tuple(p * Polynomial.constant(ctx, rng.choice((2, -3)))
                             for p in g)
                       for g in rng.sample(gens, len(gens))]

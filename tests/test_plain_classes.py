@@ -3,9 +3,10 @@
 import pytest
 
 from reescalc import (AnalysisReport, ClosureOptions, ClosureResult,
-                      ContextMismatchError, InputError, ModuleOrder,
-                      Polynomial, RankMismatchError, RingContext,
-                      SubmoduleData, groebner_basis, parse_poly)
+                      ContextMismatchError, InputError, Polynomial,
+                      RankMismatchError, RingContext, SubmoduleData,
+                      groebner_basis, member, parse_poly)
+from reescalc.groebner import DEFAULT_ORDER
 from reescalc.problem import ProblemFile
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
@@ -16,19 +17,13 @@ def _module(*rows):
     return SubmoduleData.from_vectors(CTX, len(rows), vectors)
 
 
-def test_equal_module_orders_share_one_cached_basis():
-    a, b = ModuleOrder(1), ModuleOrder(elim_components=1)
-    assert a is not b
-    assert a == b and hash(a) == hash(b)
-    assert a != ModuleOrder(2) and a != ModuleOrder()
-    assert ModuleOrder() == ModuleOrder(0)
-    assert a != 1
+def test_the_reduced_basis_is_cached_once():
     U = _module(["X^2+Y", "X*Y"], ["Y^2", "X+Y"])
-    basis = groebner_basis(U, a)
+    basis = groebner_basis(U)
     entries = len(U._cache)
-    assert groebner_basis(U, b) is basis
+    assert groebner_basis(U) is basis
     assert len(U._cache) == entries
-    assert U._cache[b] is basis
+    assert U._cache[DEFAULT_ORDER] is basis
 
 
 def test_submodule_equality_and_hash_include_what_they_did():
@@ -58,6 +53,20 @@ def test_submodule_construction_still_checks_its_generators():
     for names in (("X",), ("X", "Y", "Z")):
         with pytest.raises(InputError, match="two base variables"):
             RingContext(characteristic=0, base_vars=names)
+
+
+def test_member_checks_its_vector_as_construction_does():
+    # member tests containment of the one-vector module, so a vector over
+    # another field, or of another length, is refused as a generator is
+    U = _module(["X^2+Y"])
+    other_field = RingContext(characteristic=32003, base_vars=("X", "Y"))
+    with pytest.raises(ContextMismatchError):
+        member((parse_poly("X^2+Y", other_field),), U)
+    one = Polynomial.one(CTX)
+    with pytest.raises(RankMismatchError):
+        member((one, one), U)
+    assert member((parse_poly("X^3+X*Y", CTX),), U)
+    assert not member((one,), U)
 
 
 def test_default_lists_and_dicts_are_never_shared():

@@ -36,3 +36,13 @@ def test_tracer_runs_rr_of_the_binomial_module(tmp_path):
     spans = json.loads(spans_path.read_text())["spans"]
     names = {span[3] for span in spans}
     assert {"rees.power_piece", "groebner.groebner_basis"} <= names
+    # The tracer tells a cached basis (hit) from a computed one by looking
+    # up groebner.DEFAULT_ORDER in SubmoduleData._cache.  M's basis is
+    # computed once, by Buchberger, and every later call finds it cached
+    # (nine at the time of writing); were the key to change, every call
+    # would read as a computation and gb_hit_frac would read 0.
+    kinds = [span[7][0] for span in spans
+             if span[3] == "groebner.groebner_basis"]
+    assert kinds.count("general") == 1
+    assert kinds.count("hit") >= 1
+    assert set(kinds) == {"general", "hit"}
