@@ -16,7 +16,7 @@ _EXPORTS = {
     "closures": ("ClosureOptions", "ClosureResult", "check_integral_equation",
                  "integral_closure_module", "is_reduction",
                  "ratliff_rush_module"),
-    "context": ("PrimeField", "RationalField", "RingContext"),
+    "context": ("RingContext",),
     "errors": ("ContextMismatchError", "DeadlineExceeded", "InputError",
                "ParseError", "RankMismatchError", "ReescalcError",
                "SoundnessAlert", "UnstableChainError"),

@@ -2,7 +2,8 @@
 
 JSON goes to stdout and is byte-stable for a fixed input; the human
 summary goes to stderr.  Exit codes: 0 computed, 2 inconclusive or
-unproven outcomes present, 3 soundness alarm, 4 input error.
+unproven outcomes present, 3 soundness alarm, 4 input error, a malformed
+command line included.
 
 The theorem deciders (analysis) and the built-in corpus (fixtures) are
 imported by the commands that use them, so a call loads only the
@@ -160,8 +161,17 @@ _RUNNERS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises InputError on a malformed command line, which main reports
+    as it reports any other input error (exit 4), where argparse would
+    print its usage and exit 2, the code for an inconclusive run."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="reescalc",
         description="Exact closure and graded-data computations for modules "
                     "inside free modules over a two-variable polynomial ring.")
@@ -178,9 +188,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     warnings = []
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "fixtures":
             digest = hashlib.sha256(b"").hexdigest()
             options = {}

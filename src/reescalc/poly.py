@@ -1,8 +1,12 @@
 """Exact multivariate polynomials plus the text front end.
 
-Polynomials are dictionaries from exponent tuples to nonzero field
-elements.  The canonical term list (descending in the context order) is
-produced on demand, so arithmetic stays dict-based and cheap.
+Polynomials are dictionaries from exponent tuples to nonzero
+coefficients.  The context's characteristic p is the only description
+of the field: over QQ (p = 0) a coefficient is a Fraction, over GF(p) an
+int in [0, p), and the arithmetic below reduces mod p inline, as the
+Groebner kernel does.  The canonical term list (descending in the
+context order) is produced on demand, so arithmetic stays dict-based and
+cheap.
 """
 
 import re
@@ -11,6 +15,25 @@ from math import comb
 
 from .context import mon_mul, mon_one
 from .errors import ContextMismatchError, InputError, ParseError
+
+
+def _coefficient(value, p):
+    """The int or Fraction value as a coefficient over the field of
+    characteristic p."""
+    if not p:
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        if value.denominator % p == 0:
+            raise ZeroDivisionError("denominator vanishes in F_p")
+        return value.numerator * pow(value.denominator, p - 2, p) % p
+    return int(value) % p
+
+
+def _clean(terms, p):
+    """terms, reduced mod p over GF(p), without zero coefficients."""
+    if p:
+        return {e: c % p for e, c in terms.items() if c % p}
+    return {e: c for e, c in terms.items() if c}
 
 
 class Polynomial:
@@ -29,27 +52,22 @@ class Polynomial:
 
     @classmethod
     def one(cls, ctx):
-        return cls(ctx, {mon_one(ctx.nvars): ctx.field.one})
+        return cls.constant(ctx, 1)
 
     @classmethod
     def constant(cls, ctx, value):
-        c = ctx.field.coerce(value)
-        if c == ctx.field.zero:
-            return cls.zero(ctx)
-        return cls(ctx, {mon_one(ctx.nvars): c})
+        return cls.monomial(ctx, mon_one(ctx.nvars), value)
 
     @classmethod
     def variable(cls, ctx, name):
         exps = [0] * ctx.nvars
         exps[ctx.var_index[name]] = 1
-        return cls(ctx, {tuple(exps): ctx.field.one})
+        return cls.monomial(ctx, exps)
 
     @classmethod
     def monomial(cls, ctx, exps, coeff=1):
-        c = ctx.field.coerce(coeff)
-        if c == ctx.field.zero:
-            return cls.zero(ctx)
-        return cls(ctx, {tuple(exps): c})
+        c = _coefficient(coeff, ctx.characteristic)
+        return cls(ctx, {tuple(exps): c} if c else {})
 
     # -- predicates ------------------------------------------------------
 
@@ -76,46 +94,31 @@ class Polynomial:
                 f"operands in different contexts: {self.ctx} vs {other.ctx}")
 
     def __add__(self, other):
-        self._check(other)
-        field = self.ctx.field
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            c = field.add(terms.get(exps, field.zero), coeff)
-            if c == field.zero:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = c
-        return Polynomial(self.ctx, terms)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
         self._check(other)
-        field = self.ctx.field
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            c = field.sub(terms.get(exps, field.zero), coeff)
-            if c == field.zero:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = c
-        return Polynomial(self.ctx, terms)
+            terms[exps] = terms.get(exps, 0) + sign * coeff
+        return Polynomial(self.ctx, _clean(terms, self.ctx.characteristic))
 
     def __neg__(self):
-        field = self.ctx.field
-        return Polynomial(self.ctx, {e: field.neg(c) for e, c in self.terms.items()})
+        p = self.ctx.characteristic
+        return Polynomial(self.ctx, {e: -c % p if p else -c
+                                     for e, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
-        field = self.ctx.field
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = mon_mul(e1, e2)
-                c = field.add(terms.get(e, field.zero), field.mul(c1, c2))
-                if c == field.zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = c
-        return Polynomial(self.ctx, terms)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Polynomial(self.ctx, _clean(terms, self.ctx.characteristic))
 
     def __pow__(self, n):
         if n < 0:
@@ -149,7 +152,7 @@ class Polynomial:
             mono = "*".join(
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.ctx.base_vars, exps) if e)
-            neg = isinstance(coeff, Fraction) and coeff < 0
+            neg = not self.ctx.characteristic and coeff < 0
             mag = -coeff if neg else coeff
             if not mono:
                 body = str(mag)

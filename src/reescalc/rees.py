@@ -24,6 +24,7 @@ zero entries.
 """
 
 import itertools
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb
 from operator import add
@@ -347,8 +348,7 @@ def _colon_kernel(W, gens_low, products, stairs, deadline):
     1993); a row that reduces to zero leaves its tag, an element of the
     colon.
     """
-    field = W.ctx.field
-    p = field.characteristic
+    p = W.ctx.characteristic
     basis_index = _basis_index(W)
 
     def times(vps, x):
@@ -375,20 +375,19 @@ def _colon_kernel(W, gens_low, products, stairs, deadline):
                     tag = _eliminate(
                         {(i, t): y for i, vp in enumerate(column)
                          for t, y in vp.items()},
-                        {_pack(c, (a, b)): field.one}, pivots, field)
+                        {_pack(c, (a, b)): 1}, pivots, p)
                     if tag is not None:
                         kernel.append(tag)
     return kernel
 
 
-def _eliminate(row, tag, pivots, field):
-    """Reduce row, and its tag alongside, against the pivot rows: each is
-    stored under its least term, with the inverse of its coefficient
-    there.  Return the tag if the row reduces to zero; otherwise store
-    the row as a new pivot and return None.  A pivot row only has terms
-    above its pivot, so taking the row's terms least first reaches each
-    one at most once."""
-    add, mul, neg = field.add, field.mul, field.neg
+def _eliminate(row, tag, pivots, p):
+    """Reduce row, and its tag alongside, against the pivot rows over the
+    field of characteristic p: each is stored under its least term, with
+    the inverse of its coefficient there.  Return the tag if the row
+    reduces to zero; otherwise store the row as a new pivot and return
+    None.  A pivot row only has terms above its pivot, so taking the
+    row's terms least first reaches each one at most once."""
     heap = list(row)
     heapify(heap)
     while heap:
@@ -398,16 +397,18 @@ def _eliminate(row, tag, pivots, field):
         if hit is None:
             continue
         pivot_row, pivot_tag, inv = hit
-        f = neg(mul(x, inv))
+        f = -x * inv % p if p else -x * inv
         for vec, other in ((row, pivot_row), (tag, pivot_tag)):
             for u, y in other.items():
                 old = vec.get(u)
                 if old is None:
-                    vec[u] = mul(f, y)
+                    vec[u] = f * y % p if p else f * y
                     if vec is row:
                         heappush(heap, u)
                     continue
-                nc = add(old, mul(f, y))
+                nc = old + f * y
+                if p:
+                    nc %= p
                 if nc == 0:
                     del vec[u]
                 else:
@@ -415,7 +416,8 @@ def _eliminate(row, tag, pivots, field):
     if not row:
         return tag
     t = min(row)
-    pivots[t] = (row, tag, field.invert(row[t]))
+    x = row[t]
+    pivots[t] = (row, tag, pow(x, p - 2, p) if p else 1 / Fraction(x))
     return None
 
 
@@ -471,15 +473,14 @@ def min_gens(target):
     Accepts a ModuleEmbedding or a SubmoduleData.
     """
     U = target.submodule() if isinstance(target, ModuleEmbedding) else target
-    field = U.ctx.field
+    p = U.ctx.characteristic
     vps = _kernel_vectors(U)
     mM = vector_basis(U.ctx, U.rank, [{t + x: y for t, y in vp.items()}
                                       for vp in vps for x in (_X, _Y)])
     index = _basis_index(mM)
     pivots = {}
     for vp in vps:
-        _eliminate(_vp_normal_form(vp, index, field.characteristic), {},
-                   pivots, field)
+        _eliminate(_vp_normal_form(vp, index, p), {}, pivots, p)
     return len(pivots)
 
 

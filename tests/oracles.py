@@ -13,6 +13,21 @@ from reescalc import Polynomial, SubmoduleData
 from reescalc.rees import fiber_products, piece_rank
 
 
+def coefficient(value, p):
+    """The int or Fraction value in the field of characteristic p: a
+    Fraction over QQ, an int in [0, p) over GF(p).  The oracles compute
+    with this and inverse, not with the engine's coefficient arithmetic."""
+    value = Fraction(value)
+    if not p:
+        return value
+    return value.numerator * inverse(value.denominator, p) % p
+
+
+def inverse(c, p):
+    """The inverse of the nonzero coefficient c."""
+    return pow(c, p - 2, p) if p else 1 / Fraction(c)
+
+
 def monomials_up_to(nvars, degree):
     out = []
     for total in range(degree + 1):
@@ -209,22 +224,22 @@ def buchberger_oracle(vectors, ctx, elim=0):
     Returns the basis as dicts {(component, exponents): coefficient},
     sorted by lead term."""
     key = order_key(ctx, elim)
-    field = ctx.field
+    p = ctx.characteristic
 
     def lead(f):
         return max(f, key=key)
 
     def monic(f):
-        inv = field.invert(f[lead(f)])
-        return {t: field.mul(c, inv) for t, c in f.items()}
+        inv = inverse(f[lead(f)], p)
+        return {t: coefficient(c * inv, p) for t, c in f.items()}
 
     def sub_multiple(f, g, q, c):
         """f - c * x^q * g"""
         out = dict(f)
         for (gc, ge), b in g.items():
             t = (gc, tuple(x + y for x, y in zip(ge, q)))
-            v = field.sub(out.get(t, field.zero), field.mul(c, b))
-            if v == field.zero:
+            v = coefficient(out.get(t, 0) - c * b, p)
+            if not v:
                 out.pop(t, None)
             else:
                 out[t] = v
@@ -242,7 +257,7 @@ def buchberger_oracle(vectors, ctx, elim=0):
                 rem[t] = f.pop(t)
                 continue
             q = tuple(x - y for x, y in zip(t[1], lead(g)[1]))
-            f = sub_multiple(f, g, q, field.mul(f[t], field.invert(g[lead(g)])))
+            f = sub_multiple(f, g, q, f[t] * inverse(g[lead(g)], p))
         return rem
 
     G = [monic(f) for f in ({(c, e): x for c, p in enumerate(v)
@@ -263,7 +278,7 @@ def buchberger_oracle(vectors, ctx, elim=0):
         pairs.remove(pair)
         _, L = lcm(i, j)
         s = {}
-        for g, sign in ((G[i], field.neg(field.one)), (G[j], field.one)):
+        for g, sign in ((G[i], -1), (G[j], 1)):
             s = sub_multiple(s, g, tuple(x - y for x, y in zip(L, lead(g)[1])),
                              sign)
         r = reduce(s, G)

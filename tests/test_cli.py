@@ -447,13 +447,32 @@ def test_non_utf8_file_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--window", "-3"], ["--lmax", "-1"],
-                                   ["--char", "4295229443"]])
+                                   ["--char", "4295229443"],
+                                   ["--lmax", "abc"], ["--nmax", "1.5"],
+                                   ["--bogus"]])
 def test_bad_flag_exits_4(tmp_path, capsys, flags):
     path = _write(tmp_path, "rr.problem", RR_PROBLEM)
     status, out, err = _run(capsys, ["rr", path] + flags)
     assert status == 4
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["bogus"], []])
+def test_unknown_or_missing_command_exits_4(capsys, argv):
+    # argparse alone would print its usage and exit 2, which reads as
+    # an inconclusive run
+    status, out, err = _run(capsys, argv)
+    assert status == 4
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: reescalc" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("p", [32003, 2147483647])

@@ -18,8 +18,8 @@ from reescalc.groebner import (_basis_index, _eliminate_block, _from_vp,
                                _vp_normal_form)
 from reescalc.rees import piece_colon, piece_rank
 
-from oracles import (buchberger_oracle, ideal_from_exps,
-                     multiply_piece_vectors, newton_closure_oracle,
+from oracles import (buchberger_oracle, coefficient, ideal_from_exps,
+                     inverse, multiply_piece_vectors, newton_closure_oracle,
                      order_key, random_monomial_ideal, span_membership)
 from test_rees import BINOMIAL_ROWS
 
@@ -232,8 +232,8 @@ def _random_module(rng, ctx, rank, terms, count,
             for _ in range(ctx.nvars):
                 exps.append(rng.randint(0, left))
                 left -= exps[-1]
-            vec[rng.randrange(rank)][tuple(exps)] = \
-                ctx.field.coerce(rng.choice(coeffs))
+            vec[rng.randrange(rank)][tuple(exps)] = coefficient(
+                rng.choice(coeffs), ctx.characteristic)
         gens.append(tuple(Polynomial(ctx, t) for t in vec))
     return gens
 
@@ -258,7 +258,7 @@ def test_bases_of_random_binomial_and_trinomial_modules_are_reduced():
                             for g in gb.gens]
                 leads = [max(vp, key=key) for vp in elements]
                 for i, vp in enumerate(elements):
-                    assert vp[leads[i]] == ctx.field.one, (U.gens, gb.gens)
+                    assert vp[leads[i]] == 1, (U.gens, gb.gens)
                     for c, e in vp:
                         assert not any(
                             j != i and lc == c and mon_divides(le, e)
@@ -271,8 +271,8 @@ def _random_poly(rng, ctx, terms, top, coeffs=(-2, -1, 1, 3)):
     out = {}
     for _ in range(terms):
         a = rng.randint(0, top)
-        out[(a, rng.randint(0, top - a))] = ctx.field.coerce(
-            rng.choice(coeffs))
+        out[(a, rng.randint(0, top - a))] = coefficient(
+            rng.choice(coeffs), ctx.characteristic)
     return Polynomial(ctx, out)
 
 
@@ -705,7 +705,6 @@ def test_ideal_bases_match_sympy_grevlex():
     for char, coeffs in ((0, (-2, -1, 1, 3)), (32003, (-2, -1, 1, 3)),
                          (0, large), (32003, large)):
         ctx = RingContext(characteristic=char, base_vars=("X", "Y"))
-        field = ctx.field
         for terms in (2, 3):
             for _ in range(12):
                 polys = [_random_poly(rng, ctx, terms, 4, coeffs)
@@ -713,7 +712,7 @@ def test_ideal_bases_match_sympy_grevlex():
                 exprs = [_sympy_expr(p, sx, sy) for p in polys]
                 got = groebner_basis(SubmoduleData.ideal(ctx, polys))
                 assert _terms(got) == _sympy_grevlex(sympy, exprs, (sx, sy),
-                                                     field), exprs
+                                                     char), exprs
 
 
 def _sympy_expr(p, sx, sy):
@@ -726,21 +725,22 @@ def _terms(U):
     return sorted(sorted(g[0].terms.items()) for g in groebner_basis(U).gens)
 
 
-def _sympy_grevlex(sympy, exprs, gens, field):
-    """sympy's reduced grevlex basis of the ideal of exprs in k[gens], each
-    element made monic in field and given as _terms gives ours."""
+def _sympy_grevlex(sympy, exprs, gens, p):
+    """sympy's reduced grevlex basis of the ideal of exprs in k[gens], k of
+    characteristic p, each element made monic and given as _terms gives
+    ours."""
     if not exprs:
         return []
-    extra = {"modulus": field.characteristic} if field.characteristic else {}
+    extra = {"modulus": p} if p else {}
     G = sympy.groebner(exprs, *gens, order="grevlex", **extra)
 
     def coeff(c):
-        return field.coerce(Fraction(str(c)))
+        return coefficient(Fraction(str(c)), p)
 
     want = []
     for q in G.polys:
-        inv = field.invert(coeff(q.LC(order="grevlex")))
-        want.append(sorted((e, field.mul(coeff(c), inv))
+        inv = inverse(coeff(q.LC(order="grevlex")), p)
+        want.append(sorted((e, coefficient(coeff(c) * inv, p))
                            for e, c in q.as_dict().items()))
     return sorted(want)
 
@@ -758,7 +758,6 @@ def test_intersections_match_sympy():
     crossing = proper_colons = 0
     for char in (0, 32003):
         ctx = RingContext(characteristic=char, base_vars=("X", "Y"))
-        field = ctx.field
         extra = {"modulus": char} if char else {}
 
         def meet(fu, fv):
@@ -782,7 +781,7 @@ def test_intersections_match_sympy():
                 fu = [_sympy_expr(g[0], sx, sy) for g in U.gens]
                 fv = [_sympy_expr(g[0], sx, sy) for g in V.gens]
                 crossing += not (contains(U, V) or contains(V, U))
-                want = _sympy_grevlex(sympy, meet(fu, fv), (sx, sy), field)
+                want = _sympy_grevlex(sympy, meet(fu, fv), (sx, sy), char)
                 assert _terms(intersect(U, V)) == want, (fu, fv)
                 quot = None
                 for g in fv:
@@ -793,7 +792,7 @@ def test_intersections_match_sympy():
                                       or contains(got, SubmoduleData.free(
                                           ctx, 1)))
                 assert _terms(got) == _sympy_grevlex(
-                    sympy, quot, (sx, sy), field), (fu, fv)
+                    sympy, quot, (sx, sy), char), (fu, fv)
     assert crossing >= 20 and proper_colons >= 10
 
 

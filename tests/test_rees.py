@@ -14,7 +14,7 @@ from reescalc import (INFINITE, InputError, ModuleEmbedding, Polynomial,
 from reescalc.fixtures import (indecomposable_presentation, parameter_module,
                                square_direct_sum)
 
-from oracles import colength_oracle, span_membership
+from oracles import coefficient, colength_oracle, span_membership
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
@@ -331,8 +331,8 @@ def _random_finite_colength(rng, ctx, rank, coeffs):
         vec = [{} for _ in range(rank)]
         for _ in range(2):
             a = rng.randint(0, d)
-            vec[rng.randrange(rank)][(a, d - a)] = \
-                ctx.field.coerce(rng.choice(coeffs))
+            vec[rng.randrange(rank)][(a, d - a)] = coefficient(
+                rng.choice(coeffs), ctx.characteristic)
         columns.append(tuple(Polynomial(ctx, t) for t in vec))
     for i in range(rank):
         for e in ((rng.randint(3, 4), 0), (0, rng.randint(3, 4))):
