@@ -7,7 +7,6 @@ reported as a mathematical result, since it can only mean a bug or an
 uncertified closure.
 """
 
-from fractions import Fraction
 from math import comb
 
 from .closures import (ClosureOptions, integral_closure_module,
@@ -16,7 +15,7 @@ from .errors import InputError, SoundnessAlert
 from .groebner import SubmoduleData, contains, equal, groebner_basis, member
 from .rees import (INFINITE, ModuleEmbedding, colength, direct_sum,
                    fitting_ideal, maximal_ideal, ord_ideal, piece_product,
-                   scale_by_ideal)
+                   scale_by_ideal, _eliminate)
 
 
 class BRPolynomial:
@@ -55,25 +54,6 @@ class BRPolynomial:
         }
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over the rationals; rows must be square."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise InputError("degenerate interpolation system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def br_coefficients(E, n_max=None, deadline=None):
     """Buchsbaum-Rim coefficients br_0 .. br_(d+r-1) by exact interpolation.
 
@@ -97,11 +77,20 @@ def br_coefficients(E, n_max=None, deadline=None):
             raise InputError("infinite colength; no length polynomial exists")
         lengths.append(ln)
     fit_lo = n_max - ncoef + 1
-    rows = []
-    for n in range(fit_lo, n_max + 1):
-        rows.append([(-1) ** i * comb(n + ncoef - i - 1, ncoef - 1 - i)
-                     for i in range(ncoef)])
-    coeffs = _solve_exact(rows, lengths[fit_lo:])
+    # The basis rows {n: f_i(n)} on the window, tagged i, are eliminated
+    # over QQ (their entries are binomials, never zero).  They span the
+    # window's values, so the length row, tagged -1, reduces to zero with
+    # tag {-1: 1, i: -c_i}: lengths = sum_i c_i * f_i.
+    window = range(fit_lo, n_max + 1)
+    pivots = {}
+    for i in range(ncoef):
+        row = {n: (-1) ** i * comb(n + ncoef - i - 1, ncoef - 1 - i)
+               for n in window}
+        if _eliminate(row, {i: 1}, pivots, 0) is not None:
+            raise InputError("degenerate interpolation system")
+    tag = _eliminate({n: lengths[n] for n in window if lengths[n]},
+                     {-1: 1}, pivots, 0)
+    coeffs = [-tag.get(i, 0) for i in range(ncoef)]
     if any(c.denominator != 1 for c in coeffs):
         raise InputError(
             "lengths are not yet polynomial on the fit window; raise n_max")
@@ -139,7 +128,7 @@ def br_corollary_check(E, B=None, opts=None):
     len_mbar = colength(mbar.submodule)
     clause_br1 = B.coefficients[1] == B.coefficients[0] - len_mbar
     clause_vanish = all(B.coefficients[i] == 0 for i in range(2, r + 2))
-    Ebar = ModuleEmbedding.from_submodule(mbar.submodule)
+    Ebar = ModuleEmbedding(mbar.submodule)
     samples = []
     hi = B.fit_window[1]
     for n in range(hi - 2, hi + 1):
@@ -201,10 +190,10 @@ def theorem12_check(E, n_max=4, candidates=None, opts=None):
     opts = opts or ClosureOptions()
     if n_max < 1:
         raise InputError("n_max must be at least 1")
-    if not E.finite_colength():
+    if colength(E.submodule()) is INFINITE:
         raise InputError("analysis requires finite colength")
     mbar = integral_closure_module(E, candidates=candidates, opts=opts)
-    Ebar = ModuleEmbedding.from_submodule(mbar.submodule)
+    Ebar = ModuleEmbedding(mbar.submodule)
     table = []
     rr_equal_ic = []
     ic_closed = []
@@ -298,7 +287,7 @@ def buchsbaum_check(E, mbar=None, opts=None):
         "closure_method": mbar.method,
     }
     if verdict:
-        Ebar = ModuleEmbedding.from_submodule(Mbar)
+        Ebar = ModuleEmbedding(Mbar)
         tail = {}
         for n in range(2, 5):
             tail[n] = equal(Ebar.power_piece(n), E.power_piece(n))
@@ -327,8 +316,7 @@ def direct_sum_buchsbaum(E1, E2, opts=None):
     # In the direct sum the fiber-degree-2 product of the two padded
     # summands lies in the mixed components t_i*s_j alone.
     whole_sum = direct_sum(E1, E2)
-    bar_sum = direct_sum(ModuleEmbedding.from_submodule(bar1),
-                         ModuleEmbedding.from_submodule(bar2))
+    bar_sum = direct_sum(ModuleEmbedding(bar1), ModuleEmbedding(bar2))
 
     def summands(D, n1):
         return (SubmoduleData(D.ctx, D.rank, D.columns[:n1]),
@@ -356,8 +344,7 @@ def direct_sum_buchsbaum(E1, E2, opts=None):
 def _integrally_closed(I, opts):
     """Whether the reduced basis I of a monomial ideal is its own integral
     closure."""
-    closure = integral_closure_module(ModuleEmbedding.from_submodule(I),
-                                      opts=opts)
+    closure = integral_closure_module(ModuleEmbedding(I), opts=opts)
     return equal(closure.submodule, I)
 
 

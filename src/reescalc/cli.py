@@ -118,12 +118,11 @@ def _run_param(problem, opts, n_max):
     E = problem.embedding()
     verdict, reasons = is_parameter_module(E)
     result = {"verdict": verdict, "reasons": _jsonable(reasons)}
-    length = E.colength_F_mod_M()
     # F/M of finite length l is supported at the origin alone iff
     # m^l * F lies in M; otherwise mu and inside_mF, read at the origin,
     # and the colength, summed over every point, do not meet.
-    if length is INFINITE or contains(
-            E.submodule(), maximal_ideal(E.ctx, E.rank, length)):
+    if not reasons["finite_colength"] or contains(
+            E.submodule(), maximal_ideal(E.ctx, E.rank, reasons["colength"])):
         return result, {"certified": True}, [], EXIT_OK
     return result, {"certified": False}, [
         "the module is supported away from the origin: mu and inside_mF "
@@ -215,7 +214,7 @@ def main(argv=None):
             n_max = args.nmax if args.nmax is not None \
                 else problem.options.get("nmax")
             opts = problem.closure_options()
-            if args.char is not None and args.char != 0:
+            if problem.ctx.characteristic:
                 warnings.append(
                     "prime-field coefficients: the infinite-field hypothesis "
                     "is only heuristically satisfied")

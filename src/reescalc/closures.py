@@ -122,7 +122,7 @@ def _power_chain(E, n, opts, deadline):
 
 def ratliff_rush_module(E, n=1, opts=None):
     """Ratliff-Rush closure of M^n inside the degree-n free piece; an
-    ideal is the case of rank 1 (ModuleEmbedding.from_submodule).
+    ideal is the case of rank 1 (ModuleEmbedding(I)).
 
     The ideal chain for (MS)^n inside S is run degreewise: its degree-n
     step is the colon of graded pieces computed here over the base ring,
@@ -210,7 +210,8 @@ def integral_closure_module(E, candidates=None, opts=None):
             "integral closure needs candidate columns for non-monomial input")
     witnesses = []
     for col in candidates:
-        ok, s = is_reduction(M, add_columns(E, [col]), opts.s_max)
+        ok, s = is_reduction(M, add_columns(E, [col]).submodule(),
+                             opts.s_max)
         if not ok:
             raise InputError("candidate column failed the integrality test")
         witnesses.append(s)
@@ -288,14 +289,11 @@ def _piece_vector(element):
 
 
 def is_reduction(L, M, s_max=5):
-    """Semi-decision of M^(s+1) = L * M^s for some s <= s_max."""
-    if isinstance(L, ModuleEmbedding):
-        L = L.submodule()
-    if isinstance(M, ModuleEmbedding):
-        E = M
-        M = M.submodule()
-    else:
-        E = ModuleEmbedding.from_submodule(M)
+    """Semi-decision of M^(s+1) = L * M^s for some s <= s_max, for
+    SubmoduleData L inside M of one free module: a yes is exact, a no
+    means no such s up to s_max.  The powers of M come from an embedding
+    of M built here."""
+    E = ModuleEmbedding(M)
     if not contains(M, L):
         raise InputError("reduction candidate is not inside the module")
     L_piece = groebner_basis(L)

@@ -25,6 +25,7 @@ zero entries.
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb
 from operator import add
@@ -41,40 +42,29 @@ from .poly import Polynomial
 
 INFINITE = float("inf")
 
-_FIBER_BASIS_CACHE = {}
-_FIBER_PRODUCT_CACHE = {}
 
-
+@cache
 def fiber_basis(r, n):
     """Degree-n exponent tuples in r fiber variables, descending order.
 
     The component order is t1^n > t1^(n-1)*t2 > ... matching the ambient
     degree-reverse-lexicographic comparison, so piece extraction is stable.
     """
-    key = (r, n)
-    got = _FIBER_BASIS_CACHE.get(key)
-    if got is None:
-        combos = [c for c in itertools.product(range(n + 1), repeat=r)
-                  if sum(c) == n]
-        combos.sort(key=lambda e: tuple(-x for x in reversed(e)), reverse=True)
-        got = (tuple(combos), {e: i for i, e in enumerate(combos)})
-        _FIBER_BASIS_CACHE[key] = got
-    return got
+    combos = [c for c in itertools.product(range(n + 1), repeat=r)
+              if sum(c) == n]
+    combos.sort(key=lambda e: tuple(-x for x in reversed(e)), reverse=True)
+    return tuple(combos), {e: i for i, e in enumerate(combos)}
 
 
+@cache
 def fiber_products(r, a, b):
     """Table whose [i][j] entry is the degree-(a+b) index of the product
     of the i-th degree-a and the j-th degree-b fiber monomials."""
-    key = (r, a, b)
-    got = _FIBER_PRODUCT_CACHE.get(key)
-    if got is None:
-        basis_a, _ = fiber_basis(r, a)
-        basis_b, _ = fiber_basis(r, b)
-        _, index_ab = fiber_basis(r, a + b)
-        got = tuple(tuple(index_ab[tuple(map(add, x, y))] for y in basis_b)
-                    for x in basis_a)
-        _FIBER_PRODUCT_CACHE[key] = got
-    return got
+    basis_a, _ = fiber_basis(r, a)
+    basis_b, _ = fiber_basis(r, b)
+    _, index_ab = fiber_basis(r, a + b)
+    return tuple(tuple(index_ab[tuple(map(add, x, y))] for y in basis_b)
+                 for x in basis_a)
 
 
 def piece_rank(r, n):
@@ -82,30 +72,24 @@ def piece_rank(r, n):
 
 
 class ModuleEmbedding:
-    """M inside F = A^r together with its image ideal MS in S.
+    """M inside F = A^r together with its powers M^n, the graded pieces of
+    its Rees algebra.
 
-    columns are the generators of M as vectors over the base ring; the MS
-    generators are the corresponding t-linear forms.  They are M's
-    generators as submodule() holds them, so an embedding made from a
-    reduced basis still held as staircases builds no Polynomials until
-    they are read.
+    An embedding is made from M as a SubmoduleData U of rank r >= 1 and
+    shares U's cached bases: made from a reduced basis held as
+    staircases, it builds no Polynomials until its columns are read.
+    columns are M's generators, the t-linear forms that generate the
+    image ideal MS in S, and power_piece caches each M^n it computes.
+    The colength of F/M is colength(E.submodule()).
     """
 
-    def __init__(self, ctx, columns, rank=None):
-        columns = tuple(tuple(col) for col in columns)
-        if rank is None:
-            if not columns:
-                raise InputError("empty matrix needs an explicit rank")
-            rank = len(columns[0])
-        if rank < 1:
+    def __init__(self, U):
+        if U.rank < 1:
             raise InputError("free module rank must be positive")
-        self._submodule = SubmoduleData(ctx, rank, columns)
-        self.ctx = ctx
-        self.rank = rank
+        self._submodule = U
+        self.ctx = U.ctx
+        self.rank = U.rank
         self._power_cache = {}
-        self._colength = None
-
-    # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_matrix(cls, ctx, rows):
@@ -113,38 +97,18 @@ class ModuleEmbedding:
         rows = [list(r) for r in rows]
         if not rows:
             raise InputError("empty matrix")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise RankMismatchError("ragged generator matrix")
-        columns = [tuple(rows[i][j] for i in range(len(rows)))
-                   for j in range(width)]
-        return cls(ctx, columns, rank=len(rows))
-
-    @classmethod
-    def from_submodule(cls, U):
-        """The embedding of U itself, which shares U's cached bases."""
-        E = cls(U.ctx, (), rank=U.rank)
-        E._submodule = U
-        return E
+        return cls(SubmoduleData(ctx, len(rows), tuple(zip(*rows))))
 
     @property
     def columns(self):
         return self._submodule.gens
 
-    # -- structure -------------------------------------------------------
-
     def submodule(self):
-        """M as a SubmoduleData inside A^r, one object per embedding, so
-        its Groebner basis is computed once."""
+        """M as the SubmoduleData the embedding was made from, so its
+        Groebner basis is computed once."""
         return self._submodule
-
-    def finite_colength(self):
-        return self.colength_F_mod_M() is not INFINITE
-
-    def colength_F_mod_M(self):
-        if self._colength is None:
-            self._colength = colength(self.submodule())
-        return self._colength
 
     # -- graded pieces ---------------------------------------------------
 
@@ -214,13 +178,13 @@ def _integer_product(u, v, bases, p):
 def piece_product(E, A, a, B, b, deadline=None):
     """Groebner basis of the product piece A*B in fiber degree a+b.
 
-    E supplies the free rank r and the ring: an embedding, or a
-    submodule of A^r when only fiber degrees 0 and 1 occur (an ideal is
-    a piece of fiber degree 0).  When both pieces are monomial, so is the
-    product: its component at t^(alpha+beta) is generated by the sums of
-    the exponents of A at t^alpha and B at t^beta, and minimalizing each
-    component (a staircase in two variables) gives the reduced basis with
-    no polynomial arithmetic.
+    E supplies the free rank r and the ring: the ModuleEmbedding of an
+    M in A^r, or any SubmoduleData of A^r when only fiber degrees 0 and
+    1 occur (an ideal is a piece of fiber degree 0).  When both pieces
+    are monomial, so is the product: its component at t^(alpha+beta) is
+    generated by the sums of the exponents of A at t^alpha and B at
+    t^beta, and minimalizing each component (a staircase in two
+    variables) gives the reduced basis with no polynomial arithmetic.
 
     Otherwise the kernel vectors of A and B (a basis keeps its own) are
     multiplied with int arithmetic on packed terms, made primitive (monic
@@ -465,19 +429,16 @@ def maximal_ideal(ctx, rank=1, power=1):
         ctx, rank, [[(a, power - a) for a in range(power + 1)]] * rank)
 
 
-def min_gens(target):
-    """mu = dim_k(M / mM), the rank over k of the normal forms NF_mM(g) of
-    M's generators: NF_mM is k-linear with kernel mM, and mM's basis is
-    computed once.
-
-    Accepts a ModuleEmbedding or a SubmoduleData.
+def min_gens(U):
+    """mu = dim_k(U / mU) of a SubmoduleData U, the rank over k of the
+    normal forms NF_mU(g) of U's generators: NF_mU is k-linear with
+    kernel mU, and mU's basis is computed once.
     """
-    U = target.submodule() if isinstance(target, ModuleEmbedding) else target
     p = U.ctx.characteristic
     vps = _kernel_vectors(U)
-    mM = vector_basis(U.ctx, U.rank, [{t + x: y for t, y in vp.items()}
+    mU = vector_basis(U.ctx, U.rank, [{t + x: y for t, y in vp.items()}
                                       for vp in vps for x in (_X, _Y)])
-    index = _basis_index(mM)
+    index = _basis_index(mU)
     pivots = {}
     for vp in vps:
         _eliminate(_vp_normal_form(vp, index, p), {}, pivots, p)
@@ -487,10 +448,11 @@ def min_gens(target):
 def is_parameter_module(E):
     """Finite colength, M inside mF, and mu = dim A + r - 1."""
     d = len(E.ctx.base_vars)
-    length = E.colength_F_mod_M()
+    M = E.submodule()
+    length = colength(M)
     finite = length is not INFINITE
-    inside = contains(maximal_ideal(E.ctx, E.rank), E.submodule())
-    mu = min_gens(E)
+    inside = contains(maximal_ideal(E.ctx, E.rank), M)
+    mu = min_gens(M)
     expected = d + E.rank - 1
     verdict = finite and inside and mu == expected
     return verdict, {
@@ -552,7 +514,8 @@ def direct_sum(E1, E2):
     z = Polynomial.zero(E1.ctx)
     cols = [tuple(col) + (z,) * E2.rank for col in E1.columns]
     cols += [(z,) * E1.rank + tuple(col) for col in E2.columns]
-    return ModuleEmbedding(E1.ctx, cols, rank=E1.rank + E2.rank)
+    return ModuleEmbedding(SubmoduleData(E1.ctx, E1.rank + E2.rank,
+                                         tuple(cols)))
 
 
 def scale_by_ideal(E, I):
@@ -562,10 +525,9 @@ def scale_by_ideal(E, I):
         raise RankMismatchError("not an ideal")
     if I.ctx != E.ctx:
         raise ContextMismatchError("scaling across contexts")
-    return ModuleEmbedding.from_submodule(
-        piece_product(E, I, 0, E.submodule(), 1))
+    return ModuleEmbedding(piece_product(E, I, 0, E.submodule(), 1))
 
 
 def add_columns(E, extra_columns):
-    return ModuleEmbedding(E.ctx, E.columns + tuple(tuple(c) for c in extra_columns),
-                           rank=E.rank)
+    return ModuleEmbedding(SubmoduleData.from_vectors(
+        E.ctx, E.rank, (*E.columns, *extra_columns)))

@@ -25,20 +25,20 @@ def _p(s):
 
 
 def _ideal_embedding(*gens):
-    return ModuleEmbedding(CTX, [(_p(g),) for g in gens], rank=1)
+    return ModuleEmbedding(SubmoduleData.ideal(CTX, [_p(g) for g in gens]))
 
 
 def _diag_embedding(gens1, gens2):
     z = _p("0")
     cols = [(_p(g), z) for g in gens1] + [(z, _p(g)) for g in gens2]
-    return ModuleEmbedding(CTX, cols, rank=2)
+    return ModuleEmbedding(SubmoduleData(CTX, 2, tuple(cols)))
 
 
 def _block_embedding(rows):
     z = _p("0")
     cols = [tuple(_p(g) if j == i else z for j in range(len(rows)))
             for i, row in enumerate(rows) for g in row]
-    return ModuleEmbedding(CTX, cols, rank=len(rows))
+    return ModuleEmbedding(SubmoduleData(CTX, len(rows), tuple(cols)))
 
 
 # -- length polynomial ----------------------------------------------------
@@ -97,9 +97,8 @@ def test_br_input_validation():
 def test_br_equals_br_of_rr_closure():
     # the length polynomial only sees the module up to Ratliff-Rush closure
     pair = rr_ideal_pair(CTX)
-    E = ModuleEmbedding.from_submodule(pair["I"])
-    Ert = ModuleEmbedding.from_submodule(
-        ratliff_rush_module(E, 1).submodule)
+    E = ModuleEmbedding(pair["I"])
+    Ert = ModuleEmbedding(ratliff_rush_module(E, 1).submodule)
     assert br_coefficients(E).coefficients == \
         br_coefficients(Ert).coefficients
 

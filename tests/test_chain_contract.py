@@ -2,7 +2,7 @@
 
 The Ratliff-Rush closure of I = (X^4, X^3*Y, X*Y^3, Y^4) is reached from
 both of the embeddings a caller can hold -- the ideal wrapped as a rank-1
-module (ModuleEmbedding.from_submodule, as the library and the corpus do)
+module (ModuleEmbedding(I), as the library and the corpus do)
 and a one-row generator matrix (from_matrix, as a problem file does) --
 and both keep one rule: the value is the chain's last change, confirmed
 by `window` equal steps; a change after step `l_max` raises
@@ -31,7 +31,7 @@ M4 = groebner_basis(_ideal("X^4", "X^3*Y", "X^2*Y^2", "X*Y^3", "Y^4"))
 
 
 def _ideal_route(opts):
-    return ratliff_rush_module(ModuleEmbedding.from_submodule(I), 1, opts)
+    return ratliff_rush_module(ModuleEmbedding(I), 1, opts)
 
 
 def _module_route(opts):

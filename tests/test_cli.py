@@ -232,6 +232,21 @@ def test_prime_field_warning(tmp_path, capsys):
     assert any("infinite-field" in w for w in report["warnings"])
 
 
+def test_prime_field_warning_follows_the_ring_not_the_flag(tmp_path,
+                                                           capsys):
+    # a file that sets the prime itself warns; --char 0 overrides it and
+    # the warning goes with the prime field
+    path = _write(tmp_path, "rr.problem",
+                  RR_PROBLEM.replace("char = 0", "char = 32003"))
+    for flags, char in (((), 32003), (("--char", "0"), 0)):
+        status, out, _ = _run(capsys, ["rr", path, *flags])
+        assert status == 0
+        report = json.loads(out)
+        assert report["options"]["char"] == char
+        assert any("infinite-field" in w
+                   for w in report["warnings"]) == bool(char)
+
+
 def test_iclose_candidate_warning_for_uncertified(tmp_path, capsys):
     problem = """\
 matrix {

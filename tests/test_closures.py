@@ -29,11 +29,11 @@ def _ideal(*gens):
 
 
 def _rr(I):
-    return ratliff_rush_module(ModuleEmbedding.from_submodule(I))
+    return ratliff_rush_module(ModuleEmbedding(I))
 
 
 def _ic(I):
-    return integral_closure_module(ModuleEmbedding.from_submodule(I))
+    return integral_closure_module(ModuleEmbedding(I))
 
 
 # -- Ratliff-Rush chains --------------------------------------------------
@@ -60,14 +60,14 @@ def test_rr_ideal_contains_input_and_idempotent():
 
 def test_rr_module_matches_ideal_route_in_rank_one():
     pair = rr_ideal_pair(CTX)
-    E = ModuleEmbedding.from_submodule(pair["I"])
+    E = ModuleEmbedding(pair["I"])
     res = ratliff_rush_module(E, 1)
     assert equal(res.submodule, pair["I_closure"])
 
 
 def test_rr_module_degenerate_cases():
     # the zero module and fiber degree zero are closed by convention
-    Z = ModuleEmbedding(CTX, [(Polynomial.zero(CTX),)], rank=1)
+    Z = ModuleEmbedding(SubmoduleData.ideal(CTX, [Polynomial.zero(CTX)]))
     res = ratliff_rush_module(Z, 1)
     assert res.submodule.is_zero() and res.certified
     E = parameter_module(CTX)
@@ -84,7 +84,8 @@ def test_rr_module_of_m_times_free_stays_proper():
     # m*F is closed: its chain never reaches the free module
     z = _p("0")
     x, y = _p("X"), _p("Y")
-    mF = ModuleEmbedding(CTX, [(x, z), (y, z), (z, x), (z, y)], rank=2)
+    mF = ModuleEmbedding(
+        SubmoduleData(CTX, 2, ((x, z), (y, z), (z, x), (z, y))))
     res = ratliff_rush_module(mF, 1)
     assert equal(res.submodule, mF.submodule())
 
@@ -97,9 +98,10 @@ def test_rr_module_parameter_module_is_closed():
 
 def test_rr_closure_commutes_with_zero_row_padding():
     pair = rr_ideal_pair(CTX)
-    E = ModuleEmbedding.from_submodule(pair["I"])
+    E = ModuleEmbedding(pair["I"])
     z = Polynomial.zero(CTX)
-    P = ModuleEmbedding(CTX, [col + (z,) for col in E.columns], rank=2)
+    P = ModuleEmbedding(SubmoduleData(
+        CTX, 2, tuple(col + (z,) for col in E.columns)))
     res = ratliff_rush_module(P, 1)
     want = SubmoduleData(CTX, 2, tuple(
         (g[0], z) for g in groebner_basis(pair["I_closure"]).gens))
@@ -151,7 +153,7 @@ def test_chain_of_steps_k_agrees_with_chain_over_powers_of_the_power():
     opts = ClosureOptions()
     proper = 0
     for trial in range(16):
-        parts = [ModuleEmbedding.from_submodule(_gapped_ideal(rng))
+        parts = [ModuleEmbedding(_gapped_ideal(rng))
                  for _ in range(1 + trial % 2)]
         E = parts[0] if len(parts) == 1 else direct_sum(*parts)
         for n in (2, 3):
@@ -269,7 +271,8 @@ def test_integrality_of_a_column_is_a_reduction_test():
     E = fix["E"]
 
     def integral(col, s_max=5):
-        return is_reduction(E, rees.add_columns(E, [col]), s_max)
+        return is_reduction(E.submodule(),
+                            rees.add_columns(E, [col]).submodule(), s_max)
 
     ok, s = integral(fix["candidate"])
     assert ok and s == 1
@@ -304,7 +307,7 @@ def test_is_reduction_cases():
     assert ok and s >= 1
     # a single principal ideal is not a reduction of m^4; semi-decision
     # stays unproven
-    m8 = ModuleEmbedding.from_submodule(m4).power_piece(2)
+    m8 = ModuleEmbedding(m4).power_piece(2)
     ok, s = is_reduction(_ideal("X^8"), m8, s_max=3)
     assert not ok and s is None
     # every module is a reduction of itself with witness 0

@@ -19,11 +19,11 @@ CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
 
 def _rr(I):
-    return ratliff_rush_module(ModuleEmbedding.from_submodule(I)).submodule
+    return ratliff_rush_module(ModuleEmbedding(I)).submodule
 
 
 def _ic(I):
-    return integral_closure_module(ModuleEmbedding.from_submodule(I)).submodule
+    return integral_closure_module(ModuleEmbedding(I)).submodule
 
 
 def _instances(seed, count, max_degree=8):
@@ -49,7 +49,7 @@ def sandwich_suite(count=100, seed=1001):
         z = Polynomial.zero(CTX)
         cols = [(Polynomial.monomial(CTX, e), z) for e in e1] + \
                [(z, Polynomial.monomial(CTX, e)) for e in e2]
-        E = ModuleEmbedding(CTX, cols, rank=2)
+        E = ModuleEmbedding(SubmoduleData(CTX, 2, tuple(cols)))
         ic = integral_closure_module(E).submodule
         rr = ratliff_rush_module(E, 1).submodule
         if not (contains(rr, E.submodule()) and contains(ic, rr)):
@@ -77,7 +77,7 @@ def eventual_equality_suite(count=100, seed=3003, n_cap=6):
     failures = []
     for exps in _instances(seed, count):
         I = ideal_from_exps(CTX, exps)
-        powers = ModuleEmbedding.from_submodule(I)
+        powers = ModuleEmbedding(I)
         first = None
         for n in range(1, n_cap + 1):
             In = powers.power_piece(n)
@@ -102,8 +102,8 @@ def persistence_suite(count=100, seed=4004, l_cap=8):
     for exps in _instances(seed, count):
         I = ideal_from_exps(CTX, exps)
         N = _rr(I)
-        powers_i = ModuleEmbedding.from_submodule(I)
-        powers_n = ModuleEmbedding.from_submodule(N)
+        powers_i = ModuleEmbedding(I)
+        powers_n = ModuleEmbedding(N)
         first = None
         for l in range(1, l_cap + 1):
             if powers_i.power_piece(l).gens == powers_n.power_piece(l).gens:
@@ -125,8 +125,8 @@ def closure_of_powers_suite(count=100, seed=5005, n_cap=4):
     for exps in _instances(seed, count, max_degree=6):
         I = ideal_from_exps(CTX, exps)
         Ibar = ideal_from_exps(CTX, newton_closure_exps(exps))
-        powers_i = ModuleEmbedding.from_submodule(I)
-        powers_b = ModuleEmbedding.from_submodule(Ibar)
+        powers_i = ModuleEmbedding(I)
+        powers_b = ModuleEmbedding(Ibar)
         for n in range(1, n_cap + 1):
             In = powers_i.power_piece(n)
             lhs = newton_closure_exps(
