@@ -9,8 +9,7 @@ modules that are actually needed.
 import importlib
 
 _EXPORTS = {
-    "analysis": ("AnalysisReport", "BRPolynomial", "br_coefficients",
-                 "br_corollary_check", "buchsbaum_check",
+    "analysis": ("br_coefficients", "br_corollary_check", "buchsbaum_check",
                  "direct_sum_buchsbaum", "indecomposability_check",
                  "scaled_buchsbaum_check", "theorem12_check"),
     "closures": ("ClosureOptions", "ClosureResult", "check_integral_equation",

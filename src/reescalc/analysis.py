@@ -18,40 +18,12 @@ from .rees import (INFINITE, ModuleEmbedding, colength, direct_sum,
                    scale_by_ideal, _eliminate)
 
 
-class BRPolynomial:
-    """Coefficients of the eventual length polynomial of F^(n+1)/M^(n+1).
-
-    length(n) = sum over i of (-1)^i * coefficients[i] * C(n+d+r-i-1, d+r-1-i)
-    with d = 2 base variables.  The fit window is the block of degrees the
-    coefficients were solved on; validated_from is the smallest n from
-    which the polynomial reproduces every measured length.
-    """
-
-    d = 2
-
-    def __init__(self, rank, coefficients, fit_window, validated_from,
-                 lengths):
-        self.rank = rank
-        self.coefficients = coefficients
-        self.fit_window = fit_window
-        self.validated_from = validated_from
-        self.lengths = lengths
-
-    def length_at(self, n):
-        dr = self.d + self.rank
-        total = 0
-        for i, c in enumerate(self.coefficients):
-            term = c * comb(n + dr - i - 1, dr - 1 - i)
-            total = total - term if i % 2 else total + term
-        return total
-
-    def as_dict(self):
-        return {
-            "coefficients": list(self.coefficients),
-            "fit_window": list(self.fit_window),
-            "validated_from": self.validated_from,
-            "lengths": list(self.lengths),
-        }
+def _br_length(coefficients, rank, n):
+    """The length of F^(n+1)/M^(n+1) that the polynomial with these
+    coefficients (br_coefficients) gives at n."""
+    dr = 2 + rank
+    return sum((-1) ** i * c * comb(n + dr - i - 1, dr - 1 - i)
+               for i, c in enumerate(coefficients))
 
 
 def br_coefficients(E, n_max=None, deadline=None):
@@ -61,9 +33,15 @@ def br_coefficients(E, n_max=None, deadline=None):
     exactly, and the polynomial is validated backward until the first
     mismatch.  deadline (ClosureOptions.deadline()), when given, is
     checked before each power and inside its Buchberger runs.
+
+    Returns a dict: "coefficients" (br_0 .. br_(d+r-1), the length of
+    F^(n+1)/M^(n+1) being sum over i of (-1)^i * br_i * C(n+d+r-i-1,
+    d+r-1-i) with d = 2), "fit_window" ([lo, n_max], the degrees solved
+    on), "validated_from" (the smallest n from which the polynomial
+    reproduces every measured length) and "lengths" (n = 0..n_max).
     """
     r = E.rank
-    ncoef = BRPolynomial.d + r
+    ncoef = 2 + r  # d + r, with d = 2 base variables
     if n_max is None:
         n_max = ncoef + 4
     if n_max < ncoef + 2:
@@ -94,31 +72,32 @@ def br_coefficients(E, n_max=None, deadline=None):
     if any(c.denominator != 1 for c in coeffs):
         raise InputError(
             "lengths are not yet polynomial on the fit window; raise n_max")
-    coeffs = tuple(int(c) for c in coeffs)
-    B = BRPolynomial(r, coeffs, (fit_lo, n_max), fit_lo, tuple(lengths))
+    coeffs = [int(c) for c in coeffs]
     validated_from = fit_lo
     for n in range(fit_lo - 1, -1, -1):
-        if B.length_at(n) != lengths[n]:
+        if _br_length(coeffs, r, n) != lengths[n]:
             break
         validated_from = n
-    B.validated_from = validated_from
     if fit_lo - validated_from < 2:
         raise InputError(
             "fewer than 2 validated points below the fit window; raise n_max")
-    for n in range(fit_lo, n_max + 1):
-        if B.length_at(n) != lengths[n]:
+    for n in window:
+        if _br_length(coeffs, r, n) != lengths[n]:
             raise SoundnessAlert("fitted polynomial fails on its own window")
     if 0 < lengths[0] and coeffs[0] <= 0:
         raise SoundnessAlert("leading Buchsbaum-Rim coefficient not positive")
-    return B
+    return {"coefficients": coeffs, "fit_window": [fit_lo, n_max],
+            "validated_from": validated_from, "lengths": lengths}
 
 
 def br_corollary_check(E, B=None, opts=None):
     """Identities tying the coefficients to the integral closure, valid when
-    the Ratliff-Rush and integral closures of M agree."""
+    the Ratliff-Rush and integral closures of M agree.  B is the dict of
+    br_coefficients(E), computed when not given."""
     opts = opts or ClosureOptions()
     if B is None:
         B = br_coefficients(E)
+    coeffs = B["coefficients"]
     rr = ratliff_rush_module(E, 1, opts)
     mbar = integral_closure_module(E, opts=opts)
     if not equal(rr.submodule, mbar.submodule):
@@ -126,15 +105,15 @@ def br_corollary_check(E, B=None, opts=None):
             "corollary precondition (Ratliff-Rush = integral closure) not certified")
     r = E.rank
     len_mbar = colength(mbar.submodule)
-    clause_br1 = B.coefficients[1] == B.coefficients[0] - len_mbar
-    clause_vanish = all(B.coefficients[i] == 0 for i in range(2, r + 2))
+    clause_br1 = coeffs[1] == coeffs[0] - len_mbar
+    clause_vanish = all(coeffs[i] == 0 for i in range(2, r + 2))
     Ebar = ModuleEmbedding(mbar.submodule)
     samples = []
-    hi = B.fit_window[1]
+    hi = B["fit_window"][1]
     for n in range(hi - 2, hi + 1):
         measured = colength(Ebar.power_piece(n + 1))
-        predicted = (B.coefficients[0] * comb(n + r + 1, r + 1)
-                     - B.coefficients[1] * comb(n + r, r))
+        predicted = (coeffs[0] * comb(n + r + 1, r + 1)
+                     - coeffs[1] * comb(n + r, r))
         samples.append({"n": n, "measured": measured, "predicted": predicted})
     clause_formula = all(s["measured"] == s["predicted"] for s in samples)
     return {
@@ -146,28 +125,6 @@ def br_corollary_check(E, B=None, opts=None):
         "samples": samples,
         "certified": mbar.certified,
     }
-
-
-class AnalysisReport:
-    """A decider's table of per-power data, its verdicts and their
-    certification, with warnings and notes for the report."""
-
-    def __init__(self, table, verdicts, certification, warnings=None,
-                 notes=None):
-        self.table = table
-        self.verdicts = verdicts
-        self.certification = certification
-        self.warnings = [] if warnings is None else warnings
-        self.notes = [] if notes is None else notes
-
-    def as_dict(self):
-        return {
-            "table": self.table,
-            "verdicts": self.verdicts,
-            "certification": self.certification,
-            "warnings": self.warnings,
-            "notes": self.notes,
-        }
 
 
 def _gap(sub_piece, closure_piece):
@@ -186,6 +143,12 @@ def theorem12_check(E, n_max=4, candidates=None, opts=None):
     for every power up to n_max; (3) some power is integrally closed; (4)
     from that power on, all are.  The four verdicts must be consistent;
     a definite contradiction raises SoundnessAlert.
+
+    Returns a dict: "table" (per n: "n", "colength" of M^n, "rr_gap" and
+    "ic_gap", the lengths of its two closures over it), "verdicts" (the
+    four conditions, "first_integrally_closed_power" and "consistent"),
+    "certification" (the closure method, what is certified and whether
+    the window was "inconclusive"), "warnings" and "notes".
     """
     opts = opts or ClosureOptions()
     if n_max < 1:
@@ -247,24 +210,32 @@ def theorem12_check(E, n_max=4, candidates=None, opts=None):
         "ratliff_rush_certified": False,
         "inconclusive": bool(warnings),
     }
-    return AnalysisReport(table, verdicts, certification, warnings, notes)
+    return {"table": table, "verdicts": verdicts,
+            "certification": certification, "warnings": warnings,
+            "notes": notes}
 
 
 def _vector_str(vec):
     return "(" + ", ".join(str(p) for p in vec) + ")"
 
 
-def buchsbaum_check(E, mbar=None, opts=None):
+def buchsbaum_check(E, candidates=None, opts=None):
     """The finite criterion: m * closure(M) inside M, and M * closure(M)
     equal to M^2 in the fiber-degree-2 piece.
 
-    When both clauses hold, the guaranteed tail facts are re-verified:
-    every power from 2 to 4 is integrally closed, and the closure gap is
+    The closure is integral_closure_module(E, candidates, opts).  When
+    both clauses hold, the guaranteed tail facts are re-verified: every
+    power from 2 to 4 is integrally closed, and the closure gap is
     reported in degree 1.
+
+    Returns a dict: "verdict", the two clauses "m_closure_inside" and
+    "product_equality", "witness" (a generator of m * closure(M) outside
+    M, or None), "certified" and "closure_method" of the closure, and,
+    when the verdict holds, "tail_closed" ({"2": .., "3": .., "4": ..})
+    and "closure_gap".
     """
     opts = opts or ClosureOptions()
-    if mbar is None:
-        mbar = integral_closure_module(E, opts=opts)
+    mbar = integral_closure_module(E, candidates=candidates, opts=opts)
     Mbar = mbar.submodule
     M = E.submodule()
     m_mbar = piece_product(E, maximal_ideal(E.ctx), 0, Mbar, 1)
@@ -401,13 +372,8 @@ def indecomposability_check(E, factors, opts=None):
     fitt0 = fitting_ideal(E, 0)
     if not equal(product, fitt0):
         raise InputError("factor product differs from the 0th Fitting ideal")
-    warnings = []
-    if fitt0.is_monomial():
-        if not _integrally_closed(fitt0, opts):
-            raise InputError("the 0th Fitting ideal is not integrally closed")
-    else:
-        warnings.append("0th Fitting ideal not monomial; "
-                        "integral closedness taken on faith")
+    if not _integrally_closed(fitt0, opts):
+        raise InputError("the 0th Fitting ideal is not integrally closed")
     ord_fitt1 = ord_ideal(fitting_ideal(E, 1))
     ord_factors = [ord_ideal(groebner_basis(I)) for I in factors]
     passed = ord_fitt1 > min(ord_factors)
@@ -417,5 +383,4 @@ def indecomposability_check(E, factors, opts=None):
                        else "criterion inconclusive"),
         "ord_fitt1": ord_fitt1,
         "ord_factors": ord_factors,
-        "warnings": warnings,
     }

@@ -81,7 +81,7 @@ def _run_br(problem, opts, n_max):
     from .analysis import br_coefficients
     E = problem.embedding()
     B = br_coefficients(E, n_max=n_max, deadline=opts.deadline())
-    return B.as_dict(), {"certified": True}, [], EXIT_OK
+    return B, {"certified": True}, [], EXIT_OK
 
 
 def _run_thm12(problem, opts, n_max):
@@ -90,17 +90,16 @@ def _run_thm12(problem, opts, n_max):
     rep = theorem12_check(E, n_max=4 if n_max is None else n_max,
                           candidates=problem.candidate_columns() or None,
                           opts=opts)
-    payload = _jsonable(rep.as_dict())
-    status = EXIT_INCONCLUSIVE if rep.certification["inconclusive"] else EXIT_OK
-    return payload, _jsonable(rep.certification), rep.warnings, status
+    certification = rep["certification"]
+    status = EXIT_INCONCLUSIVE if certification["inconclusive"] else EXIT_OK
+    return _jsonable(rep), _jsonable(certification), rep["warnings"], status
 
 
 def _run_buchsbaum(problem, opts, n_max):
     from .analysis import buchsbaum_check
-    E = problem.embedding()
-    candidates = problem.candidate_columns() or None
-    mbar = integral_closure_module(E, candidates=candidates, opts=opts)
-    check = buchsbaum_check(E, mbar=mbar, opts=opts)
+    check = buchsbaum_check(problem.embedding(),
+                            candidates=problem.candidate_columns() or None,
+                            opts=opts)
     certification = {"certified": check.pop("certified"),
                      "method": check.pop("closure_method")}
     return _jsonable(check), certification, [], EXIT_OK
@@ -135,9 +134,8 @@ def _run_indec(problem, opts, n_max):
     from .analysis import indecomposability_check
     E = problem.embedding()
     check = indecomposability_check(E, problem.factor_ideals(), opts=opts)
-    warnings = check.pop("warnings")
     status = EXIT_OK if check["verdict"] else EXIT_INCONCLUSIVE
-    return _jsonable(check), {"certified": check["verdict"]}, warnings, status
+    return _jsonable(check), {"certified": check["verdict"]}, [], status
 
 
 def _run_fixtures():
@@ -203,7 +201,7 @@ def main(argv=None):
                 raw = fh.read()
             digest = hashlib.sha256(raw).hexdigest()
             try:
-                text = raw.decode("utf-8")
+                text = raw.decode("utf-8-sig")
             except UnicodeDecodeError as exc:
                 raise InputError(f"problem file is not UTF-8: {exc}") from None
             problem = parse_problem(text, char_override=args.char)

@@ -14,9 +14,10 @@ import time
 
 from .errors import (ContextMismatchError, DeadlineExceeded, InputError,
                      SoundnessAlert, UnstableChainError)
-from .groebner import (contains, equal, groebner_basis, _by_component,
-                       _check_range, _degree, _from_mono_components,
-                       _mono_components, _mono_minimalize, _pack)
+from .groebner import (SubmoduleData, contains, equal, groebner_basis,
+                       _by_component, _check_range, _degree,
+                       _from_mono_components, _mono_components,
+                       _mono_minimalize, _pack)
 from .rees import (ModuleEmbedding, add_columns, colength, fiber_basis,
                    fiber_products, piece_colon, piece_product,
                    _integer_product)
@@ -189,22 +190,24 @@ def integral_closure_module(E, candidates=None, opts=None):
     """Integral closure of M inside F.
 
     Certified (Newton, componentwise) for block direct sums of monomial
-    ideals, a monomial ideal among them as rank 1; otherwise
-    candidate-driven: each supplied column c is verified integral, M a
-    reduction of M + A*c (is_reduction, a semi-decision with no false
-    yes), and the result M + candidates is reported with heuristic
-    maximality checks, never silently completed.
+    ideals, a monomial ideal among them as rank 1, where any supplied
+    columns must lie in the Newton closure; otherwise candidate-driven:
+    each supplied column c is verified integral, M a reduction of
+    M + A*c (is_reduction, a semi-decision with no false yes), and the
+    result M + candidates is reported with heuristic maximality checks,
+    never silently completed.
     """
     opts = opts or ClosureOptions()
     M = E.submodule()
-    if M.is_zero():
-        return ClosureResult(groebner_basis(M), "newton", certified=True,
-                             extra={"note": "zero module"})
     comps = _mono_components(M)
     if comps is not None:
-        closed = [newton_closure_exps(e) if e else [] for e in comps]
-        return ClosureResult(_from_mono_components(E.ctx, E.rank, closed),
-                             "newton", certified=True)
+        closed = _from_mono_components(E.ctx, E.rank, [
+            newton_closure_exps(e) if e else [] for e in comps])
+        if candidates and not contains(closed, SubmoduleData.from_vectors(
+                E.ctx, E.rank, candidates)):
+            raise InputError("candidate column failed the integrality test")
+        extra = {} if any(comps) else {"note": "zero module"}
+        return ClosureResult(closed, "newton", certified=True, extra=extra)
     if not candidates:
         raise InputError(
             "integral closure needs candidate columns for non-monomial input")

@@ -74,8 +74,7 @@ def test_criterion_2_parameter_module():
 def test_criterion_3_square_direct_sum():
     with _Criterion("3: square direct sum analysis", 60):
         fix = square_direct_sum(CTX)
-        rep = theorem12_check(fix["E"], n_max=4)
-        v = rep.verdicts
+        v = theorem12_check(fix["E"], n_max=4)["verdicts"]
         assert v["closures_agree"] and v["closures_agree_all_powers"]
         assert v["some_power_integrally_closed"] and v["equality_persists"]
         assert v["consistent"]
@@ -110,8 +109,7 @@ def test_criterion_5_presentation_corpus():
         ok, s = is_reduction(E.submodule(),
                              add_columns(E, [fix["candidate"]]).submodule())
         assert ok and s <= 3
-        closure = integral_closure_module(E, candidates=[fix["candidate"]])
-        out = buchsbaum_check(E, mbar=closure)
+        out = buchsbaum_check(E, candidates=[fix["candidate"]])
         assert out["verdict"]
         assert out["m_closure_inside"] and out["product_equality"]
         assert min_gens(E.submodule()) == 7

@@ -142,6 +142,21 @@ def test_fitting_command(tmp_path, capsys):
     assert "1" in report["result"]["fitting_ideals"]
 
 
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys):
+    # editors on Windows start UTF-8 files with one; the digest still
+    # hashes the raw bytes
+    plain = _write(tmp_path, "rr.problem", RR_PROBLEM)
+    marked = tmp_path / "rr-bom.problem"
+    marked.write_bytes(b"\xef\xbb\xbf" + RR_PROBLEM.encode())
+    reports = []
+    for path in (plain, str(marked)):
+        status, out, err = _run(capsys, ["rr", path])
+        assert status == 0, err
+        reports.append(json.loads(out))
+    assert reports[0].pop("input_digest") != reports[1].pop("input_digest")
+    assert reports[0] == reports[1]
+
+
 def test_malformed_file_exits_4(tmp_path, capsys):
     path = _write(tmp_path, "bad.problem", "matrix {\n  row = X +\n}\n")
     status, out, err = _run(capsys, ["rr", path])

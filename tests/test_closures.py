@@ -249,6 +249,24 @@ def test_integral_closure_module_block_monomial():
     assert equal(res.submodule, SubmoduleData(CTX, 2, tuple(want)))
 
 
+def test_newton_route_checks_its_candidates():
+    # X^2*Y^2 is integral over I = (X^4, X^3*Y, X*Y^3, Y^4) and 1 is not;
+    # the certified Newton closure is returned only when every candidate
+    # lies in it, and the zero module's closure holds no nonzero column
+    E = ModuleEmbedding(_ideal("X^4", "X^3*Y", "X*Y^3", "Y^4"))
+    res = integral_closure_module(E, candidates=[(_p("X^2*Y^2"),)])
+    assert res.certified and res.method == "newton"
+    assert equal(res.submodule, _ic(E.submodule()).submodule)
+    for bad in [(_p("1"),)], [(_p("X^2*Y^2"),), (_p("X*Y+Y^3"),)]:
+        with pytest.raises(InputError, match="integrality test"):
+            integral_closure_module(E, candidates=bad)
+    zero = ModuleEmbedding(SubmoduleData.zero(CTX, 2))
+    assert integral_closure_module(
+        zero, candidates=[(Polynomial.zero(CTX),) * 2]).submodule.is_zero()
+    with pytest.raises(InputError, match="integrality test"):
+        integral_closure_module(zero, candidates=[(_p("X"), _p("0"))])
+
+
 def test_integral_closure_module_needs_candidates_when_not_monomial():
     E = indecomposable_presentation(CTX)["E"]
     with pytest.raises(InputError):

@@ -80,6 +80,10 @@ CASES["thm12-presentation-shifted"] = (
 CASES["rr-infinite"] = ("rr", "matrix {\n"
                         "  row = X^2+X*Y, X*Y^2, 0\n"
                         "  row = Y^2, X*Y, X^2-Y^2\n}\n", ())
+# the fitting ideals of the presentation, and the theorem check on the
+# monomial acceptance problem, which takes the Newton route
+CASES["fitting-presentation"] = ("fitting", PROBLEMS["indec"], ())
+CASES["thm12-rr"] = ("thm12", PROBLEMS["rr"], ())
 NAMES = sorted(CASES) + ["fixtures"]
 
 

@@ -2,10 +2,9 @@
 
 import pytest
 
-from reescalc import (AnalysisReport, ClosureOptions, ClosureResult,
-                      ContextMismatchError, InputError, Polynomial,
-                      RankMismatchError, RingContext, SubmoduleData,
-                      groebner_basis, member, parse_poly)
+from reescalc import (ClosureOptions, ClosureResult, ContextMismatchError,
+                      InputError, Polynomial, RankMismatchError, RingContext,
+                      SubmoduleData, groebner_basis, member, parse_poly)
 from reescalc.groebner import DEFAULT_ORDER
 from reescalc.problem import ProblemFile
 
@@ -71,11 +70,6 @@ def test_member_checks_its_vector_as_construction_does():
 
 def test_default_lists_and_dicts_are_never_shared():
     U = SubmoduleData.zero(CTX)
-    reports = [AnalysisReport([], {}, {}) for _ in range(2)]
-    reports[0].warnings.append("w")
-    reports[0].notes.append("n")
-    assert reports[1].warnings == [] and reports[1].notes == []
-    assert reports[0].warnings is not reports[1].warnings
     files = [ProblemFile(CTX, [["X"]]) for _ in range(2)]
     files[0].candidates.append(["X"])
     files[0].factors.append(["X", "Y"])
