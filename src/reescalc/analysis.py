@@ -26,13 +26,12 @@ def _br_length(coefficients, rank, n):
                for i, c in enumerate(coefficients))
 
 
-def br_coefficients(E, n_max=None, deadline=None):
+def br_coefficients(E, n_max=None):
     """Buchsbaum-Rim coefficients br_0 .. br_(d+r-1) by exact interpolation.
 
     Lengths are measured for n = 0..n_max, the top d+r points are solved
     exactly, and the polynomial is validated backward until the first
-    mismatch.  deadline (ClosureOptions.deadline()), when given, is
-    checked before each power and inside its Buchberger runs.
+    mismatch.
 
     Returns a dict: "coefficients" (br_0 .. br_(d+r-1), the length of
     F^(n+1)/M^(n+1) being sum over i of (-1)^i * br_i * C(n+d+r-i-1,
@@ -48,9 +47,7 @@ def br_coefficients(E, n_max=None, deadline=None):
         raise InputError(f"n_max must be at least {ncoef + 2}")
     lengths = []
     for n in range(n_max + 1):
-        if deadline is not None:
-            deadline.check()
-        ln = colength(E.power_piece(n + 1, deadline=deadline))
+        ln = colength(E.power_piece(n + 1))
         if ln is INFINITE:
             raise InputError("infinite colength; no length polynomial exists")
         lengths.append(ln)
@@ -215,10 +212,6 @@ def theorem12_check(E, n_max=4, candidates=None, opts=None):
             "notes": notes}
 
 
-def _vector_str(vec):
-    return "(" + ", ".join(str(p) for p in vec) + ")"
-
-
 def buchsbaum_check(E, candidates=None, opts=None):
     """The finite criterion: m * closure(M) inside M, and M * closure(M)
     equal to M^2 in the fiber-degree-2 piece.
@@ -244,7 +237,7 @@ def buchsbaum_check(E, candidates=None, opts=None):
     if not clause_m:
         for g in m_mbar.gens:
             if not member(g, M):
-                witness = _vector_str(g)
+                witness = "(" + ", ".join(map(str, g)) + ")"
                 break
     prod = piece_product(E, groebner_basis(M), 1, groebner_basis(Mbar), 1)
     clause_prod = equal(prod, E.power_piece(2))

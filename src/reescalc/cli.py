@@ -79,8 +79,7 @@ def _run_iclose(problem, opts, n_max):
 
 def _run_br(problem, opts, n_max):
     from .analysis import br_coefficients
-    E = problem.embedding()
-    B = br_coefficients(E, n_max=n_max, deadline=opts.deadline())
+    B = br_coefficients(problem.embedding(), n_max=n_max)
     return B, {"certified": True}, [], EXIT_OK
 
 
@@ -219,8 +218,9 @@ def main(argv=None):
             options = {"lmax": opts.l_max, "window": opts.window,
                        "smax": opts.s_max, "nmax": n_max,
                        "char": problem.ctx.characteristic}
-            result, certification, extra_warnings, status = \
-                _RUNNERS[args.command](problem, opts, n_max)
+            with opts.deadline():
+                result, certification, extra_warnings, status = \
+                    _RUNNERS[args.command](problem, opts, n_max)
         warnings.extend(extra_warnings)
     except SoundnessAlert as exc:
         print(f"SOUNDNESS ALERT: {exc}", file=sys.stderr)
@@ -228,10 +228,7 @@ def main(argv=None):
     except (UnstableChainError, DeadlineExceeded) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except ReescalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ReescalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

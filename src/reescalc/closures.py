@@ -11,12 +11,14 @@ rank 1, so one function computes each closure for both.
 """
 
 import time
+from contextlib import contextmanager
+from math import inf
 
-from .errors import (ContextMismatchError, DeadlineExceeded, InputError,
-                     SoundnessAlert, UnstableChainError)
+from .errors import (ContextMismatchError, InputError, SoundnessAlert,
+                     UnstableChainError)
 from .groebner import (SubmoduleData, contains, equal, groebner_basis,
-                       _by_component, _check_range, _degree,
-                       _from_mono_components, _mono_components,
+                       _by_component, _check_range, _DEADLINE, _Deadline,
+                       _degree, _from_mono_components, _mono_components,
                        _mono_minimalize, _pack)
 from .rees import (ModuleEmbedding, add_columns, colength, fiber_basis,
                    fiber_products, piece_colon, piece_product,
@@ -29,10 +31,9 @@ class ClosureOptions:
     A colon chain stops `window` steps after its last change; a change
     after step `l_max` makes it unstable.  Both count steps k of the
     chain M^(n+k) : M^k (_power_chain).  Reduction tests try exponents
-    up to `s_max`.  `deadline_seconds` (None for no deadline) limits each
-    closure call; it is checked before each chain step and inside a
-    step's colon, and by analysis.br_coefficients before each power and
-    inside the Buchberger runs that build it.
+    up to `s_max`.  `deadline_seconds` (None for no deadline) bounds
+    each scope of deadline(): the command line runs a whole command in
+    one, and ratliff_rush_module runs its chain in one of its own.
     """
 
     __slots__ = ("l_max", "window", "s_max", "deadline_seconds")
@@ -52,17 +53,17 @@ class ClosureOptions:
         self.s_max = s_max
         self.deadline_seconds = deadline_seconds
 
+    @contextmanager
     def deadline(self):
-        return _Deadline(self.deadline_seconds)
-
-
-class _Deadline:
-    def __init__(self, seconds):
-        self.expiry = None if seconds is None else time.monotonic() + seconds
-
-    def check(self):
-        if self.expiry is not None and time.monotonic() > self.expiry:
-            raise DeadlineExceeded("computation hit its deadline")
+        """A scope whose computations raise DeadlineExceeded once
+        deadline_seconds have passed, or once the scope around it has;
+        leaving it restores the scope before it."""
+        expiry = time.monotonic() + (self.deadline_seconds or inf)
+        token = _DEADLINE.set(_Deadline(min(expiry, _DEADLINE.get().expiry)))
+        try:
+            yield
+        finally:
+            _DEADLINE.reset(token)
 
 
 class ClosureResult:
@@ -82,7 +83,7 @@ class ClosureResult:
 
 # -- the Ratliff-Rush closure ------------------------------------------
 
-def _power_chain(E, n, opts, deadline):
+def _power_chain(E, n, opts):
     """Stable value of the degree-n colons B_k = M^(n+k) : M^k, starting
     from B_0 = M^n, and the step k* of its last change, 0 if none.
 
@@ -96,18 +97,16 @@ def _power_chain(E, n, opts, deadline):
     The chain stops opts.window steps after its last change.  A change
     after step opts.l_max raises UnstableChainError carrying the new
     value and the colengths of B_0 .. B_k, which are computed only then.
-    deadline is checked before each step and inside the powers and the
-    colons the chain computes.
+    The ambient deadline is checked before each step.
     """
-    value = E.power_piece(n, deadline=deadline)
+    value = E.power_piece(n)
     values = [value]
     k = k_star = 0
     while k - k_star < opts.window:
-        deadline.check()
+        _DEADLINE.get().check()
         k += 1
-        new = piece_colon(E, E.power_piece(n + k, deadline=deadline),
-                          E.power_piece(k, deadline=deadline), k, n,
-                          inside=value, deadline=deadline)
+        new = piece_colon(E, E.power_piece(n + k), E.power_piece(k), k, n,
+                          inside=value)
         values.append(new)
         if not equal(new, value):
             value, k_star = new, k
@@ -142,13 +141,14 @@ def ratliff_rush_module(E, n=1, opts=None):
     if n == 0:
         return ClosureResult(E.power_piece(0), "colon-chain", 0, opts.window,
                              certified=True)
-    result, k_star = _power_chain(E, n, opts, opts.deadline())
-    if not contains(result, E.power_piece(n)):
-        raise SoundnessAlert("colon chain result lost the input")
-    if k_star and not contains(
-            E.power_piece(n + k_star),
-            piece_product(E, result, n, E.power_piece(k_star), k_star)):
-        raise SoundnessAlert("colon chain result fails the defining colon")
+    with opts.deadline():
+        result, k_star = _power_chain(E, n, opts)
+        if not contains(result, E.power_piece(n)):
+            raise SoundnessAlert("colon chain result lost the input")
+        if k_star and not contains(
+                E.power_piece(n + k_star),
+                piece_product(E, result, n, E.power_piece(k_star), k_star)):
+            raise SoundnessAlert("colon chain result fails the defining colon")
     return ClosureResult(result, "colon-chain", k_star, opts.window,
                          certified=False, extra={"degreewise": True})
 

@@ -42,18 +42,36 @@ Everything between, the free module (SubmoduleData.free) and
 intersections included, is staircases or kernel vectors.
 """
 
+import time
 from bisect import bisect_right
+from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .context import mon_coprime, mon_divides, mon_lcm
-from .errors import ContextMismatchError, InputError, RankMismatchError
+from .errors import (ContextMismatchError, DeadlineExceeded, InputError,
+                     RankMismatchError)
 from .poly import Polynomial
 
 
 # The key under which SubmoduleData._cache holds the reduced basis.
 DEFAULT_ORDER = "reduced basis"
+
+
+class _Deadline:
+    """The expiry on the monotonic clock of the innermost scope of
+    ClosureOptions.deadline(), the ambient _DEADLINE; inf outside any."""
+
+    def __init__(self, expiry=inf):
+        self.expiry = expiry
+
+    def check(self):
+        if time.monotonic() > self.expiry:
+            raise DeadlineExceeded("computation hit its deadline")
+
+
+_DEADLINE = ContextVar("deadline", default=_Deadline())
 
 
 # -- packed terms --------------------------------------------------------
@@ -357,7 +375,7 @@ def _spair(f, g, lt_f, lt_g, lcm_fg, p):
     return vp
 
 
-def _buchberger(gens, p, rank, deadline=None, elim=False):
+def _buchberger(gens, p, rank, elim=False):
     """Reduced Groebner basis of the module generated by gens, a list of
     kernel vectors over a field of characteristic p; elim is true when
     they are packed for an elimination order.
@@ -382,7 +400,7 @@ def _buchberger(gens, p, rank, deadline=None, elim=False):
     is scanned when a pair is taken.  Inputs and S-vectors reduce against
     a lead index kept up to date as elements arrive.  Elements are kept,
     and the basis returned in ascending lead order, as _vp_normalize
-    makes them.  deadline, when given, is checked once per input or pair
+    makes them.  The ambient deadline is checked once per input or pair
     taken from the heap.
     """
     index = {}
@@ -432,8 +450,7 @@ def _buchberger(gens, p, rank, deadline=None, elim=False):
             heap.append((lead, 0, n, _vp_normalize(vp, lead, p)))
     heapify(heap)
     while heap:
-        if deadline is not None:
-            deadline.check()
+        _DEADLINE.get().check()
         key, is_pair, i, x = heappop(heap)
         if not is_pair:
             vp = x
@@ -617,13 +634,12 @@ def groebner_basis(U):
     return gb
 
 
-def vector_basis(ctx, rank, vps, deadline=None):
+def vector_basis(ctx, rank, vps):
     """Reduced Groebner basis, as groebner_basis returns it, of the
     submodule of A^rank generated by the kernel vectors vps, whose
     coefficients are the field's own or, over QQ, ints; rees.piece_product
-    builds them without Polynomials.  deadline is as in _buchberger."""
-    return _basis(ctx, rank,
-                  vps=_buchberger(vps, ctx.characteristic, rank, deadline))
+    builds them without Polynomials."""
+    return _basis(ctx, rank, vps=_buchberger(vps, ctx.characteristic, rank))
 
 
 def _basis_index(U):
@@ -676,7 +692,7 @@ def equal(U, V):
     return su == sv
 
 
-def _eliminate_block(pairs, W, rank, deadline=None):
+def _eliminate_block(pairs, W, rank):
     """The b with (0, b) in the submodule of A^(q + rank), q = W.rank,
     generated by the pairs (a, b) of kernel vectors, a in A^q and b in
     A^rank, and by (w, 0) for w in W.
@@ -686,8 +702,7 @@ def _eliminate_block(pairs, W, rank, deadline=None):
     components, are the reduced basis of the b under the default order.
     With the unit vectors of A^rank as the b this is the preimage of W
     under the a, as rees.piece_colon's syzygy route takes it; with b = a
-    it is the intersection with W (intersect).  deadline is as in
-    _buchberger.
+    it is the intersection with W (intersect).
     """
     ctx, q = W.ctx, W.rank
     _check_range(0, q + rank)
@@ -696,19 +711,18 @@ def _eliminate_block(pairs, W, rank, deadline=None):
            | {t - q: x for t, x in b.items()} for a, b in pairs]
     vps += [{t | flag: x for t, x in vp.items()}
             for vp in _kernel_vectors(W)]
-    basis = _buchberger(vps, ctx.characteristic, q + rank, deadline, True)
+    basis = _buchberger(vps, ctx.characteristic, q + rank, True)
     return _basis(ctx, rank, vps=[{t + q: x for t, x in vp.items()}
                                   for vp in basis if max(vp) < flag])
 
 
-def intersect(U, V, deadline=None):
+def intersect(U, V):
     """U intersect V: the b with (0, b) in the module generated by the
     (u, u) for u in U and the (v, 0) for v in V (Greuel & Pfister, A
     Singular Introduction to Commutative Algebra, ch. 2).
 
     When one module contains the other, the usual case in the colon
     chains, the smaller one is returned and no elimination runs.
-    deadline is as in _buchberger.
     """
     if U.rank != V.rank:
         raise RankMismatchError("intersection of modules of different rank")
@@ -724,5 +738,4 @@ def intersect(U, V, deadline=None):
         return V
     if contains(V, U):
         return U
-    return _eliminate_block([(u, u) for u in _kernel_vectors(U)], V, U.rank,
-                            deadline)
+    return _eliminate_block([(u, u) for u in _kernel_vectors(U)], V, U.rank)

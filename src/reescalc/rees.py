@@ -33,7 +33,7 @@ from operator import add
 from .errors import ContextMismatchError, InputError, RankMismatchError
 from .groebner import (SubmoduleData, contains, groebner_basis, intersect,
                        vector_basis, _basis_index, _by_component,
-                       _check_range, _degree, _eliminate_block,
+                       _check_range, _DEADLINE, _degree, _eliminate_block,
                        _from_mono_components, _kernel_vectors,
                        _mono_components, _mono_ideal_colon_single,
                        _mono_ideal_intersect, _mono_minimalize, _pack,
@@ -112,7 +112,7 @@ class ModuleEmbedding:
 
     # -- graded pieces ---------------------------------------------------
 
-    def power_piece(self, n, deadline=None):
+    def power_piece(self, n):
         """M^n as a submodule of the rank-C(n+r-1, r-1) free A-module.
 
         Stored as its reduced Groebner basis so repeated products stay
@@ -123,8 +123,8 @@ class ModuleEmbedding:
         powers (I = ((X+2Y)^4, (X+2Y)^3*Y, (X+2Y)*Y^3, Y^4) has
         I^2 = m^8).  Without such a split a = n-1, since M^(n-1)*M feeds
         Buchberger the fewest products (85*5 rather than 25*41 for M^7
-        of a rank-2 binomial module).  deadline, when given, is checked
-        inside each Buchberger run a product takes.
+        of a rank-2 binomial module).  The ambient deadline is checked
+        once per power computed.
         """
         if n < 0:
             raise InputError("power must be non-negative")
@@ -132,6 +132,7 @@ class ModuleEmbedding:
         got = cache.get(n)
         if got is not None:
             return got
+        _DEADLINE.get().check()
         if n == 0:
             result = SubmoduleData.free(self.ctx, 1)
         elif n == 1:
@@ -139,12 +140,11 @@ class ModuleEmbedding:
         else:
             for k in range(1, n):
                 if k not in cache:
-                    self.power_piece(k, deadline=deadline)
+                    self.power_piece(k)
             a = next((a for a in range(n - 1, (n - 1) // 2, -1)
                       if cache[a].is_monomial()
                       and cache[n - a].is_monomial()), n - 1)
-            result = piece_product(self, cache[a], a, cache[n - a], n - a,
-                                   deadline=deadline)
+            result = piece_product(self, cache[a], a, cache[n - a], n - a)
         cache[n] = result
         return result
 
@@ -175,7 +175,7 @@ def _integer_product(u, v, bases, p):
     return {t: c for t, c in vp.items() if c}
 
 
-def piece_product(E, A, a, B, b, deadline=None):
+def piece_product(E, A, a, B, b):
     """Groebner basis of the product piece A*B in fiber degree a+b.
 
     E supplies the free rank r and the ring: the ModuleEmbedding of an
@@ -191,9 +191,8 @@ def piece_product(E, A, a, B, b, deadline=None):
     over GF(p)) with groebner's own normalization, and de-duplicated on
     that form: u*v = v*u in M*M, and (x*y)*z = (x*z)*y across M^(n-1)*M,
     and each repeat only adds work that reduces to zero.  The products go
-    to groebner.vector_basis, with no Polynomial or Fraction in between,
-    and deadline with them.  Products of too high a degree raise
-    InputError.
+    to groebner.vector_basis, with no Polynomial or Fraction in between.
+    Products of too high a degree raise InputError.
     """
     rank = piece_rank(E.rank, a + b)
     comps_a = _mono_components(A)
@@ -222,20 +221,17 @@ def piece_product(E, A, a, B, b, deadline=None):
             if vp:
                 vp = _vp_normalize(vp, max(vp), p)
                 products.setdefault(frozenset(vp.items()), vp)
-    return vector_basis(E.ctx, rank, list(products.values()),
-                        deadline=deadline)
+    return vector_basis(E.ctx, rank, list(products.values()))
 
 
-def piece_colon(E, W, G, low, ambient, inside=None, deadline=None):
+def piece_colon(E, W, G, low, ambient, inside=None):
     """{v in the fiber-degree-ambient free piece : v*g in W for every g}.
 
     The g are the generators of G, a submodule of the fiber-degree-low
     piece; zero ones impose no condition.  E is as in piece_product.
     inside, when given, is a submodule of the ambient piece that the
-    caller knows lies in the colon, and deadline, when given, is checked
-    once per standard monomial of the second route and inside the
-    eliminations of the third.  The first of three routes that applies
-    computes the colon:
+    caller knows lies in the colon.  The first of three routes that
+    applies computes the colon:
 
     - monomial: W and G are monomial.  Each g shifts components by a
       fixed t-monomial, so the colon splits into one ideal colon per
@@ -270,8 +266,7 @@ def piece_colon(E, W, G, low, ambient, inside=None, deadline=None):
     if inside is not None:
         B, stairs = _standard_stairs(inside)
         if stairs is not None:
-            kernel = _colon_kernel(W, _kernel_vectors(G), index, stairs,
-                                   deadline)
+            kernel = _colon_kernel(W, _kernel_vectors(G), index, stairs)
             if not kernel:
                 return B
             return vector_basis(ctx, rank_amb,
@@ -280,9 +275,9 @@ def piece_colon(E, W, G, low, ambient, inside=None, deadline=None):
     for g in _kernel_vectors(G):
         part = _eliminate_block(
             [(_unit_times(row, g), {_pack(c, (0, 0)): 1})
-             for c, row in enumerate(index)], W, rank_amb, deadline)
+             for c, row in enumerate(index)], W, rank_amb)
         if result is not None:
-            part = intersect(result, part, deadline)
+            part = intersect(result, part)
         result = groebner_basis(part)
     return result
 
@@ -294,7 +289,7 @@ def _unit_times(row, g):
             for j, e in [_unpack(t)]}
 
 
-def _colon_kernel(W, gens_low, products, stairs, deadline):
+def _colon_kernel(W, gens_low, products, stairs):
     """Kernel vectors that, with inside, generate the colon of
     piece_colon: the kernel of s -> (NF_W(s*g))_g on the span of the
     standard monomials s of inside, whose lead staircases are stairs.
@@ -310,7 +305,7 @@ def _colon_kernel(W, gens_low, products, stairs, deadline):
     one by one over the field, each row tagged with the combination of
     standard monomials it came from (Marinari, Moeller & Mora, AAECC 4,
     1993); a row that reduces to zero leaves its tag, an element of the
-    colon.
+    colon.  The ambient deadline is checked once per standard monomial.
     """
     p = W.ctx.characteristic
     basis_index = _basis_index(W)
@@ -332,8 +327,7 @@ def _colon_kernel(W, gens_low, products, stairs, deadline):
                             for g in gens_low]
                 column = foot
                 for b in range(height):
-                    if deadline is not None:
-                        deadline.check()
+                    _DEADLINE.get().check()
                     if b:
                         column = times(column, _Y)
                     tag = _eliminate(

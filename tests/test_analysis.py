@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from reescalc import (InputError, ModuleEmbedding, RingContext, SubmoduleData,
-                      br_coefficients, br_corollary_check, buchsbaum_check,
+from reescalc import (ClosureOptions, InputError, ModuleEmbedding,
+                      RingContext, SubmoduleData, br_coefficients,
+                      br_corollary_check, buchsbaum_check,
                       direct_sum_buchsbaum, indecomposability_check,
                       parse_poly, ratliff_rush_module,
                       scaled_buchsbaum_check, theorem12_check)
@@ -15,6 +16,7 @@ from reescalc.fixtures import (indecomposable_presentation, mixed_direct_sum,
                                square_direct_sum)
 
 from oracles import newton_closure_oracle
+from test_chain_contract import _checks_inside
 from test_rees import BINOMIAL_ROWS
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
@@ -80,21 +82,18 @@ def test_br_matches_measured_lengths():
         colength(E.power_piece(n + 1))
 
 
-def test_br_checks_its_deadline_inside_a_power():
-    # br_coefficients checks the deadline before each of its n_max + 1
-    # powers; the powers of a non-monomial module run Buchberger, which
-    # checks it too, so a power that overruns still stops.
-    class CountingDeadline:
-        calls = 0
-
-        def check(self):
-            self.calls += 1
-
+def test_br_checks_its_deadline_inside_a_power(monkeypatch):
+    # power_piece checks the deadline once for each of the n_max + 1
+    # powers br_coefficients measures; the powers of a non-monomial module
+    # run Buchberger, which checks it too, so a power that overruns still
+    # stops.
+    checks = _checks_inside(monkeypatch, groebner._buchberger)
     E = ModuleEmbedding.from_matrix(
         CTX, [[_p(e) for e in row] for row in BINOMIAL_ROWS])
-    deadline = CountingDeadline()
-    br_coefficients(E, 6, deadline)
-    assert deadline.calls > 6 + 1
+    with ClosureOptions(deadline_seconds=60).deadline():
+        br_coefficients(E, 6)
+    assert len(checks) > 6 + 1
+    assert True in checks
 
 
 def test_br_input_validation():

@@ -16,8 +16,9 @@ import pytest
 
 from reescalc import (ClosureOptions, DeadlineExceeded, ModuleEmbedding,
                       RingContext, SubmoduleData, UnstableChainError, closures,
-                      groebner, groebner_basis, parse_poly,
-                      ratliff_rush_module)
+                      groebner, groebner_basis, integral_closure_module,
+                      parse_poly, ratliff_rush_module)
+from reescalc.fixtures import indecomposable_presentation
 
 CTX = RingContext(characteristic=0, base_vars=("X", "Y"))
 
@@ -74,6 +75,17 @@ def test_expired_deadline_raises(route):
         route(ClosureOptions(deadline_seconds=1e-9))
 
 
+def test_a_nested_deadline_ends_no_later_and_exit_restores_the_outer():
+    # The chain's own 60-second scope does not outlast the expired scope
+    # around it, and leaving that scope, here by the exception, restores
+    # the one before it, where the same call completes.
+    with pytest.raises(DeadlineExceeded):
+        with ClosureOptions(deadline_seconds=1e-9).deadline():
+            _ideal_route(ClosureOptions(deadline_seconds=60))
+    assert _ideal_route(ClosureOptions(deadline_seconds=60)).submodule.gens \
+        == M4.gens
+
+
 def _embedding(*rows):
     return ModuleEmbedding.from_matrix(
         CTX, [[parse_poly(e, CTX) for e in row] for row in rows])
@@ -91,18 +103,19 @@ def infinite_embedding():
 
 
 def test_deadline_is_checked_inside_a_chain_step(monkeypatch):
-    # The chain checks its deadline before each step, the Buchberger runs
-    # of the powers it builds once per input or pair, and the linear-
-    # algebra colon once per standard monomial.  Before the first step's
-    # piece_colon the chain makes one check and the run that builds M^2
-    # 31, so a deadline that expires on its 33rd check stops that
-    # piece_colon before it returns.
+    # The chain checks its deadline before each step, power_piece once per
+    # power it computes, the Buchberger runs once per input or pair, and
+    # the linear-algebra colon once per standard monomial.  Before the
+    # first step's piece_colon come 42 checks: M^1 makes one and the run
+    # that builds its basis 8, the chain one, and M^2 one and its run 31.
+    # So a deadline that expires on its 43rd check stops that piece_colon
+    # before it returns.
     checks, events = [], []
 
     def check(self):
         checks.append(1)
-        if len(checks) == 33:
-            raise DeadlineExceeded("expired on the 33rd check")
+        if len(checks) == 43:
+            raise DeadlineExceeded("expired on the 43rd check")
 
     real = closures.piece_colon
 
@@ -112,7 +125,7 @@ def test_deadline_is_checked_inside_a_chain_step(monkeypatch):
         events.append("return")
         return result
 
-    monkeypatch.setattr(closures._Deadline, "check", check)
+    monkeypatch.setattr(groebner._Deadline, "check", check)
     monkeypatch.setattr(closures, "piece_colon", piece_colon)
     with pytest.raises(DeadlineExceeded):
         ratliff_rush_module(_binomial_embedding(), 1,
@@ -121,17 +134,17 @@ def test_deadline_is_checked_inside_a_chain_step(monkeypatch):
 
 
 def test_chain_checks_its_deadline_inside_its_powers(monkeypatch):
-    # The chain passes its deadline to the powers it builds, so a step
+    # The powers the chain builds run in its deadline's scope, so a step
     # whose power overruns stops too: some checks run inside power_piece.
     inside, checks = [], []
-    monkeypatch.setattr(closures._Deadline, "check",
+    monkeypatch.setattr(groebner._Deadline, "check",
                         lambda self: checks.append(bool(inside)))
     real = ModuleEmbedding.power_piece
 
-    def power_piece(self, n, deadline=None):
+    def power_piece(self, n):
         inside.append(n)
         try:
-            return real(self, n, deadline)
+            return real(self, n)
         finally:
             inside.pop()
 
@@ -141,12 +154,10 @@ def test_chain_checks_its_deadline_inside_its_powers(monkeypatch):
     assert True in checks and False in checks
 
 
-def test_syzygy_colon_checks_its_deadline_inside_its_eliminations(
-        monkeypatch):
-    # The chain's deadline reaches the block eliminations of the syzygy
-    # colon (preimages and intersections): some checks run inside
-    # groebner._eliminate_block.
-    code = groebner._eliminate_block.__code__
+def _checks_inside(monkeypatch, function):
+    """A list that gains, per deadline check, whether function is on the
+    stack."""
+    code = function.__code__
     checks = []
 
     def check(self):
@@ -155,7 +166,26 @@ def test_syzygy_colon_checks_its_deadline_inside_its_eliminations(
             frame = frame.f_back
         checks.append(frame is not None)
 
-    monkeypatch.setattr(closures._Deadline, "check", check)
+    monkeypatch.setattr(groebner._Deadline, "check", check)
+    return checks
+
+
+def test_syzygy_colon_checks_its_deadline_inside_its_eliminations(
+        monkeypatch):
+    # The chain's deadline reaches the block eliminations of the syzygy
+    # colon (preimages and intersections): some checks run inside
+    # groebner._eliminate_block.
+    checks = _checks_inside(monkeypatch, groebner._eliminate_block)
     ratliff_rush_module(infinite_embedding(), 1,
                         ClosureOptions(deadline_seconds=60))
+    assert True in checks
+
+
+def test_reduction_tests_check_the_ambient_deadline(monkeypatch):
+    # The powers and products of a candidate closure's reduction tests run
+    # in the caller's deadline scope: some checks run inside is_reduction.
+    checks = _checks_inside(monkeypatch, closures.is_reduction)
+    fix = indecomposable_presentation()
+    with ClosureOptions(deadline_seconds=60).deadline():
+        integral_closure_module(fix["E"], candidates=[fix["candidate"]])
     assert True in checks

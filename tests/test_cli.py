@@ -9,6 +9,8 @@ from reescalc import (InputError, Polynomial, RingContext, SubmoduleData,
 from reescalc.cli import main
 from reescalc.poly import MAX_EXPONENT, MAX_POWER_BITS, MAX_POWER_TERMS
 
+from test_acceptance import PROBLEMS
+
 RR_PROBLEM = """\
 ring {
   vars = X, Y
@@ -207,6 +209,20 @@ def test_br_checks_its_deadline_before_each_power(tmp_path, capsys):
     path = _write(tmp_path, "br.problem",
                   BINOMIAL + "options {\n  deadline = 1e-9\n}\n")
     status, out, err = _run(capsys, ["br", path])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("inconclusive: ")
+
+
+@pytest.mark.parametrize("command", ["buchsbaum", "param"])
+def test_expired_deadline_stops_a_command_without_a_chain(command, tmp_path,
+                                                           capsys):
+    # The whole command runs in the deadline's scope, so the powers that
+    # buchsbaum builds on the mixed direct sum and the Groebner bases that
+    # param computes on the parameter module check it too.
+    path = _write(tmp_path, f"{command}.problem",
+                  PROBLEMS[command] + "options {\n  deadline = 1e-9\n}\n")
+    status, out, err = _run(capsys, [command, path])
     assert status == 2
     assert out == ""
     assert err.startswith("inconclusive: ")

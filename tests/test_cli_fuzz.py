@@ -83,11 +83,11 @@ _LOW_DEGREE_ENTRY = st.tuples(
 @st.composite
 def _small_modules(draw):
     """Rank 1 or 2, at most 3 columns, entries in (X, Y) of degree at
-    most 2.  The options block bounds the colon chains and each closure
-    call; br checks the deadline only before each power, and one power
-    of a rank-2 module from this set can run far past it, so the
-    examples drawn are a fixed set (derandomize) whose cost is measured,
-    not bounded."""
+    most 2.  The options block bounds the colon chains, and its deadline
+    the whole run: it is checked once per power computed and once per
+    input or pair of each Groebner basis computation, inside a power
+    too, so no power runs far past it.  The examples drawn are still a
+    fixed set (derandomize) whose cost is measured."""
     rank = draw(st.integers(1, 2))
     width = draw(st.integers(1, 3))
     rows = [[draw(_LOW_DEGREE_ENTRY) for _ in range(width)]

@@ -328,7 +328,7 @@ def test_colon_of_non_monomial_modules_matches_linear_algebra():
 
 
 def test_intersection_of_nested_modules_skips_the_elimination(monkeypatch):
-    def no_elimination(pairs, W, rank, deadline=None):
+    def no_elimination(pairs, W, rank):
         raise AssertionError("nested modules reached the elimination")
 
     rng = random.Random(3131)

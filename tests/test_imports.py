@@ -134,6 +134,24 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_no_function_takes_a_deadline_parameter():
+    # The deadline is ambient (ClosureOptions.deadline() opens its scope),
+    # so threading one through a signature is a second mechanism.
+    found = []
+    for path in sorted(Path(reescalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                     *args.kwonlyargs, args.vararg,
+                                     args.kwarg) if a is not None]
+            if "deadline" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_public_name_is_used_inside_the_package():
     # A public name that no module of the package refers to serves only
     # callers outside it, and nothing here runs it; deleting code tends to
