@@ -15,7 +15,7 @@ from .errors import InputError, SoundnessAlert
 from .groebner import SubmoduleData, contains, equal, groebner_basis, member
 from .rees import (INFINITE, ModuleEmbedding, colength, direct_sum,
                    fitting_ideal, maximal_ideal, ord_ideal, piece_product,
-                   scale_by_ideal, _eliminate)
+                   scale_by_ideal)
 
 
 def _br_length(coefficients, rank, n):
@@ -27,11 +27,11 @@ def _br_length(coefficients, rank, n):
 
 
 def br_coefficients(E, n_max=None):
-    """Buchsbaum-Rim coefficients br_0 .. br_(d+r-1) by exact interpolation.
+    """Buchsbaum-Rim coefficients br_0 .. br_(d+r-1), fitted in integers.
 
-    Lengths are measured for n = 0..n_max, the top d+r points are solved
-    exactly, and the polynomial is validated backward until the first
-    mismatch.
+    Lengths are measured for n = 0..n_max, the coefficients are read off
+    the backward differences of the top d+r of them, exactly, and the
+    polynomial is validated backward until the first mismatch.
 
     Returns a dict: "coefficients" (br_0 .. br_(d+r-1), the length of
     F^(n+1)/M^(n+1) being sum over i of (-1)^i * br_i * C(n+d+r-i-1,
@@ -52,24 +52,19 @@ def br_coefficients(E, n_max=None):
             raise InputError("infinite colength; no length polynomial exists")
         lengths.append(ln)
     fit_lo = n_max - ncoef + 1
-    # The basis rows {n: f_i(n)} on the window, tagged i, are eliminated
-    # over QQ (their entries are binomials, never zero).  They span the
-    # window's values, so the length row, tagged -1, reduces to zero with
-    # tag {-1: 1, i: -c_i}: lengths = sum_i c_i * f_i.
-    window = range(fit_lo, n_max + 1)
-    pivots = {}
-    for i in range(ncoef):
-        row = {n: (-1) ** i * comb(n + ncoef - i - 1, ncoef - 1 - i)
-               for n in window}
-        if _eliminate(row, {i: 1}, pivots, 0) is not None:
-            raise InputError("degenerate interpolation system")
-    tag = _eliminate({n: lengths[n] for n in window if lengths[n]},
-                     {-1: 1}, pivots, 0)
-    coeffs = [-tag.get(i, 0) for i in range(ncoef)]
-    if any(c.denominator != 1 for c in coeffs):
-        raise InputError(
-            "lengths are not yet polynomial on the fit window; raise n_max")
-    coeffs = [int(c) for c in coeffs]
+    # With a_j the coefficient of C(n+j, j), so that br_i = (-1)^i * a_j
+    # for j = ncoef-1-i, the m-th backward difference of the lengths at
+    # n_max is the sum over j >= m of a_j * C(n_max+j-m, j-m): the a_j
+    # follow from the top down, in integers, from the window's lengths.
+    diff, nabla = lengths[fit_lo:], []
+    while diff:
+        nabla.append(diff[-1])
+        diff = [b - a for a, b in zip(diff, diff[1:])]
+    a = [0] * ncoef
+    for m in reversed(range(ncoef)):
+        a[m] = nabla[m] - sum(a[j] * comb(n_max + j - m, j - m)
+                              for j in range(m + 1, ncoef))
+    coeffs = [(-1) ** i * a[ncoef - 1 - i] for i in range(ncoef)]
     validated_from = fit_lo
     for n in range(fit_lo - 1, -1, -1):
         if _br_length(coeffs, r, n) != lengths[n]:
@@ -78,7 +73,7 @@ def br_coefficients(E, n_max=None):
     if fit_lo - validated_from < 2:
         raise InputError(
             "fewer than 2 validated points below the fit window; raise n_max")
-    for n in window:
+    for n in range(fit_lo, n_max + 1):
         if _br_length(coeffs, r, n) != lengths[n]:
             raise SoundnessAlert("fitted polynomial fails on its own window")
     if 0 < lengths[0] and coeffs[0] <= 0:
@@ -109,8 +104,7 @@ def br_corollary_check(E, B=None, opts=None):
     hi = B["fit_window"][1]
     for n in range(hi - 2, hi + 1):
         measured = colength(Ebar.power_piece(n + 1))
-        predicted = (coeffs[0] * comb(n + r + 1, r + 1)
-                     - coeffs[1] * comb(n + r, r))
+        predicted = _br_length(coeffs[:2], r, n)
         samples.append({"n": n, "measured": measured, "predicted": predicted})
     clause_formula = all(s["measured"] == s["predicted"] for s in samples)
     return {
@@ -133,7 +127,7 @@ def _gap(sub_piece, closure_piece):
     return a - b
 
 
-def theorem12_check(E, n_max=4, candidates=None, opts=None):
+def theorem12_check(E, n_max=None, candidates=None, opts=None):
     """The four finite equivalent conditions on closure agreement.
 
     (1) the Ratliff-Rush and integral closures of M agree; (2) they agree
@@ -148,6 +142,8 @@ def theorem12_check(E, n_max=4, candidates=None, opts=None):
     the window was "inconclusive"), "warnings" and "notes".
     """
     opts = opts or ClosureOptions()
+    if n_max is None:
+        n_max = 4
     if n_max < 1:
         raise InputError("n_max must be at least 1")
     if colength(E.submodule()) is INFINITE:
@@ -167,7 +163,7 @@ def theorem12_check(E, n_max=4, candidates=None, opts=None):
         ic_gap = _gap(Mn, bar_n)
         table.append({"n": n, "colength": colength(Mn),
                       "rr_gap": rr_gap, "ic_gap": ic_gap})
-        if rr_gap is not INFINITE and ic_gap is not INFINITE and rr_gap > ic_gap:
+        if rr_gap > ic_gap:
             raise SoundnessAlert(
                 f"Ratliff-Rush gap exceeds integral-closure gap at n={n}")
         rr_equal_ic.append(equal(rr_n.submodule, bar_n))

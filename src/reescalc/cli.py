@@ -86,7 +86,7 @@ def _run_br(problem, opts, n_max):
 def _run_thm12(problem, opts, n_max):
     from .analysis import theorem12_check
     E = problem.embedding()
-    rep = theorem12_check(E, n_max=4 if n_max is None else n_max,
+    rep = theorem12_check(E, n_max=n_max,
                           candidates=problem.candidate_columns() or None,
                           opts=opts)
     certification = rep["certification"]

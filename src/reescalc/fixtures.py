@@ -123,7 +123,7 @@ def run_all():
            reasons, out)
 
     sq = square_direct_sum(ctx)
-    verdicts = theorem12_check(sq["E"], n_max=4)["verdicts"]
+    verdicts = theorem12_check(sq["E"])["verdicts"]
     _check("square-direct-sum/equivalences",
            verdicts["consistent"] and verdicts["closures_agree"],
            verdicts, out)
@@ -144,9 +144,9 @@ def run_all():
     cc = br_corollary_check(mx["E"], B)
     _check("mixed-direct-sum/coefficients", cc["verdict"],
            {"coefficients": B["coefficients"]}, out)
-    for ideal_gens in (["X", "Y"], ["X^2", "X*Y", "Y^2"]):
-        sc = scaled_buchsbaum_check(mx["E"], _ideal(ctx, ideal_gens))
-        _check(f"mixed-direct-sum/rescaled-{len(ideal_gens) - 1}",
+    for scaling in (["X", "Y"], ["X^2", "X*Y", "Y^2"]):
+        sc = scaled_buchsbaum_check(mx["E"], _ideal(ctx, scaling))
+        _check(f"mixed-direct-sum/rescaled-{len(scaling) - 1}",
                sc["verdict"], {}, out)
 
     pr = indecomposable_presentation(ctx)

@@ -215,11 +215,6 @@ class SubmoduleData:
 
     # -- inspection ------------------------------------------------------
 
-    def ideal_gens(self):
-        if self.rank != 1:
-            raise RankMismatchError("not an ideal")
-        return tuple(g[0] for g in self.gens)
-
     def is_zero(self):
         stairs = _mono_components(self)
         return stairs is not None and not any(stairs)
@@ -492,9 +487,6 @@ def _autoreduce(entries, p):
 # Algebra, ch. 3).  Minimalizing is a sort and one sweep, a colon by a
 # monomial one shifting pass, and intersecting a merge of two staircases.
 
-_INF = float("inf")
-
-
 def _sweep(pts):
     """Staircase of lexicographically sorted points: a point stays iff its
     b is below the last kept b, which is the least b seen so far."""
@@ -557,7 +549,7 @@ def _stair_heights(stair, xs):
     """For ascending xs, the least b over corners of stair with a <= x
     (infinite where there is none)."""
     out = []
-    i, y = 0, _INF
+    i, y = 0, inf
     for x in xs:
         while i < len(stair) and stair[i][0] <= x:
             y = stair[i][1]
@@ -576,7 +568,7 @@ def _mono_ideal_intersect(a_list, b_list):
         return []
     xs = sorted({a for a, _ in a_list} | {a for a, _ in b_list})
     ys = map(max, _stair_heights(a_list, xs), _stair_heights(b_list, xs))
-    return _sweep([(x, y) for x, y in zip(xs, ys) if y != _INF])
+    return _sweep([(x, y) for x, y in zip(xs, ys) if y != inf])
 
 
 def _basis(ctx, rank, stairs=_UNSCANNED, vps=None):
@@ -658,7 +650,8 @@ def _basis_index(U):
 
 
 def contains(U, V):
-    """True iff V is a submodule of U."""
+    """True iff V is a submodule of U.  Monomial modules compare their
+    staircases: V lies in U iff U intersect V is V in every component."""
     if U.rank != V.rank:
         raise RankMismatchError("ambient ranks differ")
     if U.ctx != V.ctx:
@@ -667,8 +660,8 @@ def contains(U, V):
     if cu is not None:
         cv = _mono_components(V)
         if cv is not None:
-            return all(all(any(mon_divides(u, v) for u in cu[c]) for v in lst)
-                       for c, lst in enumerate(cv))
+            return all(_mono_ideal_intersect(a, b) == list(b)
+                       for a, b in zip(cu, cv))
     index, p = _basis_index(U), U.ctx.characteristic
     return not any(_vp_normal_form(vp, index, p)
                    for vp in _kernel_vectors(V))

@@ -77,6 +77,8 @@ class ProblemFile:
                                  if key in self.options})
 
 
+# The blocks that list entries, with the key each line uses.
+_LIST_BLOCKS = {"matrix": "row", "candidates": "col", "factors": "ideal"}
 _INT_OPTIONS = ("lmax", "window", "nmax", "smax")
 _CLOSURE_FIELDS = {"lmax": "l_max", "window": "window", "smax": "s_max",
                    "deadline": "deadline_seconds"}
@@ -132,9 +134,7 @@ def parse_problem(text, char_override=None):
     blocks = _parse_blocks(text)
     base_vars = ("X", "Y")
     char = 0
-    rows = []
-    candidates = []
-    factors = []
+    lists = {name: [] for name in _LIST_BLOCKS}
     options = {}
     seen = set()
     for name, items in blocks:
@@ -149,21 +149,13 @@ def parse_problem(text, char_override=None):
                     char = _number(int, key, value, lineno)
                 else:
                     raise InputError(f"line {lineno}: unknown ring key {key!r}")
-        elif name == "matrix":
+        elif name in lists:
+            expected = _LIST_BLOCKS[name]
             for key, value, lineno in items:
-                if key != "row":
-                    raise InputError(f"line {lineno}: expected row entries")
-                rows.append(_split_entries(value))
-        elif name == "candidates":
-            for key, value, lineno in items:
-                if key != "col":
-                    raise InputError(f"line {lineno}: expected col entries")
-                candidates.append(_split_entries(value))
-        elif name == "factors":
-            for key, value, lineno in items:
-                if key != "ideal":
-                    raise InputError(f"line {lineno}: expected ideal entries")
-                factors.append(_split_entries(value))
+                if key != expected:
+                    raise InputError(
+                        f"line {lineno}: expected {expected} entries")
+                lists[name].append(_split_entries(value))
         elif name == "options":
             for key, value, lineno in items:
                 if key in _INT_OPTIONS:
@@ -174,6 +166,7 @@ def parse_problem(text, char_override=None):
                     raise InputError(f"line {lineno}: unknown option {key!r}")
         else:
             raise InputError(f"unknown block {name!r}")
+    rows = lists["matrix"]
     if not rows:
         raise InputError("problem file has no matrix block")
     width = len(rows[0])
@@ -182,4 +175,5 @@ def parse_problem(text, char_override=None):
     if char_override is not None:
         char = char_override
     ctx = RingContext(characteristic=char, base_vars=base_vars)
-    return ProblemFile(ctx, rows, candidates, factors, options)
+    return ProblemFile(ctx, rows, lists["candidates"], lists["factors"],
+                       options)

@@ -1,5 +1,6 @@
 """Length polynomials and the theorem-level deciders."""
 
+import random
 from math import comb
 
 import pytest
@@ -10,7 +11,7 @@ from reescalc import (ClosureOptions, InputError, ModuleEmbedding,
                       direct_sum_buchsbaum, indecomposability_check,
                       parse_poly, ratliff_rush_module,
                       scaled_buchsbaum_check, theorem12_check)
-from reescalc import groebner
+from reescalc import analysis, groebner
 from reescalc.fixtures import (indecomposable_presentation, mixed_direct_sum,
                                parameter_module, rr_ideal_pair,
                                square_direct_sum)
@@ -101,6 +102,47 @@ def test_br_input_validation():
         br_coefficients(_ideal_embedding("X", "Y"), n_max=3)
     with pytest.raises(InputError):
         br_coefficients(_ideal_embedding("X"))  # infinite colength
+
+
+class _LengthStub:
+    """Stands in for an embedding: power_piece(n) is n itself, which the
+    patched colength maps to the length the test chose."""
+
+    def __init__(self, rank):
+        self.rank = rank
+
+    def power_piece(self, n):
+        return n
+
+
+def test_br_fit_round_trips_arbitrary_integer_lengths(monkeypatch):
+    # Lengths given by random integer coefficients from n0 on, and wrong
+    # below it, come back as the same coefficients validated from n0.
+    rng = random.Random(2028)
+    seen = set()
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        ncoef = 2 + r
+        c = [rng.randint(1, 10 ** 6)]
+        c += [rng.randint(-10 ** 6, 10 ** 6) for _ in range(ncoef - 1)]
+        n_max = rng.randint(ncoef + 2, ncoef + 6)
+        fit_lo = n_max - ncoef + 1
+        n0 = rng.randint(0, fit_lo)
+        lengths = [analysis._br_length(c, r, n)
+                   + (rng.choice((-1, 1)) * rng.randint(1, 10 ** 3)
+                      if n < n0 else 0)
+                   for n in range(n_max + 1)]
+        monkeypatch.setattr(analysis, "colength", lambda n: lengths[n - 1])
+        if fit_lo - n0 < 2:
+            with pytest.raises(InputError, match="fewer than 2 validated"):
+                br_coefficients(_LengthStub(r), n_max)
+            seen.add("short")
+            continue
+        B = br_coefficients(_LengthStub(r), n_max)
+        assert B == {"coefficients": c, "fit_window": [fit_lo, n_max],
+                     "validated_from": n0, "lengths": lengths}
+        seen.add("fit")
+    assert seen == {"fit", "short"}
 
 
 def test_br_equals_br_of_rr_closure():

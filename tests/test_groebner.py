@@ -118,7 +118,7 @@ def test_colon_adjunction_random_monomial_triples():
         J = ideal_from_exps(CTX, random_monomial_ideal(rng, max_degree=4))
         v = Polynomial.monomial(CTX, (rng.randint(0, 6), rng.randint(0, 6)))
         lhs = member((v,), _colon(U, J))
-        rhs = all(member((v * g,), U) for g in J.ideal_gens())
+        rhs = all(member((v * g,), U) for (g,) in J.gens)
         assert lhs == rhs
 
 
@@ -308,7 +308,7 @@ def test_colon_of_non_monomial_modules_matches_linear_algebra():
             assert contains(C, U)
             strict += not equal(C, U)
             for v in C.gens:
-                for g in J.ideal_gens():
+                for (g,) in J.gens:
                     gv = tuple(g * p for p in v)
                     assert span_membership(gv, U.gens, ctx, U.rank,
                                            _degree(gv) + 4), (U, J, v)
@@ -321,7 +321,7 @@ def test_colon_of_non_monomial_modules_matches_linear_algebra():
                               for _ in range(U.rank))
                 inside = member(v, C)
                 assert inside == all(member(tuple(g * p for p in v), U)
-                                     for g in J.ideal_gens()), (U, J, v)
+                                     for (g,) in J.gens), (U, J, v)
                 seen.add(inside)
     assert seen == {True, False}
     assert strict >= 5

@@ -166,3 +166,48 @@ def test_every_public_name_is_used_inside_the_package():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(reescalc.__all__) - used) == []
+
+
+def _package_trees():
+    """The parsed modules of the package, by name, __init__ left out."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(reescalc.__file__).parent.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def test_only_the_engine_shares_private_names():
+    # groebner, rees and closures are the engine and may share helpers;
+    # a decider, the front end or the corpus that reaches for one of them
+    # holds a second copy of a job the engine's public names should do.
+    trees = _package_trees()
+    found = []
+    for module in ("analysis", "cli", "fixtures", "problem"):
+        for node in ast.walk(trees[module]):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not (node.level or (node.module or "").startswith("reescalc")):
+                continue
+            found += [f"{module}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_every_public_method_of_an_exported_class_is_read():
+    # The methods and properties of the classes `reescalc` exports are
+    # public surface too; one that no module reads as an attribute serves
+    # only callers outside the package.
+    trees = _package_trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef)
+                    and NAMES.get(node.name) == module):
+                continue
+            unread += [f"{node.name}.{item.name}" for item in node.body
+                       if isinstance(item, ast.FunctionDef)
+                       and not item.name.startswith("_")
+                       and item.name not in read]
+    assert unread == []
